@@ -17,7 +17,6 @@ from .words import (
 )
 from .measure import (
     BernoulliTypeMeasure,
-    CylinderValue,
     PullbackSeries,
     bernoulli,
     cesaro_lambda,

@@ -60,7 +60,7 @@ def cmd_measure(args) -> int:
     if args.k:
         value = measure.pullback_cylinder(meas, args.w, args.k)
     else:
-        value = measure.mu_recursive(meas, args.w).value
+        value = measure.mu_recursive(meas, args.w)
     record = {
         "schema": SCHEMA,
         "m": args.m,
@@ -224,12 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the full verification suite")
     sp.add_argument("--quick", action="store_true")
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for interface stability; output is worker-count independent",
-    )
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .words import count_words
-
 LOG2 = math.log(2.0)
 
 
@@ -52,20 +50,20 @@ def g_m(m: int, x: float) -> float:
 
 
 def solve_qm(m: int, p: float, tol: float = 1e-12) -> float:
-    """Root of f_m(q) = p by bisection on [1e-9, 1-1e-9].
+    """Root of f_m(q) = p by bisection on (0, 1).
 
-    Requires the standing assumption 1/m < p < 1 - 1/m; the bracket ends
-    evaluate below/above p since f_m tends to 1/m and 1-1/m there.
+    Requires the standing assumption 1/m < p < 1 - 1/m.  The ends of the
+    bracket take the limits 1/m and 1-1/m of f_m, which lie below/above p,
+    and are never returned.  Raises ValueError when no float q inside
+    (0, 1) brings |f_m(q) - p| to tol, as happens within a few ulps of the
+    ends, where f_m loses accuracy in binary64.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not 1.0 / m < p < 1.0 - 1.0 / m:
         raise ValueError(f"p must lie in (1/{m}, 1-1/{m}), got {p}")
-    lo, hi = 1e-9, 1.0 - 1e-9
-    flo, fhi = f_m(m, lo) - p, f_m(m, hi) - p
-    if flo > 0 or fhi < 0:
-        raise ArithmeticError(f"no sign change on bracket for m={m}, p={p}")
-    mid = 0.5 * (lo + hi)
+    lo, hi = 0.0, 1.0
+    flo, fhi = 1.0 / m - p, 1.0 - 1.0 / m - p
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # bracket down to one ulp
@@ -73,13 +71,15 @@ def solve_qm(m: int, p: float, tol: float = 1e-12) -> float:
         fmid = f_m(m, mid) - p
         if fmid == 0.0:
             return mid
-        if (fmid > 0) == (fhi > 0):
+        if fmid > 0:
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-    if abs(f_m(m, mid) - p) > tol:
-        raise ArithmeticError(f"bisection stalled outside tol for m={m}, p={p}")
-    return mid
+    # the end of the last bracket nearer the root; 0 and 1 are never roots
+    q, res = (hi, fhi) if lo == 0.0 or (hi < 1.0 and fhi < -flo) else (lo, flo)
+    if abs(res) > tol:
+        raise ValueError(f"no root within tol={tol} for m={m}, p={p}")
+    return q
 
 
 def lower_bound(m: int, p: float, q: float) -> float:
@@ -121,11 +121,6 @@ def growth_root(m: int, tol: float = 1e-14) -> float:
 def topo_dim(m: int) -> float:
     """Dimension of the full constrained set: log(growth rate) / log 2."""
     return math.log(growth_root(m)) / LOG2
-
-
-def empirical_growth(m: int, n: int = 30) -> float:
-    """count ratio |words of n+1| / |words of n|; cross-check for growth_root."""
-    return count_words(m, n + 1) / count_words(m, n)
 
 
 def profile(m: int, p: float) -> DimensionProfile:

@@ -13,6 +13,10 @@ from fractions import Fraction
 from .words import (
     InadmissibleWordError,
     Word,
+    _dot,
+    _emission,
+    _start,
+    _step,
     enumerate_words,
     is_admissible,
     is_admissible_symbols,
@@ -74,12 +78,6 @@ def bernoulli(m: int, p, mode: str | None = None) -> BernoulliTypeMeasure:
 
 
 @dataclass(frozen=True)
-class CylinderValue:
-    word: Word
-    value: Fraction | float
-
-
-@dataclass(frozen=True)
 class PullbackSeries:
     """Shifted-cylinder measures a_k, b_k, c_k, d_k and Cesaro averages of a."""
 
@@ -113,17 +111,17 @@ def _mu_symbols(m: int, p, q, s: str):
     return val
 
 
-def mu_recursive(meas: BernoulliTypeMeasure, w: Word | str) -> CylinderValue:
+def mu_recursive(meas: BernoulliTypeMeasure, w: Word | str):
     """Cylinder measure by the step-by-step branching rule.
 
     Inadmissible words map to 0 (the cylinder is empty), so additivity
     identities hold uniformly.
     """
     word = w if isinstance(w, Word) else Word(symbols_of(w), meas.m)
-    return CylinderValue(word, _mu_symbols(meas.m, meas.p, meas.q, word.symbols))
+    return _mu_symbols(meas.m, meas.p, meas.q, word.symbols)
 
 
-def mu_closed(meas: BernoulliTypeMeasure, w: Word | str) -> CylinderValue:
+def mu_closed(meas: BernoulliTypeMeasure, w: Word | str):
     """Closed form p^{n0} (1-p)^{n1} from the occurrence counts."""
     word = w if isinstance(w, Word) else Word(symbols_of(w), meas.m)
     if not is_admissible(word):
@@ -131,72 +129,28 @@ def mu_closed(meas: BernoulliTypeMeasure, w: Word | str) -> CylinderValue:
             f"{word.symbols!r} is not admissible for m={word.order}"
         )
     n0, n1 = occurrence_counts(meas.m, word.symbols)
-    return CylinderValue(word, meas.p**n0 * meas.q**n1)
+    return meas.p**n0 * meas.q**n1
 
 
 # ---------------------------------------------------------------------------
-# shift pullbacks via run-state dynamic programming
-
-State = tuple[int, int]  # (digit, run length)
-
-
-def _initial_dist(m: int, p, q) -> dict[State, object]:
-    return {(0, 1): p, (1, 1): q}
-
-
-def _step_dist(m: int, p, q, dist: dict[State, object]) -> dict[State, object]:
-    """One symbol of the run-state evolution carrying cylinder mass."""
-    out: dict[State, object] = {}
-
-    def add(key, mass):
-        if key in out:
-            out[key] = out[key] + mass
-        else:
-            out[key] = mass
-
-    for (d, r), mass in dist.items():
-        if r >= m - 1:
-            add((1 - d, 1), mass)  # forced opposite digit
-        else:
-            stay = p if d == 0 else q
-            add((d, r + 1), mass * stay)
-            add((1 - d, 1), mass * (1 - stay))
-    return out
-
-
-def _emit_from_state(m: int, p, q, state: State, s: str):
-    """Probability of emitting the word s starting from a run state."""
-    d, r = state
-    val = p**0
-    for c in s:
-        sym = int(c)
-        if r >= m - 1:
-            if sym == d:
-                return val * 0
-            val = val  # forced, factor 1
-        else:
-            val = val * (p if sym == 0 else q)
-        if sym == d:
-            r += 1
-        else:
-            d, r = sym, 1
-    return val
+# shift pullbacks on the run-state kernel of `words`
 
 
 def pullback_cylinder(meas: BernoulliTypeMeasure, w: Word | str, k: int):
-    """mu_p(sigma^{-k}[w]) summed by run-state DP, never by enumeration."""
+    """mu_p(sigma^{-k}[w]) summed by run-state DP, never by enumeration.
+
+    Inadmissible words map to 0 at every k, as in mu_recursive.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     s = symbols_of(w)
     m, p, q = meas.m, meas.p, meas.q
     if k == 0:
         return _mu_symbols(m, p, q, s)
-    if not is_admissible_symbols(m, s):
-        raise InadmissibleWordError(f"{s!r} is not admissible for m={m}")
-    dist = _initial_dist(m, p, q)
+    z, o = _start(m, p, q)
     for _ in range(k - 1):
-        dist = _step_dist(m, p, q, dist)
-    return sum(mass * _emit_from_state(m, p, q, st, s) for st, mass in dist.items())
+        z, o = _step(z, o, p, q)
+    return _dot(z, o, _emission(m, p, q, s))
 
 
 def _check_series_recurrences(m, p, q, a, c, d, exact: bool) -> None:
@@ -219,17 +173,14 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
     if kmax < meas.m:
         raise ValueError(f"kmax must be >= m={meas.m}, got {kmax}")
     m, p, q = meas.m, meas.p, meas.q
-    a = [_mu_symbols(m, p, q, "0")]
-    b = [_mu_symbols(m, p, q, "1")]
-    c = [_mu_symbols(m, p, q, "01")]
-    d = [_mu_symbols(m, p, q, "10")]
-    dist = _initial_dist(m, p, q)
+    cylinders = ("0", "1", "01", "10")
+    emissions = [_emission(m, p, q, s) for s in cylinders]
+    a, b, c, d = series = [[_mu_symbols(m, p, q, s)] for s in cylinders]
+    z, o = _start(m, p, q)
     for _ in range(kmax):
-        a.append(sum(mass * _emit_from_state(m, p, q, st, "0") for st, mass in dist.items()))
-        b.append(sum(mass * _emit_from_state(m, p, q, st, "1") for st, mass in dist.items()))
-        c.append(sum(mass * _emit_from_state(m, p, q, st, "01") for st, mass in dist.items()))
-        d.append(sum(mass * _emit_from_state(m, p, q, st, "10") for st, mass in dist.items()))
-        dist = _step_dist(m, p, q, dist)
+        for seq, e in zip(series, emissions):
+            seq.append(_dot(z, o, e))
+        z, o = _step(z, o, p, q)
     _check_series_recurrences(m, p, q, a, c, d, exact=meas.mode == EXACT)
     cesaro = []
     total = a[0] * 0
@@ -253,10 +204,11 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     p = float(meas.p)
     q = 1.0 - p
     total = _mu_symbols(m, p, q, s)
-    dist = _initial_dist(m, p, q)
+    e = _emission(m, p, q, s)
+    z, o = _start(m, p, q)
     for _ in range(n - 1):
-        total += sum(mass * _emit_from_state(m, p, q, st, s) for st, mass in dist.items())
-        dist = _step_dist(m, p, q, dist)
+        total += _dot(z, o, e)
+        z, o = _step(z, o, p, q)
     return total / n
 
 
@@ -324,22 +276,20 @@ def pullback_bounds_check(
         raise ValueError("pullback_bounds_check requires exact mode")
     m, p, q = meas.m, meas.p, meas.q
     c = 1 / (p * p * q * q)
-    # distributions after k symbols, shared across all words
-    dists = []
-    dist = _initial_dist(m, p, q)
+    # masses after k symbols, shared across all words
+    masses = []
+    z, o = _start(m, p, q)
     for _ in range(kmax):
-        dists.append(dist)
-        dist = _step_dist(m, p, q, dist)
+        masses.append((z, o))
+        z, o = _step(z, o, p, q)
     violations = []
     for s in _admissible_strings_upto(m, L):
         if not s:
             continue
         mu_w = _mu_symbols(m, p, q, s)
-        for k in range(1, kmax + 1):
-            pb = sum(
-                mass * _emit_from_state(m, p, q, st, s)
-                for st, mass in dists[k - 1].items()
-            )
+        e = _emission(m, p, q, s)
+        for k, (z, o) in enumerate(masses, start=1):
+            pb = _dot(z, o, e)
             if not (mu_w <= c * pb and pb <= c * mu_w):
                 violations.append((s, k))
     return violations

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def check_non_invariance(quick: bool = False) -> CheckResult:
             meas = measure.bernoulli(m, p)
             w = "0" * (m - 2) + "1"
             pulled = measure.pullback_cylinder(meas, w, 1)
-            direct = measure.mu_recursive(meas, w).value
+            direct = measure.mu_recursive(meas, w)
             expected = p ** (m - 1) + p ** (m - 2) * (1 - p) ** 2
             if pulled != expected or pulled == direct:
                 bad.append((m, p))
@@ -316,7 +317,7 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
         if verdict.status != univoque.CLEAN_TO_DEPTH:
             continue
         clean += 1
-        runs = _run_lengths(s)
+        runs = [len(list(run)) for _, run in groupby(s)]
         first = runs[0]
         if any(r > first for r in runs[:-1]):
             problems.append(f"window {s} has an interior run above {first}")
@@ -328,22 +329,6 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
         f"runs bounded by the leading run"
         + ("; " + "; ".join(problems[:3]) if problems else ""),
     )
-
-
-def _run_lengths(s: str) -> list[int]:
-    out = []
-    run = 0
-    prev = ""
-    for c in s:
-        if c == prev:
-            run += 1
-        else:
-            if run:
-                out.append(run)
-            run = 1
-            prev = c
-    out.append(run)
-    return out
 
 
 def check_determinism(quick: bool = False) -> CheckResult:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 MIN_ORDER = 3
 
@@ -60,7 +61,6 @@ class SequenceWindow:
     """
 
     prefix: str
-    declared_infinite: bool = True
 
     def __post_init__(self):
         _check_symbols(self.prefix)
@@ -99,21 +99,10 @@ def symbols_of(x) -> str:
     raise TypeError(f"expected Word, SequenceWindow or str, got {type(x)!r}")
 
 
-def max_run(s: str) -> int:
-    """Length of the longest run of equal symbols (0 for the empty word)."""
-    best = run = 0
-    prev = None
-    for c in s:
-        run = run + 1 if c == prev else 1
-        prev = c
-        if run > best:
-            best = run
-    return best
-
-
 def is_admissible_symbols(m: int, s: str) -> bool:
+    """True iff s has no run of m equal symbols: the definition of Lambda_m."""
     _check_order(m)
-    return max_run(s) < m
+    return "0" * m not in s and "1" * m not in s
 
 
 def is_admissible(w: Word) -> bool:
@@ -121,23 +110,60 @@ def is_admissible(w: Word) -> bool:
     return is_admissible_symbols(w.order, w.symbols)
 
 
+# ---------------------------------------------------------------------------
+# run-state kernel: the transfer matrix of the shift of finite type.  States
+# are (digit, run length r), 1 <= r <= m-1, held as two dense lists z (digit
+# 0) and o (digit 1) indexed by r-1.  A free 0 weighs w0, a free 1 weighs w1,
+# and the flip out of a maximal run is forced and weighs 1.  The kernel works
+# in whatever number type the weights have (int, Fraction or float).
+
+
+def _start(m: int, w0, w1):
+    """Masses after one symbol: (z, o) for the states (0, r) and (1, r)."""
+    zero = w0 * 0
+    return [w0] + [zero] * (m - 2), [w1] + [zero] * (m - 2)
+
+
+def _step(z, o, w0, w1):
+    """Masses after one more symbol."""
+    # sums over the free states (r < m-1), started at r = 1 to add no zero
+    return (
+        [sum(o[1:-1], o[0]) * w0 + o[-1]] + [x * w0 for x in z[:-1]],
+        [sum(z[1:-1], z[0]) * w1 + z[-1]] + [x * w1 for x in o[:-1]],
+    )
+
+
+def _emission(m: int, w0, w1, s: str):
+    """(ez, eo): the weight of reading s from each state, built from the back.
+
+    All zeros when s is inadmissible; all ones for the empty word.
+    """
+    ez = eo = [w0**0] * (m - 1)
+    for c in reversed(s):
+        w, nxt = (w0, ez) if c == "0" else (w1, eo)  # the rest of s, from digit c
+        stay = [w * x for x in nxt[1:]] + [nxt[0] * 0]  # a run of c reaching m dies
+        flip = [w * nxt[0]] * (m - 2) + [nxt[0]]  # forced out of a maximal run
+        ez, eo = (stay, flip) if c == "0" else (flip, stay)
+    return ez, eo
+
+
+def _dot(z, o, e):
+    """Total weight of the masses (z, o) followed by the emission e."""
+    ez, eo = e
+    return sum(map(mul, z, ez)) + sum(map(mul, o, eo))
+
+
 def count_words(m: int, n: int) -> int:
-    """Number of admissible words of length n, by run-state dynamic programming."""
+    """Number of admissible words of length n (1 for the empty word)."""
     _check_order(m)
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    # state: (digit, current run length), counts are exact integers
-    counts = {(0, 1): 1, (1, 1): 1}
+    if n < 0:
+        raise ValueError(f"length must be >= 0, got {n}")
+    if n == 0:
+        return 1
+    z, o = _start(m, 1, 1)
     for _ in range(n - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (d, r), c in counts.items():
-            if r < m - 1:
-                key = (d, r + 1)
-                nxt[key] = nxt.get(key, 0) + c
-            key = (1 - d, 1)
-            nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    return sum(counts.values())
+        z, o = _step(z, o, 1, 1)
+    return sum(z) + sum(o)
 
 
 def enumerate_words(m: int, n: int, cap: int = 1 << 21) -> list[Word]:
@@ -170,46 +196,37 @@ def enumerate_words(m: int, n: int, cap: int = 1 << 21) -> list[Word]:
     return out
 
 
-def occurrence_counts(m: int, s: str) -> tuple[int, int]:
-    """(n0, n1) of the occurrence report, by the local run characterization.
+def _flip_positions(m: int, s: str) -> tuple[list[int], list[int]]:
+    """1-based positions of the 0's and of the 1's that could be flipped.
 
-    Position k with s_k = 0 counts for n0 iff the run of 1's immediately
-    before position k is shorter than m-1 (so flipping to 1 keeps the
-    prefix admissible); n1 symmetric.
+    Position k counts iff the run of the other digit immediately before it
+    is shorter than m-1, so that flipping s_k keeps the prefix admissible.
     """
-    n0 = n1 = 0
+    sets: dict[str, list[int]] = {"0": [], "1": []}
     prev = ""
     run = 0  # run of `prev` ending just before the current position
-    for c in s:
-        if c == "0":
-            if not (prev == "1" and run >= m - 1):
-                n0 += 1
+    for k, c in enumerate(s, start=1):
+        if c == prev:
+            run += 1
+            sets[c].append(k)
         else:
-            if not (prev == "0" and run >= m - 1):
-                n1 += 1
-        run = run + 1 if c == prev else 1
-        prev = c
-    return n0, n1
+            if run < m - 1:
+                sets[c].append(k)
+            prev, run = c, 1
+    return sets["0"], sets["1"]
+
+
+def occurrence_counts(m: int, s: str) -> tuple[int, int]:
+    """(n0, n1) of the occurrence report, by the local run characterization."""
+    set0, set1 = _flip_positions(m, s)
+    return len(set0), len(set1)
 
 
 def occurrence_report(w: Word) -> OccurrenceReport:
     """Flip-admissible positions of w (1-based), for an admissible word."""
     if not is_admissible(w):
         raise InadmissibleWordError(f"{w.symbols!r} is not admissible for m={w.order}")
-    m = w.order
-    set0: list[int] = []
-    set1: list[int] = []
-    prev = ""
-    run = 0
-    for k, c in enumerate(w.symbols, start=1):
-        if c == "0":
-            if not (prev == "1" and run >= m - 1):
-                set0.append(k)
-        else:
-            if not (prev == "0" and run >= m - 1):
-                set1.append(k)
-        run = run + 1 if c == prev else 1
-        prev = c
+    set0, set1 = _flip_positions(w.order, w.symbols)
     return OccurrenceReport(tuple(set0), tuple(set1), len(set0), len(set1))
 
 
@@ -219,7 +236,7 @@ def complement(x):
     if isinstance(x, Word):
         return Word(flipped, x.order)
     if isinstance(x, SequenceWindow):
-        return SequenceWindow(flipped, x.declared_infinite)
+        return SequenceWindow(flipped)
     return flipped
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rllshift import dimension, words
+from rllshift import cli, dimension, words
 from rllshift.dimension import (
     entropy_binary,
     f_m,
@@ -96,6 +96,25 @@ class TestRoot:
             solve_qm(3, 0.3)  # needs 1/3 < p
         with pytest.raises(ValueError):
             solve_qm(4, 0.9)
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_one_ulp_inside_the_domain(self, end, capsys):
+        # the CLI returns a root to 1e-12 or exits 2; never a traceback/exit 1
+        for m in range(3, 51):
+            if end == "low":
+                p = math.nextafter(1.0 / m, 1.0)
+            else:
+                p = math.nextafter(1.0 - 1.0 / m, 0.0)
+            code = cli.main(["dims", "--m", str(m), "--p", repr(p)])
+            out = capsys.readouterr().out
+            assert code in (0, 2)
+            if code == 0:
+                q = float(out.strip().split("\n")[1].split(",")[2])
+                assert abs(f_m(m, q) - p) <= 1e-12
+
+    def test_unreachable_tol_is_value_error(self):
+        with pytest.raises(ValueError):
+            solve_qm(7, 0.45, tol=1e-300)
 
     def test_consistency_with_invariant_mass(self):
         # lambda_q[0] with q = q_m(p) recovers p: same formula as f_m

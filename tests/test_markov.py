@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rllshift import markov, measure, words
 from rllshift.markov import (
@@ -17,6 +20,22 @@ from rllshift.markov import (
 )
 
 P13 = Fraction(1, 3)
+
+
+def loop_increments(run, q):
+    """Reference: the per-symbol walk that log_measure_increments vectorizes."""
+    log_q, log_1q = -math.log(q), -math.log(1.0 - q)
+    out = np.empty(run.n, dtype=np.float64)
+    digit, rlen = -1, 0
+    for i in range(run.n):
+        b = int(run.bits[i])
+        if digit >= 0 and rlen == run.m - 1:
+            out[i] = 0.0  # forced flip
+        else:
+            out[i] = log_q if b == 0 else log_1q
+        rlen = rlen + 1 if b == digit else 1
+        digit = b
+    return out
 
 
 class TestChain:
@@ -65,7 +84,7 @@ class TestPathMeasure:
         meas = measure.bernoulli(m, Fraction(2, 5))
         for n in range(1, 11):
             for w in words.enumerate_words(m, n):
-                assert path_measure(chain, w) == measure.mu_closed(meas, w).value
+                assert path_measure(chain, w) == measure.mu_closed(meas, w)
 
 
 class TestStationary:
@@ -109,7 +128,7 @@ class TestSampling:
         for m in (3, 4):
             chain = build_chain(m, 0.3)
             run = sample(chain, 20_000, seed=1)
-            assert words.max_run(run.word) < m
+            assert words.is_admissible_symbols(m, run.word)
 
     def test_frequency_symmetric_case(self):
         chain = build_chain(3, 0.5)
@@ -140,6 +159,18 @@ class TestLocalDimension:
         inc = markov.log_measure_increments(run, 0.5)
         assert inc[2] == 0.0  # "00" forces the 1
         assert inc[0] == inc[1] == inc[3] == pytest.approx(np.log(2))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(3, 7),
+        st.lists(st.integers(0, 1), min_size=1, max_size=60),
+        st.floats(0.01, 0.99),
+    )
+    def test_increments_match_loop_bit_for_bit(self, m, bits, q):
+        # any bit string, admissible or not, including runs longer than m-1
+        run = markov.SampleRun(m, 0.5, 0, len(bits), np.array(bits, dtype=np.uint8))
+        got = markov.log_measure_increments(run, q)
+        assert got.tobytes() == loop_increments(run, q).tobytes()
 
     def test_bad_q_rejected(self):
         run = sample(build_chain(3, 0.5), 10, seed=0)

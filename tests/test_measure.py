@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rllshift import measure, words
 from rllshift.measure import (
@@ -24,7 +26,7 @@ def brute_pullback(meas, w, k):
     for bits in itertools.product("01", repeat=k):
         u = "".join(bits)
         if words.is_admissible_symbols(meas.m, u + w):
-            total += mu_recursive(meas, u + w).value
+            total += mu_recursive(meas, u + w)
     return total
 
 
@@ -32,16 +34,16 @@ class TestMu:
     def test_recursive_examples(self):
         p = P13
         meas = bernoulli(3, p)
-        assert mu_recursive(meas, "01").value == p * (1 - p)
-        assert mu_recursive(meas, "001").value == p**2
-        assert mu_recursive(meas, "000").value == 0
+        assert mu_recursive(meas, "01") == p * (1 - p)
+        assert mu_recursive(meas, "001") == p**2
+        assert mu_recursive(meas, "000") == 0
 
     def test_closed_examples(self):
         p = P13
         meas = bernoulli(3, p)
-        assert mu_closed(meas, "010").value == p**2 * (1 - p)
-        assert mu_closed(meas, "001").value == p**2
-        assert mu_closed(meas, "101").value == p * (1 - p) ** 2
+        assert mu_closed(meas, "010") == p**2 * (1 - p)
+        assert mu_closed(meas, "001") == p**2
+        assert mu_closed(meas, "101") == p * (1 - p) ** 2
 
     def test_closed_rejects_inadmissible(self):
         with pytest.raises(words.InadmissibleWordError):
@@ -52,19 +54,19 @@ class TestMu:
         meas = bernoulli(m, Fraction(2, 3))
         for n in range(1, 9):
             for w in words.enumerate_words(m, n):
-                assert mu_closed(meas, w).value == mu_recursive(meas, w).value
+                assert mu_closed(meas, w) == mu_recursive(meas, w)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_normalization(self, m):
         meas = bernoulli(m, P13)
         for n in range(1, 9):
             total = sum(
-                mu_recursive(meas, w).value for w in words.enumerate_words(m, n)
+                mu_recursive(meas, w) for w in words.enumerate_words(m, n)
             )
             assert total == 1
 
     def test_empty_word_mass_one(self):
-        assert mu_recursive(bernoulli(3, P13), "").value == 1
+        assert mu_recursive(bernoulli(3, P13), "") == 1
 
     def test_p_outside_open_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +85,7 @@ class TestPullback:
         meas = bernoulli(3, p)
         pulled = pullback_cylinder(meas, "01", 1)
         assert pulled == p**2 + p * (1 - p) ** 2
-        assert pulled != mu_recursive(meas, "01").value
+        assert pulled != mu_recursive(meas, "01")
 
     def test_symmetry_at_half(self):
         meas = bernoulli(3, Fraction(1, 2))
@@ -97,9 +99,21 @@ class TestPullback:
     @pytest.mark.parametrize("m", [3, 4])
     def test_matches_enumeration_oracle(self, m):
         meas = bernoulli(m, Fraction(2, 5))
-        for w in ["0", "1", "01", "10", "010"]:
+        for w in ["0", "1", "01", "10", "010", "00", "000"]:
             for k in range(6):
                 assert pullback_cylinder(meas, w, k) == brute_pullback(meas, w, k)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(3, 6),
+        st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]),
+        st.text(alphabet="01", max_size=8),
+        st.integers(0, 6),
+    )
+    def test_matches_enumeration_oracle_property(self, m, p, w, k):
+        # admissible or not: an inadmissible w has the empty cylinder at every k
+        meas = bernoulli(m, p)
+        assert pullback_cylinder(meas, w, k) == brute_pullback(meas, w, k)
 
     def test_prefix_decomposition(self):
         meas = bernoulli(3, P13)
@@ -184,6 +198,6 @@ class TestInequalitySuites:
 
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))
-        mu00 = mu_recursive(meas, "00").value
-        mu0 = mu_recursive(meas, "0").value
+        mu00 = mu_recursive(meas, "00")
+        mu0 = mu_recursive(meas, "0")
         assert mu00 == mu0 * mu0 == Fraction(1, 4)

@@ -1,7 +1,10 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rllshift import words
 from rllshift.words import (
@@ -27,6 +30,15 @@ def brute_words(m, n):
         if "0" * m not in s and "1" * m not in s:
             out.append(s)
     return out
+
+
+PROPERTY = settings(max_examples=100, deadline=None, database=None)
+binary = st.text(alphabet="01", max_size=24)
+
+
+def longest_run(s):
+    """Length of the longest run of equal symbols, 0 for the empty word."""
+    return max((len(run) for run in re.findall("0+|1+", s)), default=0)
 
 
 def brute_occurrence(m, s):
@@ -58,6 +70,11 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             Word("012", 3)
 
+    @PROPERTY
+    @given(st.integers(3, 7), binary)
+    def test_matches_longest_run(self, m, s):
+        assert words.is_admissible_symbols(m, s) == (longest_run(s) < m)
+
 
 class TestEnumeration:
     def test_small_sizes(self):
@@ -76,13 +93,28 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_count_matches_enumeration(self, m):
-        for n in range(1, 17):
+        for n in range(0, 17):
             assert count_words(m, n) == len(enumerate_words(m, n))
 
     def test_count_examples(self):
+        assert count_words(3, 0) == 1
+        assert enumerate_words(3, 0) == [Word("", 3)]
         assert count_words(3, 2) == 4
         assert count_words(3, 5) == 16
         assert count_words(4, 3) == 8
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            count_words(3, -1)
+
+    @PROPERTY
+    @given(st.integers(3, 12), st.integers(0, 200))
+    def test_count_matches_run_recurrence(self, m, n):
+        # a word starting with 0 is a composition of n into runs of 1..m-1
+        c = [1]
+        for j in range(1, n + 1):
+            c.append(sum(c[j - i] for i in range(1, m) if i <= j))
+        assert count_words(m, n) == (2 * c[n] if n else 1)
 
 
 class TestOccurrence:
@@ -105,6 +137,17 @@ class TestOccurrence:
             for w in enumerate_words(m, n):
                 r = occurrence_report(w)
                 assert (r.set0, r.set1) == brute_occurrence(m, w.symbols)
+
+    @PROPERTY
+    @given(st.integers(3, 6), binary)
+    def test_report_matches_definition(self, m, s):
+        if not words.is_admissible_symbols(m, s):
+            with pytest.raises(words.InadmissibleWordError):
+                occurrence_report(Word(s, m))
+            return
+        r = occurrence_report(Word(s, m))
+        assert (r.set0, r.set1) == brute_occurrence(m, s)
+        assert (r.n0, r.n1) == words.occurrence_counts(m, s)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_complement_swaps_report(self, m):
