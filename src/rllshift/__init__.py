@@ -20,7 +20,6 @@ from .measure import (
     PullbackSeries,
     bernoulli,
     cesaro_lambda,
-    lambda0_closed,
     mu_closed,
     mu_recursive,
     pullback_cylinder,

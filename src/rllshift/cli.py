@@ -76,8 +76,8 @@ def cmd_measure(args) -> int:
 
 def cmd_lambda(args) -> int:
     p = _parse_p(args.p)
-    closed = measure.lambda0_closed(args.m, p)
-    chain = markov.build_chain(args.m, Fraction(p))
+    chain = markov.build_chain(args.m, p)
+    closed = dimension.f_m(args.m, p)
     pi0 = markov.digit_mass(markov.stationary(chain), 0)
     meas = measure.bernoulli(args.m, p)
     ces = measure.cesaro_lambda(meas, "0", args.n)
@@ -235,11 +235,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gamma-check" and not (args.w or args.periodic):
         parser.error("gamma-check needs --w or --periodic")
+    # exact values print in full, however many digits they have
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ValueError, words.CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 LOG2 = math.log(2.0)
 
@@ -27,13 +28,18 @@ def _check_open_unit(x: float, name: str) -> None:
         raise ValueError(f"{name} must lie in (0,1), got {x}")
 
 
-def _denominator(m: int, x: float) -> float:
-    # 1 - x^m - (1-x)^m, with (1-x)^m via expm1/log1p to survive tiny x
+def _denominator(m: int, x):
+    # 1 - x^m - (1-x)^m; for a float, (1-x)^m via expm1/log1p to survive tiny x
+    if isinstance(x, Fraction):
+        return 1 - x**m - (1 - x) ** m
     return -math.expm1(m * math.log1p(-x)) - x**m
 
 
-def f_m(m: int, x: float) -> float:
-    """(x - x^m) / (1 - x^m - (1-x)^m); limits 1/m and 1-1/m at the ends."""
+def f_m(m: int, x):
+    """(x - x^m) / (1 - x^m - (1-x)^m); limits 1/m and 1-1/m at the ends.
+
+    The closed-form oracle for lambda_x[0]; exact for a Fraction x.
+    """
     if m < 3:
         raise ValueError(f"order must be >= 3, got {m}")
     _check_open_unit(x, "x")

@@ -78,11 +78,11 @@ def path_measure(chain: ChainSpec, w: Word | str):
 
 
 # ---------------------------------------------------------------------------
-# stationary distribution (exact)
+# stationary distribution (exact for a Fraction p)
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with partial (nonzero) pivoting over Fractions."""
+def _solve_linear(rows: list[list], rhs: list) -> list:
+    """Gaussian elimination with partial (nonzero) pivoting, in the entries' type."""
     n = len(rows)
     aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     for col in range(n):
@@ -99,29 +99,28 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     return [aug[i][n] for i in range(n)]
 
 
-def stationary(chain: ChainSpec) -> dict[RunState, Fraction]:
-    """The unique probability vector fixed by the kernel, in exact rationals."""
+def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
+    """The unique probability vector fixed by the kernel, in the number type of p."""
     if not is_irreducible(chain):
         raise RuntimeError("chain is not irreducible")
     states = chain.states
     index = {st: i for i, st in enumerate(states)}
     n = len(states)
-    p = Fraction(chain.p)
-    kernel = build_chain(chain.m, p).kernel  # rational coefficients
+    zero, one = chain.p * 0, chain.p**0
     # pi (P - I) = 0 with the last equation replaced by sum(pi) = 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[zero] * n for _ in range(n)]
     for st in states:
-        for _, nxt, prob in kernel[st]:
-            rows[index[nxt]][index[st]] += Fraction(prob)
+        for _, nxt, prob in chain.kernel[st]:
+            rows[index[nxt]][index[st]] += prob
     for i in range(n):
-        rows[i][i] -= 1
-    rows[n - 1] = [Fraction(1)] * n
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+        rows[i][i] -= one
+    rows[n - 1] = [one] * n
+    rhs = [zero] * (n - 1) + [one]
     sol = _solve_linear(rows, rhs)
     return {st: sol[index[st]] for st in states}
 
 
-def digit_mass(dist: dict[RunState, Fraction], digit: int):
+def digit_mass(dist: dict[RunState, Fraction | float], digit: int):
     """Total stationary mass on states carrying the given last digit."""
     return sum(v for st, v in dist.items() if st.digit == digit)
 

@@ -17,11 +17,11 @@ from .words import (
     _emission,
     _start,
     _step,
-    enumerate_words,
+    admissible_pairs,
     is_admissible,
-    is_admissible_symbols,
     occurrence_counts,
     symbols_of,
+    words_upto,
 )
 
 EXACT = "exact"
@@ -39,42 +39,33 @@ class PullbackRecurrenceError(RuntimeError):
 class BernoulliTypeMeasure:
     m: int
     p: Fraction | float
-    mode: str = EXACT
 
     def __post_init__(self):
         if self.m < 3:
             raise ValueError(f"order must be >= 3, got {self.m}")
         if not 0 < self.p < 1:
             raise ValueError(f"p must lie in (0,1), got {self.p}")
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-        if self.mode == EXACT and not isinstance(self.p, Fraction):
-            raise ValueError("exact mode requires p as a Fraction")
+
+    @property
+    def mode(self) -> str:
+        """EXACT for a Fraction p, FLOAT otherwise."""
+        return EXACT if isinstance(self.p, Fraction) else FLOAT
 
     @property
     def q(self):
         """Mass of the digit 1 at a free branch."""
         return 1 - self.p
 
-    def as_float(self) -> "BernoulliTypeMeasure":
-        if self.mode == FLOAT:
-            return self
-        return BernoulliTypeMeasure(self.m, float(self.p), FLOAT)
-
 
 def bernoulli(m: int, p, mode: str | None = None) -> BernoulliTypeMeasure:
     """Build a measure, defaulting to exact mode for rational p."""
-    if isinstance(p, str):
-        p = Fraction(p)
-    if isinstance(p, int):
+    if isinstance(p, (str, int)):
         p = Fraction(p)
     if mode is None:
         mode = EXACT if isinstance(p, Fraction) else FLOAT
-    if mode == EXACT:
-        p = Fraction(p)
-    else:
-        p = float(p)
-    return BernoulliTypeMeasure(m, p, mode)
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
+    return BernoulliTypeMeasure(m, Fraction(p) if mode == EXACT else float(p))
 
 
 @dataclass(frozen=True)
@@ -212,31 +203,16 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     return total / n
 
 
-def lambda0_closed(m: int, p):
-    """Invariant-measure mass of [0]: (p - p^m) / (1 - p^m - (1-p)^m)."""
-    if m < 3:
-        raise ValueError(f"order must be >= 3, got {m}")
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0,1), got {p}")
-    return (p - p**m) / (1 - p**m - (1 - p) ** m)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive inequality checks (exact arithmetic)
-
-
-def _admissible_strings_upto(m: int, max_len: int) -> list[str]:
-    out = [""]
-    for n in range(1, max_len + 1):
-        out.extend(w.symbols for w in enumerate_words(m, n))
-    return out
 
 
 def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str, str]]:
     """Violations of mu[w]mu[v] <= mu[wv] <= (p(1-p))^{-1} mu[w]mu[v].
 
-    Exhaustive over admissible pairs with wv admissible and |w|+|v| <= L.
-    Expected empty.
+    Exhaustive over admissible pairs with wv admissible and |w|+|v| <= L,
+    the empty word included.  Expected empty; violations are listed by w,
+    then v, each shortest first.
     """
     if meas.mode != EXACT:
         raise ValueError("quasi_bernoulli_check requires exact mode")
@@ -244,23 +220,12 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
         raise ValueError(f"L must be >= 2, got {L}")
     m, p, q = meas.m, meas.p, meas.q
     inv = 1 / (p * q)
-    by_len: dict[int, list[tuple[str, object]]] = {}
-    for s in _admissible_strings_upto(m, L):
-        by_len.setdefault(len(s), []).append((s, _mu_symbols(m, p, q, s)))
+    mu = {s: _mu_symbols(m, p, q, s) for s in words_upto(m, L)}
     violations = []
-    for a, group_w in by_len.items():
-        for b, group_v in by_len.items():
-            if a + b > L:
-                continue
-            for w, mu_w in group_w:
-                for v, mu_v in group_v:
-                    wv = w + v
-                    if not is_admissible_symbols(m, wv):
-                        continue
-                    mu_wv = _mu_symbols(m, p, q, wv)
-                    prod = mu_w * mu_v
-                    if not (prod <= mu_wv <= inv * prod):
-                        violations.append((w, v))
+    for w, v, wv in admissible_pairs(mu, L):
+        prod = mu[w] * mu[v]
+        if not (prod <= mu[wv] <= inv * prod):
+            violations.append((w, v))
     return violations
 
 
@@ -269,8 +234,9 @@ def pullback_bounds_check(
 ) -> list[tuple[str, int]]:
     """Violations of c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w].
 
-    c = p^{-2}(1-p)^{-2}; exhaustive over admissible |w| <= L, 1 <= k <= kmax.
-    Expected empty.
+    c = p^{-2}(1-p)^{-2}; exhaustive over admissible 1 <= |w| <= L and
+    1 <= k <= kmax.  Expected empty; violations are listed by w, shortest
+    first, then k.
     """
     if meas.mode != EXACT:
         raise ValueError("pullback_bounds_check requires exact mode")
@@ -283,9 +249,7 @@ def pullback_bounds_check(
         masses.append((z, o))
         z, o = _step(z, o, p, q)
     violations = []
-    for s in _admissible_strings_upto(m, L):
-        if not s:
-            continue
+    for s in words_upto(m, L)[1:]:  # the non-empty words
         mu_w = _mu_symbols(m, p, q, s)
         e = _emission(m, p, q, s)
         for k, (z, o) in enumerate(masses, start=1):

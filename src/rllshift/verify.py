@@ -29,41 +29,23 @@ class CheckResult:
     detail: str
 
 
-def _admissible_with_counts(m: int, max_len: int):
-    """[(symbols, n0, n1)] for every admissible non-empty word up to max_len."""
-    out = []
-    for n in range(1, max_len + 1):
-        for w in words.enumerate_words(m, n):
-            n0, n1 = words.occurrence_counts(m, w.symbols)
-            out.append((w.symbols, n0, n1))
-    return out
-
-
 def check_subadditivity(quick: bool = False) -> CheckResult:
     """N0(w)+N0(v)-1 <= N0(wv) <= N0(w)+N0(v), same for N1; exhaustive."""
     max_total = 8 if quick else 12
     bad = 0
     pairs = 0
     for m in (3, 4):
-        items = _admissible_with_counts(m, max_total - 1)
-        by_len: dict[int, list] = {}
-        for item in items:
-            by_len.setdefault(len(item[0]), []).append(item)
-        for a, group_w in by_len.items():
-            for b, group_v in by_len.items():
-                if a + b > max_total:
-                    continue
-                for w, w0, w1 in group_w:
-                    for v, v0, v1 in group_v:
-                        wv = w + v
-                        if not words.is_admissible_symbols(m, wv):
-                            continue
-                        pairs += 1
-                        c0, c1 = words.occurrence_counts(m, wv)
-                        if not (w0 + v0 - 1 <= c0 <= w0 + v0):
-                            bad += 1
-                        if not (w1 + v1 - 1 <= c1 <= w1 + v1):
-                            bad += 1
+        wordlist = words.words_upto(m, max_total)
+        counts = {s: words.occurrence_counts(m, s) for s in wordlist}
+        for w, v, wv in words.admissible_pairs(counts, max_total):
+            if not (w and v):  # the report counts pairs of non-empty words
+                continue
+            pairs += 1
+            (w0, w1), (v0, v1), (c0, c1) = counts[w], counts[v], counts[wv]
+            if not (w0 + v0 - 1 <= c0 <= w0 + v0):
+                bad += 1
+            if not (w1 + v1 - 1 <= c1 <= w1 + v1):
+                bad += 1
     return CheckResult(
         "occurrence-subadditivity",
         bad == 0,
@@ -77,7 +59,8 @@ def check_counting_bound(quick: bool = False) -> CheckResult:
     bad = 0
     total = 0
     for m in (3, 4, 5):
-        for s, n0, n1 in _admissible_with_counts(m, max_len):
+        for s in words.words_upto(m, max_len)[1:]:  # the non-empty words
+            n0, n1 = words.occurrence_counts(m, s)
             total += 1
             zeros = s.count("0")
             ones = len(s) - zeros
@@ -98,11 +81,11 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
     bad = 0
     total = 0
     for m in (3, 4, 5):
-        wordlist = _admissible_with_counts(m, max_len)
+        wordlist = words.words_upto(m, max_len)[1:]  # the non-empty words
+        counts = [words.occurrence_counts(m, s) for s in wordlist]
         for p in P_GRID:
-            meas = measure.bernoulli(m, p)
-            q = meas.q
-            for s, n0, n1 in wordlist:
+            q = 1 - p
+            for s, (n0, n1) in zip(wordlist, counts):
                 total += 1
                 if measure._mu_symbols(m, p, q, s) != p**n0 * q**n1:
                     bad += 1
@@ -118,14 +101,11 @@ def check_normalization(quick: bool = False) -> CheckResult:
     max_len = 8 if quick else 12
     bad = []
     for m in (3, 4, 5):
+        wordlist = words.words_upto(m, max_len)
         for p in P_GRID:
             q = 1 - p
-            for n in range(1, max_len + 1):
-                total = sum(
-                    measure._mu_symbols(m, p, q, w.symbols)
-                    for w in words.enumerate_words(m, n)
-                )
-                if total != 1:
+            for n, group in groupby(wordlist, key=len):
+                if sum(measure._mu_symbols(m, p, q, s) for s in group) != 1:
                     bad.append((m, p, n))
     return CheckResult(
         "normalization",
@@ -187,7 +167,7 @@ def check_lambda_triple(quick: bool = False) -> CheckResult:
     problems = []
     for m in (3, 4, 5):
         for p in LAMBDA_P_GRID:
-            closed = measure.lambda0_closed(m, p)
+            closed = dimension.f_m(m, p)
             chain = markov.build_chain(m, p)
             pi0 = markov.digit_mass(markov.stationary(chain), 0)
             if pi0 != closed:

@@ -196,6 +196,27 @@ def enumerate_words(m: int, n: int, cap: int = 1 << 21) -> list[Word]:
     return out
 
 
+def words_upto(m: int, L: int) -> list[str]:
+    """Every admissible word of length <= L, shortest first, from the empty word."""
+    return [w.symbols for n in range(L + 1) for w in enumerate_words(m, n)]
+
+
+def admissible_pairs(table, L: int):
+    """Yield (w, v, wv) for the keys w, v of `table` with |wv| <= L and wv admissible.
+
+    `table` is a shortest-first dict holding every admissible word of length
+    <= L (keyed by words_upto), so `wv in table` decides admissibility and
+    `table[wv]` is the stored value.  Order: w, then v, each shortest first.
+    """
+    for w in table:
+        for v in table:
+            if len(w) + len(v) > L:
+                break
+            wv = w + v
+            if wv in table:
+                yield w, v, wv
+
+
 def _flip_positions(m: int, s: str) -> tuple[list[int], list[int]]:
     """1-based positions of the 0's and of the 1's that could be flipped.
 

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from rllshift import cli
+from rllshift import cli, words
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +29,23 @@ class TestEnumerate:
         record = json.loads(out)
         assert record["count"] == 16
         assert record["schema"] == 1
+
+    def test_count_past_the_int_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        before = limit()
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--m", "8", "--n", "20000", "--count-only"
+        )
+        assert code == 0
+        # a JSON number; read it in chunks, below the interpreter's limit
+        digits = json.loads(out, parse_int=str)["count"]
+        assert len(digits) > 4300
+        count = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i : i + 1000]
+            count = count * 10 ** len(chunk) + int(chunk)
+        assert count == words.count_words(8, 20000)
+        assert limit() == before  # the command restores the limit
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "words.txt"
@@ -82,6 +100,16 @@ class TestLambda:
         assert record["closed_form"] == "4/9"
         assert record["stationary"] == "4/9"
         assert abs(float(record["cesaro"]) - 4 / 9) < 1e-3
+
+    def test_decimal_p_stays_float(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lambda", "--m", "150", "--p", "0.3", "--n", "100"
+        )
+        assert code == 0
+        record = json.loads(out)
+        stationary = record["stationary"]
+        assert "/" not in stationary
+        assert abs(float(stationary) - float(record["closed_form"])) <= 1e-12
 
 
 class TestSample:
@@ -171,6 +199,22 @@ class TestVerify:
         assert len(lines) == 16
         assert all(line.startswith("PASS") for line in lines[:15])
         assert lines[-1] == "15/15 checks passed"
+
+    def test_quick_work_counts_pinned(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--quick")
+        assert out.split("\n")[:6] == [
+            "PASS   1  occurrence-subadditivity: m in (3,4), |w|+|v| <= 8: "
+            "3036 pairs, 0 violations",
+            "PASS   2  occurrence-counting-bound: m in (3,4,5), |w| <= 10: "
+            "3324 words, 0 violations",
+            "PASS   3  closed-form-vs-recursion: |w| <= 8, 9 (m,p) combos: "
+            "2916 evaluations, 0 mismatches",
+            "PASS   4  normalization: n <= 8, 9 (m,p) combos: 0 non-unit sums",
+            "PASS   5  quasi-bernoulli: pairs to total length 7, 9 (m,p) combos: "
+            "0 violations",
+            "PASS   6  pullback-bounds: |w| <= 5, k <= 5, 9 (m,p) combos: "
+            "0 violations",
+        ]
 
     def test_output_deterministic_across_workers(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--quick")

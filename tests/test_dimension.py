@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +47,11 @@ class TestFrequencyFunction:
         for m in (3, 8, 20):
             assert f_m(m, 1e-9) == pytest.approx(1 / m, rel=1e-6)
             assert f_m(m, 1 - 1e-9) == pytest.approx(1 - 1 / m, rel=1e-6)
+
+    def test_exact_for_fraction(self):
+        value = f_m(3, Fraction(1, 3))
+        assert isinstance(value, Fraction)
+        assert value == Fraction(4, 9)
 
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -118,10 +124,10 @@ class TestRoot:
 
     def test_consistency_with_invariant_mass(self):
         # lambda_q[0] with q = q_m(p) recovers p: same formula as f_m
-        from rllshift.measure import lambda0_closed
+        from rllshift.dimension import f_m
 
         q = solve_qm(4, 0.45)
-        assert float(lambda0_closed(4, q)) == pytest.approx(0.45, abs=1e-10)
+        assert float(f_m(4, q)) == pytest.approx(0.45, abs=1e-10)
 
 
 class TestLowerBound:

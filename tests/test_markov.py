@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rllshift import markov, measure, words
+from rllshift.dimension import f_m
 from rllshift.markov import (
     RunState,
     build_chain,
@@ -92,7 +93,7 @@ class TestStationary:
     @pytest.mark.parametrize("p", [P13, Fraction(1, 2), Fraction(2, 3)])
     def test_matches_closed_form_exactly(self, m, p):
         pi = stationary(build_chain(m, p))
-        assert digit_mass(pi, 0) == measure.lambda0_closed(m, p)
+        assert digit_mass(pi, 0) == f_m(m, p)
         assert digit_mass(pi, 0) + digit_mass(pi, 1) == 1
 
     def test_symmetric_case(self):

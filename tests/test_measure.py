@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rllshift import measure, words
+from rllshift.dimension import f_m
 from rllshift.measure import (
     PullbackRecurrenceError,
     bernoulli,
     cesaro_lambda,
-    lambda0_closed,
     mu_closed,
     mu_recursive,
     pullback_cylinder,
@@ -67,6 +67,14 @@ class TestMu:
 
     def test_empty_word_mass_one(self):
         assert mu_recursive(bernoulli(3, P13), "") == 1
+
+    def test_mode_follows_type_of_p(self):
+        assert bernoulli(3, P13).mode == measure.EXACT
+        assert bernoulli(3, 0.25).mode == measure.FLOAT
+        assert bernoulli(3, "1/4", measure.FLOAT).p == 0.25
+        assert bernoulli(3, 0.25, measure.EXACT).p == Fraction(1, 4)
+        with pytest.raises(AttributeError):
+            bernoulli(3, P13).mode = measure.FLOAT
 
     def test_p_outside_open_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -176,13 +184,13 @@ class TestCesaroAndClosedForm:
         assert abs(c - d) < 1e-3
 
     def test_lambda0_examples(self):
-        assert lambda0_closed(3, Fraction(1, 2)) == Fraction(1, 2)
-        assert lambda0_closed(3, P13) == Fraction(4, 9)
+        assert f_m(3, Fraction(1, 2)) == Fraction(1, 2)
+        assert f_m(3, P13) == Fraction(4, 9)
 
     def test_lambda0_m3_identity(self):
         for num in range(1, 10):
             p = Fraction(num, 10)
-            assert lambda0_closed(3, p) == (1 + p) / 3
+            assert f_m(3, p) == (1 + p) / 3
 
 
 class TestInequalitySuites:

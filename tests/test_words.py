@@ -117,6 +117,31 @@ class TestEnumeration:
         assert count_words(m, n) == (2 * c[n] if n else 1)
 
 
+class TestWordTable:
+    @PROPERTY
+    @given(st.integers(3, 6), st.integers(0, 10))
+    def test_words_upto_concatenates_lengths(self, m, L):
+        expected = [w.symbols for n in range(L + 1) for w in enumerate_words(m, n)]
+        assert words.words_upto(m, L) == expected
+
+    @PROPERTY
+    @given(st.integers(3, 5), st.integers(0, 8))
+    def test_pairs_match_brute_force(self, m, L):
+        binary_words = [
+            "".join(bits)
+            for n in range(L + 1)
+            for bits in itertools.product("01", repeat=n)
+        ]
+        brute = [
+            (w, v, w + v)
+            for w in binary_words
+            for v in binary_words
+            if len(w) + len(v) <= L and words.is_admissible_symbols(m, w + v)
+        ]
+        table = dict.fromkeys(words.words_upto(m, L))
+        assert list(words.admissible_pairs(table, L)) == brute
+
+
 class TestOccurrence:
     def test_examples(self):
         r = occurrence_report(Word("010", 3))
