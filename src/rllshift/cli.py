@@ -19,7 +19,10 @@ SCHEMA = 1
 def _parse_p(text: str):
     """'num/den' -> Fraction (exact mode); decimal -> float (float mode)."""
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     value = float(text)
     if value == Fraction(text) and "." not in text and "e" not in text.lower():
         return Fraction(text)
@@ -96,8 +99,8 @@ def cmd_lambda(args) -> int:
 
 def cmd_sample(args) -> int:
     chain = markov.build_chain(args.m, float(_parse_p(args.p)))
-    run = markov.sample(chain, args.n, args.seed)
     q = float(_parse_p(args.q)) if args.q else float(chain.p)
+    run = markov.sample(chain, args.n, args.seed)
     freq = run.frequency_series()
     local = markov.empirical_local_dimension(run, q)
     lines = ["n,freq0,local_dim"]
@@ -171,33 +174,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rllshift")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, fn, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", default=None, help="write output to a file")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("enumerate", help="admissible words of a given length")
+    sp = command("enumerate", cmd_enumerate, "admissible words of a given length")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--count-only", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_enumerate)
 
-    sp = sub.add_parser("measure", help="cylinder measure or its shift pullback")
+    sp = command("measure", cmd_measure, "cylinder measure or its shift pullback")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--w", required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--mode", choices=("exact", "float"), default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_measure)
 
-    sp = sub.add_parser("lambda", help="invariant mass of [0], three ways")
+    sp = command("lambda", cmd_lambda, "invariant mass of [0], three ways")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--n", type=int, default=10_000)
-    common(sp)
-    sp.set_defaults(fn=cmd_lambda)
 
-    sp = sub.add_parser("sample", help="seeded path with frequency/local-dim series")
+    sp = command("sample", cmd_sample, "seeded path with frequency/local-dim series")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -205,27 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", default=None, help="evaluate the measure at this parameter")
     sp.add_argument("--stride", type=int, default=1000)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(sp)
-    sp.set_defaults(fn=cmd_sample)
 
-    sp = sub.add_parser("dims", help="dimension profile table over an (m,p) grid")
+    sp = command("dims", cmd_dims, "dimension profile table over an (m,p) grid")
     sp.add_argument("--m", required=True, help="single value, list, or lo:hi")
     sp.add_argument("--p", required=True, help="comma-separated values")
-    common(sp)
-    sp.set_defaults(fn=cmd_dims)
 
-    sp = sub.add_parser("gamma-check", help="univoque-condition verdicts")
+    sp = command("gamma-check", cmd_gamma, "univoque-condition verdicts")
     sp.add_argument("--w", default=None, help="finite '0'/'1' window")
     sp.add_argument("--depth", type=int, default=100)
     sp.add_argument("--periodic", default=None, help="preperiod:period")
     sp.add_argument("--variant", choices=("strict", "weak"), default="strict")
-    common(sp)
-    sp.set_defaults(fn=cmd_gamma)
 
-    sp = sub.add_parser("verify", help="run the full verification suite")
+    sp = command("verify", cmd_verify, "run the full verification suite")
     sp.add_argument("--quick", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_verify)
 
     return parser
 

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .words import _check_order
+
 LOG2 = math.log(2.0)
 
 
@@ -38,18 +40,19 @@ def _denominator(m: int, x):
 def f_m(m: int, x):
     """(x - x^m) / (1 - x^m - (1-x)^m); limits 1/m and 1-1/m at the ends.
 
-    The closed-form oracle for lambda_x[0]; exact for a Fraction x.
+    The closed-form oracle for lambda_x[0]; exact for a Fraction x.  A float
+    x > 1/2 uses f_m(x) = 1 - f_m(1-x), with 1-x exact, to stay accurate.
     """
-    if m < 3:
-        raise ValueError(f"order must be >= 3, got {m}")
+    _check_order(m)
     _check_open_unit(x, "x")
+    if not isinstance(x, Fraction) and x > 0.5:
+        return 1.0 - f_m(m, 1.0 - x)
     return (x - x**m) / _denominator(m, x)
 
 
 def g_m(m: int, x: float) -> float:
     """(x^m(1-x) - x(1-x)^m) / (1 - x^m - (1-x)^m); equals x - f_m(x)."""
-    if m < 3:
-        raise ValueError(f"order must be >= 3, got {m}")
+    _check_order(m)
     _check_open_unit(x, "x")
     y = 1.0 - x
     return (x**m * y - x * math.exp(m * math.log(y))) / _denominator(m, x)
@@ -108,8 +111,7 @@ def entropy_binary(p: float) -> float:
 
 def growth_root(m: int, tol: float = 1e-14) -> float:
     """Positive root of x^{m-1} = x^{m-2} + ... + x + 1, in (1, 2)."""
-    if m < 3:
-        raise ValueError(f"order must be >= 3, got {m}")
+    _check_order(m)
 
     def h(x: float) -> float:
         return x ** (m - 1) - sum(x**i for i in range(m - 1))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .words import Word, is_admissible_symbols, symbols_of
+from .words import Word, _check_order, is_admissible_symbols, symbols_of
 
 
 class RunState(NamedTuple):
@@ -36,8 +36,7 @@ class ChainSpec:
 
 def build_chain(m: int, p) -> ChainSpec:
     """Kernel: free states split p/(1-p); a maximal run forces the flip."""
-    if m < 3:
-        raise ValueError(f"order must be >= 3, got {m}")
+    _check_order(m)
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0,1), got {p}")
     q = 1 - p
@@ -204,16 +203,11 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     run = 1
     bits[0] = digit
     for i in range(1, n):
-        if run == m - 1:
-            digit = 1 - digit
-            run = 1
+        # a maximal run forces the flip; a free state stays with mass p or 1-p
+        if run < m - 1 and u[i] < (p if digit == 0 else 1.0 - p):
+            run += 1
         else:
-            stay = p if digit == 0 else 1.0 - p
-            if u[i] < stay:
-                run += 1
-            else:
-                digit = 1 - digit
-                run = 1
+            digit, run = 1 - digit, 1
         bits[i] = digit
     return SampleRun(m, p, seed, n, bits)
 

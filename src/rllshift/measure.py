@@ -2,17 +2,20 @@
 
 The measure splits mass p/(1-p) at every free branch and passes full mass
 through forced branches (a word ending in a maximal-length run has only
-one admissible extension).  Exact mode keeps every value a Fraction;
-float mode is for long pullback/Cesaro horizons.
+one admissible extension).  Exact mode, p = a/b, computes a value over n
+symbols as an integer numerator over b**n on the kernel weights (a, b-a,
+b), returned as a Fraction; float mode is for long Cesaro horizons.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .words import (
     InadmissibleWordError,
     Word,
+    _check_order,
     _dot,
     _emission,
     _start,
@@ -41,8 +44,7 @@ class BernoulliTypeMeasure:
     p: Fraction | float
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError(f"order must be >= 3, got {self.m}")
+        _check_order(self.m)
         if not 0 < self.p < 1:
             raise ValueError(f"p must lie in (0,1), got {self.p}")
 
@@ -55,6 +57,19 @@ class BernoulliTypeMeasure:
     def q(self):
         """Mass of the digit 1 at a free branch."""
         return 1 - self.p
+
+    @property
+    def weights(self):
+        """Kernel weights (free 0, free 1, forced): (a, b-a, b) for p = a/b,
+        so a value over n symbols is an integer over b**n; else (p, 1-p, 1)."""
+        if self.mode == EXACT:
+            a, b = self.p.numerator, self.p.denominator
+            return a, b - a, b
+        return self.p, self.q, 1
+
+    def _value(self, num, n: int):
+        """A numerator over n symbols as a value: num / b**n, or num in float mode."""
+        return Fraction(num, self.p.denominator**n) if self.mode == EXACT else num
 
 
 def bernoulli(m: int, p, mode: str | None = None) -> BernoulliTypeMeasure:
@@ -85,18 +100,18 @@ class PullbackSeries:
 # cylinder measure
 
 
-def _mu_symbols(m: int, p, q, s: str):
-    """Measure of [s] by the branching recursion; 0 for inadmissible s."""
-    val = p**0  # typed one (Fraction or float)
+def _mu_symbols(m: int, w0, w1, wf, s: str):
+    """Numerator of [s] by the branching rule on kernel weights; 0 if inadmissible."""
+    val = w0**0  # typed one (int or float)
     prev = ""
     run = 0
     for c in s:
         if prev and run >= m - 1:
             if c == prev:
                 return val * 0
-            # forced branch: full mass passes through
+            val = val * wf  # forced branch: full mass passes through
         else:
-            val = val * (p if c == "0" else q)
+            val = val * (w0 if c == "0" else w1)
         run = run + 1 if c == prev else 1
         prev = c
     return val
@@ -108,8 +123,8 @@ def mu_recursive(meas: BernoulliTypeMeasure, w: Word | str):
     Inadmissible words map to 0 (the cylinder is empty), so additivity
     identities hold uniformly.
     """
-    word = w if isinstance(w, Word) else Word(symbols_of(w), meas.m)
-    return _mu_symbols(meas.m, meas.p, meas.q, word.symbols)
+    s = (w if isinstance(w, Word) else Word(symbols_of(w), meas.m)).symbols
+    return meas._value(_mu_symbols(meas.m, *meas.weights, s), len(s))
 
 
 def mu_closed(meas: BernoulliTypeMeasure, w: Word | str):
@@ -135,27 +150,26 @@ def pullback_cylinder(meas: BernoulliTypeMeasure, w: Word | str, k: int):
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     s = symbols_of(w)
-    m, p, q = meas.m, meas.p, meas.q
+    m, weights = meas.m, meas.weights
     if k == 0:
-        return _mu_symbols(m, p, q, s)
-    z, o = _start(m, p, q)
+        return meas._value(_mu_symbols(m, *weights, s), len(s))
+    z, o = _start(m, *weights[:2])
     for _ in range(k - 1):
-        z, o = _step(z, o, p, q)
-    return _dot(z, o, _emission(m, p, q, s))
+        z, o = _step(z, o, *weights)
+    return meas._value(_dot(z, o, _emission(m, *weights, s)), k + len(s))
 
 
-def _check_series_recurrences(m, p, q, a, c, d, exact: bool) -> None:
-    """The proof recurrences tying a_k and c_k to earlier d values."""
+def _check_series_recurrences(m, w0, w1, wf, a, c, d, exact: bool) -> None:
+    """The proof recurrences on numerators over wf**(k+|w|): a_k = sum_{i<m-1}
+    w0^i d_{k-1-i}, and c_k the same with w1 on the free terms, wf on the last."""
+    a_coeffs = [w0**i for i in range(m - 1)]
+    c_coeffs = [w1 * x for x in a_coeffs[:-1]] + [wf * a_coeffs[-1]]
     for k in range(m, len(a)):
-        coeffs = [p**i for i in range(m - 1)]
-        a_pred = sum(coeffs[i] * d[k - 1 - i] for i in range(m - 1))
-        c_pred = sum((q * coeffs[i]) * d[k - 1 - i] for i in range(m - 2))
-        c_pred = c_pred + coeffs[m - 2] * d[k - m + 1]
-        for got, want, name in ((a[k], a_pred, "a"), (c[k], c_pred, "c")):
-            bad = got != want if exact else abs(got - want) > FLOAT_TOL
-            if bad:
+        for seq, coeffs, name in ((a, a_coeffs, "a"), (c, c_coeffs, "c")):
+            got, want = seq[k], sum(x * d[k - 1 - i] for i, x in enumerate(coeffs))
+            if got != want if exact else abs(got - want) > FLOAT_TOL:
                 raise PullbackRecurrenceError(
-                    f"{name}_{k} = {got} but recurrence gives {want} (m={m}, p={p})"
+                    f"{name}_{k} = {got} but recurrence gives {want} (m={m})"
                 )
 
 
@@ -163,28 +177,26 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
     """a,b,c,d up to kmax, validated against the proof recurrences."""
     if kmax < meas.m:
         raise ValueError(f"kmax must be >= m={meas.m}, got {kmax}")
-    m, p, q = meas.m, meas.p, meas.q
+    m, weights = meas.m, meas.weights
     cylinders = ("0", "1", "01", "10")
-    emissions = [_emission(m, p, q, s) for s in cylinders]
-    a, b, c, d = series = [[_mu_symbols(m, p, q, s)] for s in cylinders]
-    z, o = _start(m, p, q)
+    emissions = [_emission(m, *weights, s) for s in cylinders]
+    a, b, c, d = series = [[_mu_symbols(m, *weights, s)] for s in cylinders]
+    z, o = _start(m, *weights[:2])
     for _ in range(kmax):
         for seq, e in zip(series, emissions):
             seq.append(_dot(z, o, e))
-        z, o = _step(z, o, p, q)
-    _check_series_recurrences(m, p, q, a, c, d, exact=meas.mode == EXACT)
-    cesaro = []
-    total = a[0] * 0
-    for n, val in enumerate(a, start=1):
-        total = total + val
-        cesaro.append(total / n)
-    return PullbackSeries(m, meas.p, tuple(a), tuple(b), tuple(c), tuple(d), tuple(cesaro))
+        z, o = _step(z, o, *weights)
+    _check_series_recurrences(m, *weights, a, c, d, exact=meas.mode == EXACT)
+    sums = accumulate(a, lambda t, x: t * weights[2] + x)  # sum_{k<n} a_k, over wf**n
+    cesaro = [meas._value(t, n) / n for n, t in enumerate(sums, start=1)]
+    values = [tuple(meas._value(x, k + len(s)) for k, x in enumerate(seq))
+              for s, seq in zip(cylinders, series)]
+    return PullbackSeries(m, meas.p, *values, tuple(cesaro))
 
 
 def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     """(1/n) sum_{k<n} mu(sigma^{-k}[w]), computed in binary64.
 
-    The limit exists but no rate is known, so n is always caller-supplied.
     Long horizons make exact rationals impractical; this always runs in
     float, matching the documented error model.
     """
@@ -194,17 +206,28 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     m = meas.m
     p = float(meas.p)
     q = 1.0 - p
-    total = _mu_symbols(m, p, q, s)
-    e = _emission(m, p, q, s)
+    total = _mu_symbols(m, p, q, 1, s)
+    e = _emission(m, p, q, 1, s)
     z, o = _start(m, p, q)
     for _ in range(n - 1):
         total += _dot(z, o, e)
-        z, o = _step(z, o, p, q)
+        z, o = _step(z, o, p, q, 1)
     return total / n
 
 
 # ---------------------------------------------------------------------------
-# exhaustive inequality checks (exact arithmetic)
+# exhaustive inequality checks: integer numerators, cross-multiplied
+
+
+def _quasi_bernoulli_bounds(a: int, b: int, prod: int, mu_wv: int):
+    """(mu[w]mu[v] <= mu[wv], p(1-p)mu[wv] <= mu[w]mu[v]), numerators over b**|wv|."""
+    return prod <= mu_wv, a * (b - a) * mu_wv <= b * b * prod
+
+
+def _pullback_bounds(a: int, b: int, k: int, mu_w: int, pb: int):
+    """(mu[w] <= c pb, pb <= c mu[w]), c = (p(1-p))^-2; pb is over b**(k+|w|)."""
+    lhs, mu_k = (a * (b - a)) ** 2, mu_w * b**k
+    return lhs * mu_k <= b**4 * pb, lhs * pb <= b**4 * mu_k
 
 
 def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str, str]]:
@@ -218,15 +241,10 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
         raise ValueError("quasi_bernoulli_check requires exact mode")
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    m, p, q = meas.m, meas.p, meas.q
-    inv = 1 / (p * q)
-    mu = {s: _mu_symbols(m, p, q, s) for s in words_upto(m, L)}
-    violations = []
-    for w, v, wv in admissible_pairs(mu, L):
-        prod = mu[w] * mu[v]
-        if not (prod <= mu[wv] <= inv * prod):
-            violations.append((w, v))
-    return violations
+    a, _, b = weights = meas.weights
+    mu = {s: _mu_symbols(meas.m, *weights, s) for s in words_upto(meas.m, L)}
+    return [(w, v) for w, v, wv in admissible_pairs(mu, L)
+            if not all(_quasi_bernoulli_bounds(a, b, mu[w] * mu[v], mu[wv]))]
 
 
 def pullback_bounds_check(
@@ -240,20 +258,19 @@ def pullback_bounds_check(
     """
     if meas.mode != EXACT:
         raise ValueError("pullback_bounds_check requires exact mode")
-    m, p, q = meas.m, meas.p, meas.q
-    c = 1 / (p * p * q * q)
+    m = meas.m
+    a, _, b = weights = meas.weights
     # masses after k symbols, shared across all words
     masses = []
-    z, o = _start(m, p, q)
+    z, o = _start(m, *weights[:2])
     for _ in range(kmax):
         masses.append((z, o))
-        z, o = _step(z, o, p, q)
+        z, o = _step(z, o, *weights)
     violations = []
     for s in words_upto(m, L)[1:]:  # the non-empty words
-        mu_w = _mu_symbols(m, p, q, s)
-        e = _emission(m, p, q, s)
+        mu_w = _mu_symbols(m, *weights, s)
+        e = _emission(m, *weights, s)
         for k, (z, o) in enumerate(masses, start=1):
-            pb = _dot(z, o, e)
-            if not (mu_w <= c * pb and pb <= c * mu_w):
+            if not all(_pullback_bounds(a, b, k, mu_w, _dot(z, o, e))):
                 violations.append((s, k))
     return violations

@@ -135,18 +135,11 @@ def gamma_check_periodic(
     horizon = pre + per  # beyond this the pairwise comparison repeats
     k_start = 1 if variant == STRICT else 0
     for k in range(k_start, pre + per + 1):
-        # upper: sigma^k w vs w
-        verdict = _compare_shifted(seq, k, horizon, flip=False)
-        if verdict == "greater":
-            return GammaVerdict(EXACT_NONMEMBER, k, None)
-        if verdict == "equal" and variant == STRICT:
-            return GammaVerdict(EXACT_NONMEMBER, k, None)
-        # lower: sigma^k w vs complement(w)
-        verdict = _compare_shifted(seq, k, horizon, flip=True)
-        if verdict == "less":
-            return GammaVerdict(EXACT_NONMEMBER, k, None)
-        if verdict == "equal" and variant == STRICT:
-            return GammaVerdict(EXACT_NONMEMBER, k, None)
+        # upper: sigma^k w vs w; lower: sigma^k w vs complement(w)
+        for flip, wrong in ((False, "greater"), (True, "less")):
+            verdict = _compare_shifted(seq, k, horizon, flip)
+            if verdict == wrong or (verdict == "equal" and variant == STRICT):
+                return GammaVerdict(EXACT_NONMEMBER, k, None)
     return GammaVerdict(EXACT_MEMBER)
 
 

@@ -62,12 +62,8 @@ def check_counting_bound(quick: bool = False) -> CheckResult:
         for s in words.words_upto(m, max_len)[1:]:  # the non-empty words
             n0, n1 = words.occurrence_counts(m, s)
             total += 1
-            zeros = s.count("0")
-            ones = len(s) - zeros
-            if m * zeros > (m - 1) * n0 + len(s):
-                bad += 1
-            if m * ones > (m - 1) * n1 + len(s):
-                bad += 1
+            for digits, n_d in ((s.count("0"), n0), (s.count("1"), n1)):
+                bad += m * digits > (m - 1) * n_d + len(s)
     return CheckResult(
         "occurrence-counting-bound",
         bad == 0,
@@ -76,7 +72,7 @@ def check_counting_bound(quick: bool = False) -> CheckResult:
 
 
 def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
-    """Closed form equals the branching recursion, exact rationals."""
+    """Closed form equals the branching recursion, as numerators over b**|w|."""
     max_len = 8 if quick else 12
     bad = 0
     total = 0
@@ -84,10 +80,11 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
         wordlist = words.words_upto(m, max_len)[1:]  # the non-empty words
         counts = [words.occurrence_counts(m, s) for s in wordlist]
         for p in P_GRID:
-            q = 1 - p
+            w0, w1, b = measure.bernoulli(m, p).weights
             for s, (n0, n1) in zip(wordlist, counts):
                 total += 1
-                if measure._mu_symbols(m, p, q, s) != p**n0 * q**n1:
+                closed = w0**n0 * w1**n1 * b ** (len(s) - n0 - n1)
+                if measure._mu_symbols(m, w0, w1, b, s) != closed:
                     bad += 1
     return CheckResult(
         "closed-form-vs-recursion",
@@ -97,15 +94,15 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
 
 
 def check_normalization(quick: bool = False) -> CheckResult:
-    """Cylinder masses of each length sum to exactly 1."""
+    """Cylinder masses of each length sum to exactly 1: numerators to b**n."""
     max_len = 8 if quick else 12
     bad = []
     for m in (3, 4, 5):
         wordlist = words.words_upto(m, max_len)
         for p in P_GRID:
-            q = 1 - p
+            w0, w1, b = measure.bernoulli(m, p).weights
             for n, group in groupby(wordlist, key=len):
-                if sum(measure._mu_symbols(m, p, q, s) for s in group) != 1:
+                if sum(measure._mu_symbols(m, w0, w1, b, s) for s in group) != b**n:
                     bad.append((m, p, n))
     return CheckResult(
         "normalization",

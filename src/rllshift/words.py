@@ -114,8 +114,9 @@ def is_admissible(w: Word) -> bool:
 # run-state kernel: the transfer matrix of the shift of finite type.  States
 # are (digit, run length r), 1 <= r <= m-1, held as two dense lists z (digit
 # 0) and o (digit 1) indexed by r-1.  A free 0 weighs w0, a free 1 weighs w1,
-# and the flip out of a maximal run is forced and weighs 1.  The kernel works
-# in whatever number type the weights have (int, Fraction or float).
+# and the flip out of a maximal run is forced and weighs wf.  Counting uses
+# (1, 1, 1); a measure with p = a/b uses (a, b-a, b), so every value is an
+# integer numerator over b**(symbols read); a float p uses (p, 1-p, 1).
 
 
 def _start(m: int, w0, w1):
@@ -124,8 +125,10 @@ def _start(m: int, w0, w1):
     return [w0] + [zero] * (m - 2), [w1] + [zero] * (m - 2)
 
 
-def _step(z, o, w0, w1):
+def _step(z, o, w0, w1, wf):
     """Masses after one more symbol."""
+    if wf != 1:  # weigh the maximal runs, z[-1] and o[-1], for their forced flip
+        z, o = z[:-1] + [z[-1] * wf], o[:-1] + [o[-1] * wf]
     # sums over the free states (r < m-1), started at r = 1 to add no zero
     return (
         [sum(o[1:-1], o[0]) * w0 + o[-1]] + [x * w0 for x in z[:-1]],
@@ -133,7 +136,7 @@ def _step(z, o, w0, w1):
     )
 
 
-def _emission(m: int, w0, w1, s: str):
+def _emission(m: int, w0, w1, wf, s: str):
     """(ez, eo): the weight of reading s from each state, built from the back.
 
     All zeros when s is inadmissible; all ones for the empty word.
@@ -142,7 +145,7 @@ def _emission(m: int, w0, w1, s: str):
     for c in reversed(s):
         w, nxt = (w0, ez) if c == "0" else (w1, eo)  # the rest of s, from digit c
         stay = [w * x for x in nxt[1:]] + [nxt[0] * 0]  # a run of c reaching m dies
-        flip = [w * nxt[0]] * (m - 2) + [nxt[0]]  # forced out of a maximal run
+        flip = [w * nxt[0]] * (m - 2) + [wf * nxt[0]]  # forced out of a maximal run
         ez, eo = (stay, flip) if c == "0" else (flip, stay)
     return ez, eo
 
@@ -162,7 +165,7 @@ def count_words(m: int, n: int) -> int:
         return 1
     z, o = _start(m, 1, 1)
     for _ in range(n - 1):
-        z, o = _step(z, o, 1, 1)
+        z, o = _step(z, o, 1, 1, 1)
     return sum(z) + sum(o)
 
 

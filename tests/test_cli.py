@@ -235,3 +235,18 @@ class TestErrors:
             capsys, "gamma-check", "--w", "01a", "--depth", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "--m", "3", "--p", "1/0", "--w", "0"),
+            ("lambda", "--m", "3", "--p", "1/0"),
+            ("sample", "--m", "3", "--p", "1/3", "--n", "10", "--seed", "1", "--q", "1/0"),
+            ("dims", "--m", "3", "--p", "1/0"),
+        ],
+    )
+    def test_zero_denominator_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err

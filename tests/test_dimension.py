@@ -48,6 +48,13 @@ class TestFrequencyFunction:
             assert f_m(m, 1e-9) == pytest.approx(1 / m, rel=1e-6)
             assert f_m(m, 1 - 1e-9) == pytest.approx(1 - 1 / m, rel=1e-6)
 
+    @pytest.mark.parametrize("m", [3, 10])
+    @pytest.mark.parametrize("x", [0.999, 1 - 1e-12, 1e-3, 1e-12])
+    def test_float_accurate_at_both_ends(self, m, x):
+        # against f_m of the same binary x, evaluated exactly
+        exact = f_m(m, Fraction(x))
+        assert abs(Fraction(f_m(m, x)) - exact) <= 4e-16 * exact
+
     def test_exact_for_fraction(self):
         value = f_m(3, Fraction(1, 3))
         assert isinstance(value, Fraction)

@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,11 @@ from rllshift.measure import (
 
 P13 = Fraction(1, 3)
 
+# p = a/b with b <= 12
+ratios = st.integers(2, 12).flatmap(
+    lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
+)
+
 
 def brute_pullback(meas, w, k):
     """Oracle: enumerate every admissible prefix u of length k directly."""
@@ -28,6 +34,38 @@ def brute_pullback(meas, w, k):
         if words.is_admissible_symbols(meas.m, u + w):
             total += mu_recursive(meas, u + w)
     return total
+
+
+def ref_mu(m, p, s, prev="", run=0):
+    """Fraction reference: [s] by the branching rule, read after `run` `prev`s."""
+    val = Fraction(1)
+    for c in s:
+        if prev and run >= m - 1:
+            if c == prev:
+                return Fraction(0)
+        else:
+            val *= p if c == "0" else 1 - p
+        run = run + 1 if c == prev else 1
+        prev = c
+    return val
+
+
+def ref_states(m, p, kmax):
+    """Fraction masses of the run states (digit, run) after k = 0..kmax symbols."""
+    dists = [{("", 0): Fraction(1)}]
+    for _ in range(kmax):
+        nxt = defaultdict(Fraction)
+        for (prev, run), mass in dists[-1].items():
+            for c in "01":
+                nxt[c, run + 1 if c == prev else 1] += mass * ref_mu(m, p, c, prev, run)
+        dists.append(nxt)
+    return dists
+
+
+def ref_pullback(m, p, s, k, dists=None):
+    """Fraction reference for mu(sigma^{-k}[s])."""
+    dist = (dists or ref_states(m, p, k))[k]
+    return sum(mass * ref_mu(m, p, s, prev, run) for (prev, run), mass in dist.items())
 
 
 class TestMu:
@@ -159,12 +197,84 @@ class TestSeries:
     def test_recurrence_error_is_loud(self):
         # sanity: a corrupted d-series trips the validator
         meas = bernoulli(3, P13)
-        p, q = meas.p, meas.q
         s = pullback_series(meas, 8)
+        # numerators over 3**(k+1) for a_k, 3**(k+2) for c_k and d_k
+        a = [x * 3 ** (k + 1) for k, x in enumerate(s.a)]
+        c, d = ([x * 3 ** (k + 2) for k, x in enumerate(seq)] for seq in (s.c, s.d))
+        measure._check_series_recurrences(3, *meas.weights, a, c, d, exact=True)
         with pytest.raises(PullbackRecurrenceError):
             measure._check_series_recurrences(
-                3, p, q, list(s.a), list(s.c), [x + 1 for x in s.d], exact=True
+                3, *meas.weights, a, c, [x + 1 for x in d], exact=True
             )
+
+
+class TestIntegerScaled:
+    """The integer numerators over b**length against Fraction arithmetic."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(3, 6), ratios, st.text(alphabet="01", max_size=10), st.integers(0, 8))
+    def test_values_match_fraction_reference(self, m, p, w, k):
+        # admissible or not
+        meas = bernoulli(m, p)
+        got = pullback_cylinder(meas, w, k)
+        assert isinstance(got, Fraction)
+        assert got == ref_pullback(m, p, w, k)
+        assert mu_recursive(meas, w) == ref_mu(m, p, w)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(3, 6), ratios, st.integers(0, 2))
+    def test_series_matches_fraction_reference(self, m, p, extra):
+        kmax = min(m + extra, 8)
+        s = pullback_series(bernoulli(m, p), kmax)
+        dists = ref_states(m, p, kmax)
+        for seq, w in ((s.a, "0"), (s.b, "1"), (s.c, "01"), (s.d, "10")):
+            assert list(seq) == [ref_pullback(m, p, w, k, dists) for k in range(kmax + 1)]
+        running = itertools.accumulate(s.a)
+        assert list(s.cesaro_a) == [t / n for n, t in enumerate(running, start=1)]
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(3, 6), ratios, st.integers(2, 7))
+    def test_quasi_bernoulli_comparisons(self, m, p, L):
+        # each integer comparison against the Fraction one it replaces, at
+        # the true mu[wv] and at numerators on both sides of each bound
+        a, b = p.numerator, p.denominator
+        weights = bernoulli(m, p).weights
+        table = {s: measure._mu_symbols(m, *weights, s) for s in words.words_upto(m, L)}
+        for w, v, wv in words.admissible_pairs(table, L):
+            prod = table[w] * table[v]
+            assert Fraction(prod, b ** len(wv)) == ref_mu(m, p, w) * ref_mu(m, p, v)
+            assert Fraction(table[wv], b ** len(wv)) == ref_mu(m, p, wv)
+            top = b * b * prod // (a * (b - a))
+            for mu_wv in {table[wv], prod - 1, prod, prod + 1, top, top + 1}:
+                fprod = Fraction(prod, b ** len(wv))
+                fwv = Fraction(mu_wv, b ** len(wv))
+                want = (fprod <= fwv, fwv <= fprod / (p * (1 - p)))
+                assert measure._quasi_bernoulli_bounds(a, b, prod, mu_wv) == want
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(3, 6), ratios, st.integers(1, 6), st.integers(1, 8))
+    def test_pullback_bound_comparisons(self, m, p, L, kmax):
+        # as above, for c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w]
+        a, b = p.numerator, p.denominator
+        meas = bernoulli(m, p)
+        c = 1 / (p * p * (1 - p) * (1 - p))
+        dists = ref_states(m, p, kmax)
+        for s in words.words_upto(m, L)[1:]:
+            mu_w = measure._mu_symbols(m, *meas.weights, s)
+            fmu = ref_mu(m, p, s)
+            assert Fraction(mu_w, b ** len(s)) == fmu
+            for k in range(1, kmax + 1):
+                scale = b ** (k + len(s))
+                pb = pullback_cylinder(meas, s, k) * scale
+                assert pb.denominator == 1
+                pb = pb.numerator
+                low = (a * (b - a)) ** 2 * mu_w * b**k // b**4
+                high = b**4 * mu_w * b**k // (a * (b - a)) ** 2
+                for num in {pb, low, low + 1, high, high + 1}:
+                    fpb = Fraction(num, scale)
+                    want = (fmu <= c * fpb, fpb <= c * fmu)
+                    assert measure._pullback_bounds(a, b, k, mu_w, num) == want
+                assert Fraction(pb, scale) == ref_pullback(m, p, s, k, dists)
 
 
 class TestCesaroAndClosedForm:
