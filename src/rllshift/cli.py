@@ -98,14 +98,12 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     chain = markov.build_chain(args.m, float(_parse_p(args.p)))
     q = float(_parse_p(args.q)) if args.q else float(chain.p)
     run = markov.sample(chain, args.n, args.seed)
-    freq = run.frequency_series()
     local = markov.empirical_local_dimension(run, q)
-    lines = ["n,freq0,local_dim"]
-    for i in range(args.stride - 1, run.n, args.stride):
-        lines.append(f"{i + 1},{freq[i]!r},{local[i]!r}")
     summary = {
         "schema": SCHEMA,
         "m": args.m,
@@ -118,8 +116,12 @@ def cmd_sample(args) -> int:
     }
     if args.format == "json":
         _emit(args, json.dumps(summary))
-    else:
-        _emit(args, "\n".join(lines) + "\n" + json.dumps(summary))
+        return 0
+    freq = run.frequency_series()
+    lines = ["n,freq0,local_dim"]
+    for i in range(args.stride - 1, run.n, args.stride):
+        lines.append(f"{i + 1},{freq[i]!r},{local[i]!r}")
+    _emit(args, "\n".join(lines) + "\n" + json.dumps(summary))
     return 0
 
 

@@ -7,6 +7,7 @@ sample paths drive the Birkhoff-frequency and local-dimension estimators.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,7 +178,7 @@ class SampleRun:
 
     @property
     def word(self) -> str:
-        return "".join("01"[b] for b in self.bits)
+        return (self.bits + 48).tobytes().decode("ascii")
 
     def zeros_prefix(self) -> np.ndarray:
         """Cumulative count of 0's over prefixes (length n)."""
@@ -190,25 +191,94 @@ class SampleRun:
         return self.zeros_prefix() / np.arange(1, self.n + 1)
 
 
+BLOCK = 8  # symbols per table lookup in `sample`
+_POW3 = 3 ** np.arange(BLOCK)
+_SLICE = 4096 * BLOCK  # symbols per batch of block work, to bound the temporaries
+
+
+@functools.lru_cache(maxsize=1)
+def _block_table(m: int, favoured: int) -> tuple[tuple[int, ...], bytes, np.ndarray]:
+    """One block of BLOCK steps of the chain, for every run state and block code.
+
+    A state (digit, run) is the integer x = 2*run + digit.  Symbol j of a
+    block has a class c_j in {0, 1, 2}, the number of the tests u < p and
+    u < 1-p that hold, and the block the code sum c_j 3**j; a free state
+    extends its run when c_j = 2, or when c_j = 1 and its digit is
+    `favoured`, and otherwise flips.
+
+    Only the runs >= m-1-BLOCK get a row, the lowest of them standing for
+    every shorter run too: such a run cannot reach the cap inside a block,
+    so it either extends BLOCK times, to x + 2*BLOCK, or flips, after which
+    the block no longer depends on the run.  So there are at most
+    2*(BLOCK+1) rows whatever m is.  A block that flips ends on a run of at
+    most BLOCK, so the next state fits in a byte, with 0 for "x + 2*BLOCK".
+    Returns (row offset of each x, next state, emitted bits as one byte),
+    the last two indexed by row offset + code.
+    """
+    cap = m - 1
+    low = max(1, cap - BLOCK)
+    per_digit = cap - low + 1
+    rows = 2 * per_digit
+    d = np.repeat(np.array([0, 1], dtype=np.uint8), per_digit)[:, None]
+    # extensions left before the cap, at most BLOCK since no more are taken
+    left = np.tile(np.arange(cap - low, -1, -1, dtype=np.int8), 2)[:, None]
+    # the run since the last flip in the block; above BLOCK while none
+    run = np.full_like(d, BLOCK + 1)
+    emitted = np.zeros_like(d)
+    cls = np.arange(3, dtype=np.uint8)[:, None]
+    left_after_flip = min(cap - 1, BLOCK)
+    for _ in range(BLOCK):
+        # the class of the next symbol is the leading base-3 digit of the code
+        d, left, run, emitted = (a[:, None, :] for a in (d, left, run, emitted))
+        stay = (left > 0) & (cls + (d == favoured) >= 2)
+        # a flip toggles the digit and restarts the run at 1
+        d = d ^ ~stay
+        left = np.where(stay, left - 1, left_after_flip)
+        run = run * stay + 1
+        emitted = 2 * emitted + d
+        d, left, run, emitted = (a.reshape(rows, -1) for a in (d, left, run, emitted))
+    nxt = np.where(run > BLOCK, 0, 2 * run + d)
+    x = np.arange(2 * m)
+    row = ((x & 1) * per_digit + np.maximum(x >> 1, low) - low) * 3**BLOCK
+    emitted = emitted.ravel()
+    emitted.setflags(write=False)
+    return tuple(row.tolist()), nxt.tobytes(), emitted
+
+
 def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
-    """Draw a length-n admissible word from the path law, deterministically."""
+    """Draw a length-n admissible word from the path law, deterministically.
+
+    With u = rng.random(n), symbol 0 is 0 exactly when u[0] < p.  Each later
+    symbol i extends the current run when the run is below m-1 and
+    u[i] < p (run of 0's) or u[i] < 1.0 - p (run of 1's); otherwise it
+    flips the digit.  The walk applies this law BLOCK symbols per lookup in
+    `_block_table` and yields the same bits as the per-symbol walk.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m = chain.m
     p = float(chain.p)
+    q = 1.0 - p
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(n)
     bits = np.empty(n, dtype=np.uint8)
-    digit = 0 if u[0] < p else 1
-    run = 1
-    bits[0] = digit
-    for i in range(1, n):
-        # a maximal run forces the flip; a free state stays with mass p or 1-p
-        if run < m - 1 and u[i] < (p if digit == 0 else 1.0 - p):
-            run += 1
-        else:
-            digit, run = 1 - digit, 1
-        bits[i] = digit
+    bits[0] = 0 if u[0] < p else 1
+    # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
+    row, nxt, emitted = _block_table(m, 0 if p > 0.5 else 1)
+    x = 2 + int(bits[0])
+    jump = 2 * BLOCK
+    for start in range(1, n, _SLICE):
+        part = u[start : start + _SLICE]
+        # padded with class 0; the padding's bits are cut off below
+        cls = np.zeros(-(-len(part) // BLOCK) * BLOCK, dtype=np.uint8)
+        cls[: len(part)] = part < p
+        cls[: len(part)] += part < q
+        ks = []
+        for code in (cls.reshape(-1, BLOCK) @ _POW3).tolist():
+            k = row[x] + code
+            ks.append(k)
+            x = nxt[k] or x + jump
+        bits[start : start + len(part)] = np.unpackbits(emitted[ks])[: len(part)]
     return SampleRun(m, p, seed, n, bits)
 
 

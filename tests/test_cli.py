@@ -137,6 +137,19 @@ class TestSample:
         assert lines[1].startswith("1000,")
         assert lines[3].startswith("3000,")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_bad_stride_exit_two(self, capsys, fmt, stride):
+        code, out, err = run_cli(
+            capsys,
+            "sample",
+            "--m", "3", "--p", "0.5", "--n", "100",
+            "--seed", "3", "--stride", stride, "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: --stride must be >= 1, got {stride}" in err
+
     def test_seed_reproducibility(self, capsys):
         args = ("sample", "--m", "3", "--p", "0.4", "--n", "2000",
                 "--seed", "9", "--format", "json")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -19,8 +20,27 @@ from rllshift.markov import (
     sample,
     stationary,
 )
+from rllshift.verify import ERGODIC_SEED
 
 P13 = Fraction(1, 3)
+
+
+def loop_sample(chain, n, seed):
+    """Reference: the per-symbol walk that sample applies a block at a time."""
+    m, p = chain.m, float(chain.p)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    bits = np.empty(n, dtype=np.uint8)
+    digit = 0 if u[0] < p else 1
+    run = 1
+    bits[0] = digit
+    for i in range(1, n):
+        # a maximal run forces the flip; a free state stays with mass p or 1-p
+        if run < m - 1 and u[i] < (p if digit == 0 else 1.0 - p):
+            run += 1
+        else:
+            digit, run = 1 - digit, 1
+        bits[i] = digit
+    return bits
 
 
 def loop_increments(run, q):
@@ -135,6 +155,52 @@ class TestSampling:
         chain = build_chain(3, 0.5)
         run = sample(chain, 200_000, seed=11)
         assert abs(run.freq0() - 0.5) < 0.005
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        st.integers(3, 15),
+        st.one_of(
+            st.sampled_from(
+                [0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1e-12, 1 - 1e-12]
+            ),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        st.one_of(
+            st.integers(1, 2 * markov._SLICE + 100),
+            st.builds(
+                lambda k, d: max(1, k * markov.BLOCK + d),
+                st.integers(0, 2 * markov._SLICE // markov.BLOCK + 2),
+                st.sampled_from([-1, 0, 1]),
+            ),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_loop(self, m, p, n, seed):
+        chain = build_chain(m, p)
+        got = sample(chain, n, seed).bits
+        assert got.dtype == np.uint8
+        assert got.tobytes() == loop_sample(chain, n, seed).tobytes()
+
+    def test_bits_pinned(self):
+        # check 12's band was calibrated on this path; check 14 samples these
+        run = sample(build_chain(3, 0.2), 10**6, ERGODIC_SEED)
+        assert hashlib.sha256(run.bits.tobytes()).hexdigest() == (
+            "514386ab1dd7911a0874fcf92d9daed0f13272578860526eb2d22aae68d47d72"
+        )
+        pinned = [
+            "21db8f620d80bc190781e3e6164bbb5a5a7f1ae004a037d8f246722847768b0c",
+            "bfa6ce9657276709365558815faf33470b79d268c1b65bf268bb58f917371920",
+            "a535ff05703ae50fdd3d771e3de29b05ef76e0069a382b72b825a2b9377d2665",
+        ]
+        for seed, digest in enumerate(pinned):
+            run = sample(build_chain(3, 0.5), 10_000, seed)
+            assert hashlib.sha256(run.bits.tobytes()).hexdigest() == digest
+
+    def test_word_matches_join(self):
+        run = sample(build_chain(4, 0.3), 5000, seed=2)
+        assert run.word == "".join("01"[b] for b in run.bits)
+        one = markov.SampleRun(3, 0.5, 0, 1, np.array([1], dtype=np.uint8))
+        assert one.word == "1"
 
     def test_frequency_series_shape(self):
         run = sample(build_chain(3, 0.5), 100, seed=0)
