@@ -31,6 +31,7 @@ from .markov import (
     SampleRun,
     build_chain,
     empirical_local_dimension,
+    final_local_dimension,
     path_measure,
     sample,
     stationary,

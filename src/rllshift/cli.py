@@ -103,7 +103,8 @@ def cmd_sample(args) -> int:
     chain = markov.build_chain(args.m, float(_parse_p(args.p)))
     q = float(_parse_p(args.q)) if args.q else float(chain.p)
     run = markov.sample(chain, args.n, args.seed)
-    local = markov.empirical_local_dimension(run, q)
+    # the series only for CSV rows; its last value equals the final-value path
+    local = markov.empirical_local_dimension(run, q) if args.format == "csv" else None
     summary = {
         "schema": SCHEMA,
         "m": args.m,
@@ -112,7 +113,9 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "n": args.n,
         "freq0_final": run.freq0(),
-        "local_dim_final": float(local[-1]),
+        "local_dim_final": (
+            markov.final_local_dimension(run, q) if local is None else float(local[-1])
+        ),
     }
     if args.format == "json":
         _emit(args, json.dumps(summary))

@@ -308,6 +308,14 @@ def empirical_local_dimension(run: SampleRun, q: float) -> np.ndarray:
     return cum / (np.arange(1, run.n + 1) * math.log(2.0))
 
 
+def final_local_dimension(run: SampleRun, q: float) -> float:
+    """The last value of `empirical_local_dimension`, bit for bit, without
+    the series: the running sum is taken in place (np.sum would add in
+    another order)."""
+    inc = log_measure_increments(run, q)
+    return float(np.cumsum(inc, out=inc)[-1] / (run.n * math.log(2.0)))
+
+
 def sampled_word(run: SampleRun) -> Word:
     w = Word(run.word, run.m)
     assert is_admissible_symbols(run.m, w.symbols)

@@ -4,13 +4,16 @@ The measure splits mass p/(1-p) at every free branch and passes full mass
 through forced branches (a word ending in a maximal-length run has only
 one admissible extension).  Exact mode, p = a/b, computes a value over n
 symbols as an integer numerator over b**n on the kernel weights (a, b-a,
-b), returned as a Fraction; float mode is for long Cesaro horizons.
+b), returned as a Fraction; float mode, p a float, works in binary64.
+Cesaro averages are always binary64, at any horizon (`cesaro_lambda`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+
+import numpy as np
 
 from .words import (
     InadmissibleWordError,
@@ -194,11 +197,38 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
     return PullbackSeries(m, meas.p, *values, tuple(cesaro))
 
 
+def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
+    """The kernel's float transfer matrix: row i is `_step` of unit state i."""
+    size = m - 1
+    rows = []
+    for i in range(2 * size):
+        unit = [0.0] * (2 * size)
+        unit[i] = 1.0
+        z, o = _step(unit[:size], unit[size:], p, q, 1)
+        rows.append(z + o)
+    return np.array(rows)
+
+
 def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     """(1/n) sum_{k<n} mu(sigma^{-k}[w]), computed in binary64.
 
-    Long horizons make exact rationals impractical; this always runs in
-    float, matching the documented error model.
+    With P the S x S transfer matrix of the kernel (S = 2(m-1)), the start
+    masses x and the emission e of w, the sum is mu[w] + x G e with
+    G = sum_{j<n-1} P^j.  Binary doubling over the bits of n-1 keeps
+    A = P^(2^i) and g = (sum_{j<2^i} P^j) e, so each bit costs one S x S
+    matrix product: O(S^3 log n) in all, at any n.  At large m and small n
+    this is slower than n kernel steps would be; on a 2-core x86-64 VM,
+    m = 150 and n = 100 take about 25 ms against 3 ms, and m = 500 and
+    n = 10 take 0.26 s against 1 ms.  No caller meets that: all run at
+    S <= 70, and the `lambda` CLI also runs the O(S^3) exact stationary
+    solve, which takes far longer at such m.
+
+    Always float, also for a Fraction p.  All terms are nonnegative, so
+    there is no cancellation.  The tests hold the relative error to 1e-12
+    against the step-by-step sum (n <= 3000, p down to 1e-12), to 1e-13
+    against the exact `pullback_series` Cesaro averages (n <= 200), and
+    the absolute error to 1e-9 against the closed form at n = 10**12.
+    n = 1 gives mu[w]; an inadmissible w gives 0.0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -206,13 +236,24 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     m = meas.m
     p = float(meas.p)
     q = 1.0 - p
-    total = _mu_symbols(m, p, q, 1, s)
-    e = _emission(m, p, q, 1, s)
-    z, o = _start(m, p, q)
-    for _ in range(n - 1):
-        total += _dot(z, o, e)
-        z, o = _step(z, o, p, q, 1)
-    return total / n
+    power = _transfer_matrix(m, p, q)
+    g = np.concatenate(_emission(m, p, q, 1, s))
+    x = np.concatenate(_start(m, p, q))
+    total = 0.0
+    rest = n - 1  # bits of the number of terms of G still to be added
+    while rest:
+        if rest & 1:
+            total += x @ g
+            x = x @ power
+        rest >>= 1
+        if rest:
+            g = g + power @ g
+            power = power @ power
+            # P^(2^i) is stochastic; rescaling its rows to sum 1 keeps the
+            # rounding of p + (1-p) and of each product from doubling at every
+            # squaring, a relative error that would grow like n * 1e-16
+            power /= power.sum(axis=1, keepdims=True)
+    return float(_mu_symbols(m, p, q, 1, s) + total) / n
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,7 @@ def check_ergodic_frequency(quick: bool = False) -> CheckResult:
 
 def check_local_dimension(quick: bool = False) -> CheckResult:
     run = _ergodic_run(quick)
-    series = markov.empirical_local_dimension(run, 0.2)
-    final = float(series[-1])
+    final = markov.final_local_dimension(run, 0.2)
     bound = dimension.lower_bound(3, 0.4, 0.2)
     ok = final >= bound - 0.01
     return CheckResult(

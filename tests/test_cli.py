@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -110,6 +111,15 @@ class TestLambda:
         stationary = record["stationary"]
         assert "/" not in stationary
         assert abs(float(stationary) - float(record["closed_form"])) <= 1e-12
+
+    def test_horizon_of_a_trillion(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lambda", "--m", "12", "--p", "3/10", "--n", "1000000000000"
+        )
+        assert code == 0
+        record = json.loads(out)
+        closed = Fraction(record["closed_form"])
+        assert abs(float(record["cesaro"]) - closed) <= 1e-9
 
 
 class TestSample:

@@ -239,7 +239,22 @@ class TestLocalDimension:
         got = markov.log_measure_increments(run, q)
         assert got.tobytes() == loop_increments(run, q).tobytes()
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(3, 12),
+        st.floats(0.01, 0.99),
+        st.integers(1, 50_000),
+        st.floats(0.01, 0.99),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_final_value_matches_series_bit_for_bit(self, m, p, n, q, seed):
+        run = sample(build_chain(m, p), n, seed)
+        final = markov.final_local_dimension(run, q)
+        assert final.hex() == float(empirical_local_dimension(run, q)[-1]).hex()
+
     def test_bad_q_rejected(self):
         run = sample(build_chain(3, 0.5), 10, seed=0)
         with pytest.raises(ValueError):
             empirical_local_dimension(run, 1.0)
+        with pytest.raises(ValueError):
+            markov.final_local_dimension(run, 0.0)

@@ -26,6 +26,21 @@ ratios = st.integers(2, 12).flatmap(
 )
 
 
+def loop_cesaro(meas, w, n):
+    """Reference: the step-by-step sum that cesaro_lambda does by doubling."""
+    s = words.symbols_of(w)
+    m = meas.m
+    p = float(meas.p)
+    q = 1.0 - p
+    total = measure._mu_symbols(m, p, q, 1, s)
+    e = words._emission(m, p, q, 1, s)
+    z, o = words._start(m, p, q)
+    for _ in range(n - 1):
+        total += words._dot(z, o, e)
+        z, o = words._step(z, o, p, q, 1)
+    return total / n
+
+
 def brute_pullback(meas, w, k):
     """Oracle: enumerate every admissible prefix u of length k directly."""
     total = Fraction(0)
@@ -292,6 +307,49 @@ class TestCesaroAndClosedForm:
         c = cesaro_lambda(meas, "01", 4000)
         d = cesaro_lambda(meas, "10", 4000)
         assert abs(c - d) < 1e-3
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(3, 12),
+        st.one_of(
+            ratios,
+            st.sampled_from([1e-12, 1 - 1e-12]),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        st.text("01", max_size=6),
+        st.one_of(
+            st.integers(1, 3000),
+            st.builds(
+                lambda j, d: max(1, 2**j + d), st.integers(0, 11), st.sampled_from([-1, 0, 1])
+            ),
+        ),
+    )
+    def test_doubling_matches_loop(self, m, p, w, n):
+        meas = bernoulli(m, p)
+        got, want = cesaro_lambda(meas, w, n), loop_cesaro(meas, w, n)
+        assert isinstance(got, float)
+        if not words.is_admissible_symbols(m, w):
+            assert got == want == 0.0
+        else:
+            assert abs(got - want) <= 1e-12 * want
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.integers(3, 12), ratios)
+    def test_error_against_exact_average(self, m, p):
+        meas = bernoulli(m, p)
+        exact = pullback_series(meas, 200).cesaro_a
+        for n in (1, 2, 3, 7, 50, 200):
+            got = Fraction(cesaro_lambda(meas, "0", n))
+            assert abs(got - exact[n - 1]) <= Fraction(1, 10**13) * exact[n - 1]
+
+    @pytest.mark.parametrize("m, p", [(3, P13), (7, 0.3), (12, 1e-12)])
+    def test_one_term_and_empty_cylinder(self, m, p):
+        meas = bernoulli(m, p)
+        for w in ("", "0", "0110", "101"):
+            assert cesaro_lambda(meas, w, 1) == mu_recursive(bernoulli(m, float(p)), w)
+        for n in (1, 2, 1000, 10**12):
+            assert cesaro_lambda(meas, "0" * m, n) == 0.0
+            assert cesaro_lambda(meas, "01" + "1" * m, n) == 0.0
 
     def test_lambda0_examples(self):
         assert f_m(3, Fraction(1, 2)) == Fraction(1, 2)
