@@ -85,6 +85,11 @@ def gamma_check_prefix(w, depth: int) -> GammaVerdict:
     whole overlap is recorded as an equality flag, not a violation (only
     the exact periodic check may escalate it).  A `violated` verdict
     carries the smallest offending shift and the deciding position.
+
+    Each comparison starts past what earlier shifts already proved, as in
+    the Z-algorithm, so the work is linear in depth plus the window length
+    even on periodic windows, where comparing symbol by symbol from the
+    start is quadratic.
     """
     s = symbols_of(w)
     n = len(s)
@@ -92,28 +97,33 @@ def gamma_check_prefix(w, depth: int) -> GammaVerdict:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth >= n:
         raise ValueError(f"depth {depth} needs a window longer than {n}")
+    # same[k]: the common prefix of sigma^k w and w.  s[lo:hi] equals
+    # s[:hi-lo], and s[clo:chi] is the complement of s[:chi-clo], so inside
+    # them a comparison at k repeats the upper one at k-lo or k-clo.
+    same = [n] + [0] * depth
+    lo = hi = clo = chi = 0
     flags: list[int] = []
     for k in range(1, depth + 1):
         overlap = n - k
         # upper side: sigma^k w < w must stay possible
-        upper_equal = True
-        for i in range(overlap):
-            a, b = s[k + i], s[i]
-            if a != b:
-                upper_equal = False
-                if a > b:
-                    return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
-                break
+        i = min(hi - k, same[k - lo]) if k < hi else 0
+        while i < overlap and s[k + i] == s[i]:
+            i += 1
+        same[k] = i
+        if k + i > hi:
+            lo, hi = k, k + i
+        if i < overlap and s[k + i] == "1":  # sigma^k w is larger here
+            return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
+        upper_equal = i == overlap
         # lower side: complement(w) < sigma^k w must stay possible
-        lower_equal = True
-        for i in range(overlap):
-            a, b = s[k + i], _flip(s[i])
-            if a != b:
-                lower_equal = False
-                if a < b:
-                    return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
-                break
-        if upper_equal or lower_equal:
+        i = min(chi - k, same[k - clo]) if k < chi else 0
+        while i < overlap and s[k + i] != s[i]:
+            i += 1
+        if k + i > chi:
+            clo, chi = k, k + i
+        if i < overlap and s[k + i] == "0":  # and smaller than the complement
+            return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
+        if upper_equal or i == overlap:
             flags.append(k)
     return GammaVerdict(CLEAN_TO_DEPTH, None, None, tuple(flags))
 

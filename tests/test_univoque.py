@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rllshift import markov, univoque, words
 from rllshift.univoque import (
@@ -15,6 +17,35 @@ from rllshift.univoque import (
     theta_embed,
 )
 from rllshift.words import Word
+
+
+def loop_gamma_prefix(s, depth):
+    """Reference: the symbol-by-symbol compares that gamma_check_prefix
+    replaces with a common-prefix table (quadratic on periodic windows)."""
+    n = len(s)
+    flip = {"0": "1", "1": "0"}
+    flags = []
+    for k in range(1, depth + 1):
+        upper_equal = lower_equal = True
+        for i in range(n - k):
+            if s[k + i] != s[i]:
+                upper_equal = False
+                if s[k + i] > s[i]:
+                    return (VIOLATED, k, i + 1, tuple(flags))
+                break
+        for i in range(n - k):
+            if s[k + i] != flip[s[i]]:
+                lower_equal = False
+                if s[k + i] < flip[s[i]]:
+                    return (VIOLATED, k, i + 1, tuple(flags))
+                break
+        if upper_equal or lower_equal:
+            flags.append(k)
+    return (CLEAN_TO_DEPTH, None, None, tuple(flags))
+
+
+def _verdict(v):
+    return (v.status, v.k, v.position, v.equality_flags)
 
 
 class TestNormalization:
@@ -142,6 +173,32 @@ class TestPrefixCheck:
                 assert finite.status == CLEAN_TO_DEPTH
             elif finite.status == VIOLATED:
                 assert exact.status == EXACT_NONMEMBER
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.text("01", min_size=2, max_size=80), st.data())
+    def test_matches_loop(self, w, data):
+        depth = data.draw(st.integers(1, len(w) - 1))
+        assert _verdict(gamma_check_prefix(w, depth)) == loop_gamma_prefix(w, depth)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.text("01", max_size=4),
+        st.text("01", min_size=1, max_size=8),
+        st.integers(2, 300),
+        st.data(),
+    )
+    def test_matches_loop_on_periodic_windows(self, pre, period, length, data):
+        # long equal stretches: the case the common-prefix table is for
+        w = (pre + period * length)[:length]
+        depth = data.draw(st.integers(1, length - 1))
+        assert _verdict(gamma_check_prefix(w, depth)) == loop_gamma_prefix(w, depth)
+
+    def test_constant_window(self):
+        # every shift of 1^n ties with it through the whole overlap: about
+        # 2n steps here, where comparing from the start took n^2/2 (a minute)
+        verdict = gamma_check_prefix("1" * 30_000, 29_999)
+        assert verdict.status == CLEAN_TO_DEPTH
+        assert verdict.equality_flags == tuple(range(1, 30_000))
 
     def test_depth_bounds_enforced(self):
         with pytest.raises(ValueError):
