@@ -11,7 +11,6 @@ from .words import (
     d2,
     enumerate_words,
     is_admissible,
-    lex_compare,
     occurrence_report,
     pi2,
 )
@@ -48,9 +47,7 @@ from .dimension import (
 )
 from .univoque import (
     EventuallyPeriodicSequence,
-    FrequencyProfile,
     GammaVerdict,
-    frequency_profile,
     gamma_check_periodic,
     gamma_check_prefix,
     theta_embed,

@@ -110,16 +110,17 @@ def entropy_binary(p: float) -> float:
 
 
 def growth_root(m: int, tol: float = 1e-14) -> float:
-    """Positive root of x^{m-1} = x^{m-2} + ... + x + 1, in (1, 2)."""
+    """Positive root of x^{m-1} = x^{m-2} + ... + x + 1, in (1, 2).
+
+    Times (x - 1) the equation reads x^{m-1} (2 - x) = 1.  Its log,
+    (m-1) log x + log(2 - x), is positive on (1, root) and negative on
+    (root, 2), and stays finite where x^{m-1} overflows (m >= 1026).
+    """
     _check_order(m)
-
-    def h(x: float) -> float:
-        return x ** (m - 1) - sum(x**i for i in range(m - 1))
-
     lo, hi = 1.0, 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
+        if (m - 1) * math.log(mid) + math.log(2.0 - mid) < 0:
             hi = mid
         else:
             lo = mid

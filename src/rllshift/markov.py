@@ -137,27 +137,6 @@ def is_irreducible(chain: ChainSpec) -> bool:
     return reach == set(chain.states)
 
 
-def chain_period(chain: ChainSpec) -> int:
-    """gcd of closed-walk lengths, via BFS levels on the transition graph."""
-    start = chain.states[0]
-    level = {start: 0}
-    frontier = [start]
-    g = 0
-    edges = []
-    while frontier:
-        nxt_frontier = []
-        for st in frontier:
-            for _, nxt, _prob in chain.kernel[st]:
-                edges.append((st, nxt))
-                if nxt not in level:
-                    level[nxt] = level[st] + 1
-                    nxt_frontier.append(nxt)
-        frontier = nxt_frontier
-    for u, v in edges:
-        g = math.gcd(g, level[u] + 1 - level[v])
-    return g
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

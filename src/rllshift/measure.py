@@ -228,10 +228,11 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     against the step-by-step sum (n <= 3000, p down to 1e-12), to 1e-13
     against the exact `pullback_series` Cesaro averages (n <= 200), and
     the absolute error to 1e-9 against the closed form at n = 10**12.
-    n = 1 gives mu[w]; an inadmissible w gives 0.0.
+    n = 1 gives mu[w]; an inadmissible w gives 0.0.  n must lie below
+    2**1024, past which n itself, and the sum, overflow binary64.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n < 2**1024:
+        raise ValueError(f"n must lie in [1, 2**1024), got {n}")
     s = symbols_of(w)
     m = meas.m
     p = float(meas.p)

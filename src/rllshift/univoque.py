@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .words import SequenceWindow, Word, is_admissible, symbols_of
 
 VIOLATED = "violated"
@@ -31,14 +29,6 @@ class GammaVerdict:
 
 
 @dataclass(frozen=True)
-class FrequencyProfile:
-    n: int
-    ratio_series: np.ndarray
-    liminf_est: float
-    limsup_est: float
-
-
-@dataclass(frozen=True)
 class EventuallyPeriodicSequence:
     preperiod: str
     period: str
@@ -50,32 +40,19 @@ class EventuallyPeriodicSequence:
             if part.strip("01") != "":
                 raise ValueError(f"symbols must be '0'/'1', got {part!r}")
 
-    def symbol(self, i: int) -> str:
-        """0-based symbol access into preperiod then the repeating period."""
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
     def prefix(self, n: int) -> str:
-        return "".join(self.symbol(i) for i in range(n))
+        per = self.period
+        return (self.preperiod + per * (n // len(per) + 1))[:n]
 
     def normalized(self) -> "EventuallyPeriodicSequence":
         """Canonical form: minimal period, then minimal preperiod."""
-        per = self.period
-        L = len(per)
-        for d in range(1, L + 1):
-            if all(per[i % L] == per[(i + d) % L] for i in range(L)):
-                per = "".join(per[i % L] for i in range(d))
-                break
+        # the smallest rotation that maps the period to itself
+        per = self.period[: (self.period * 2).find(self.period, 1)]
         pre = self.preperiod
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1] + per[:-1]
         return EventuallyPeriodicSequence(pre, per)
-
-
-def _flip(c: str) -> str:
-    return "1" if c == "0" else "0"
 
 
 def gamma_check_prefix(w, depth: int) -> GammaVerdict:
@@ -135,37 +112,30 @@ def gamma_check_periodic(
 
     Strict variant: complement(w) < sigma^k w < w for all k >= 1.
     Weak variant: the non-strict inequalities for all k >= 0.
-    Shifts beyond preperiod+period repeat, so finitely many k decide, and
-    each comparison is decided within preperiod+period symbols.
+
+    With H = preperiod + period of the normalized sequence, shifts past H
+    repeat, so k <= H decide.  Past the preperiod both sides of a
+    comparison are periodic with the period, so two sides that agree on
+    their first H symbols agree forever.  The prefix scan of the window
+    w[:3H] at depth H compares each k <= H over 3H - k >= H + k symbols,
+    so its violations are exact and its equality flags are exact ties.
+    Strictness fails at the first violation or tie; the weak variant
+    ignores ties, and fails at k = 0 exactly when w starts with 0.
     """
     if variant not in (STRICT, WEAK):
         raise ValueError(f"variant must be {STRICT!r} or {WEAK!r}")
     seq = s.normalized()
-    pre, per = len(seq.preperiod), len(seq.period)
-    horizon = pre + per  # beyond this the pairwise comparison repeats
-    k_start = 1 if variant == STRICT else 0
-    for k in range(k_start, pre + per + 1):
-        # upper: sigma^k w vs w; lower: sigma^k w vs complement(w)
-        for flip, wrong in ((False, "greater"), (True, "less")):
-            verdict = _compare_shifted(seq, k, horizon, flip)
-            if verdict == wrong or (verdict == "equal" and variant == STRICT):
-                return GammaVerdict(EXACT_NONMEMBER, k, None)
-    return GammaVerdict(EXACT_MEMBER)
-
-
-def _compare_shifted(
-    seq: EventuallyPeriodicSequence, k: int, horizon: int, flip: bool
-) -> str:
-    """sigma^k seq against seq (or its complement): less/greater/equal."""
-    bound = horizon + k  # both sides periodic past the preperiod
-    for i in range(bound):
-        a = seq.symbol(i + k)
-        b = seq.symbol(i)
-        if flip:
-            b = _flip(b)
-        if a != b:
-            return "less" if a < b else "greater"
-    return "equal"
+    horizon = len(seq.preperiod) + len(seq.period)
+    window = seq.prefix(3 * horizon)
+    if variant == WEAK and window[0] == "0":
+        return GammaVerdict(EXACT_NONMEMBER, 0, None)
+    scan = gamma_check_prefix(window, horizon)
+    k = scan.k
+    if variant == STRICT and scan.equality_flags:
+        k = scan.equality_flags[0]  # ties are only flagged before a violation
+    if k is None:
+        return GammaVerdict(EXACT_MEMBER)
+    return GammaVerdict(EXACT_NONMEMBER, k, None)
 
 
 def theta_embed(u: Word) -> SequenceWindow:
@@ -177,23 +147,3 @@ def theta_embed(u: Word) -> SequenceWindow:
     if not is_admissible(u):
         raise ValueError(f"{u.symbols!r} is not admissible for m={u.order}")
     return SequenceWindow("1" * (2 * u.order) + u.symbols)
-
-
-def frequency_profile(w, tail_window: int | None = None) -> FrequencyProfile:
-    """Prefix digit-0 ratios with liminf/limsup estimated on the tail.
-
-    Default tail window: the final 10% of prefixes.  Finite-depth
-    estimates are diagnostics, never membership certificates.
-    """
-    s = symbols_of(w)
-    n = len(s)
-    if n == 0:
-        raise ValueError("frequency_profile needs a non-empty window")
-    if tail_window is None:
-        tail_window = max(1, n // 10)
-    if not 1 <= tail_window <= n:
-        raise ValueError(f"tail_window must lie in [1, {n}], got {tail_window}")
-    bits = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-    ratios = np.cumsum(bits == 0) / np.arange(1, n + 1)
-    tail = ratios[-tail_window:]
-    return FrequencyProfile(n, ratios, float(tail.min()), float(tail.max()))

@@ -11,10 +11,6 @@ from operator import mul
 
 MIN_ORDER = 3
 
-LESS = "less"
-GREATER = "greater"
-EQUAL_SO_FAR = "equal-so-far"
-
 
 class CapacityError(Exception):
     """Enumeration would materialize more words than the caller allows."""
@@ -287,13 +283,3 @@ def d2(w, v) -> MetricValue:
         if a[i] != b[i]:
             return MetricValue(Fraction(1, 2**i), True)
     return MetricValue(Fraction(1, 2**common), False)
-
-
-def lex_compare(w, v) -> str:
-    """Strict lexicographic verdict on the common window, or equal-so-far."""
-    a, b = symbols_of(w), symbols_of(v)
-    common = min(len(a), len(b))
-    for i in range(common):
-        if a[i] != b[i]:
-            return LESS if a[i] < b[i] else GREATER
-    return EQUAL_SO_FAR

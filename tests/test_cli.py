@@ -121,6 +121,21 @@ class TestLambda:
         closed = Fraction(record["closed_form"])
         assert abs(float(record["cesaro"]) - closed) <= 1e-9
 
+    def test_largest_horizon(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lambda", "--m", "3", "--p", "1/3", "--n", str(2**1023)
+        )
+        assert code == 0
+        assert abs(float(json.loads(out)["cesaro"]) - 4 / 9) <= 1e-12
+
+    def test_horizon_past_binary64_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lambda", "--m", "3", "--p", "1/3", "--n", str(10**400)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n must lie in [1, 2**1024)")
+
 
 class TestSample:
     def test_json_summary(self, capsys):
@@ -186,6 +201,13 @@ class TestDims:
         lines = out.strip().split("\n")
         assert lines[1].split(",")[2] == ""  # q undefined at p = 0
         assert lines[2].split(",")[2] != ""
+
+    def test_orders_past_float_powers(self, capsys):
+        # x**(m-1) near the growth root overflows binary64 from m = 1026 on
+        code, out, _ = run_cli(capsys, "dims", "--m", "1026:1030", "--p", "0.5")
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            assert 0.999 < float(line.split(",")[5]) < 1.0
 
 
 class TestGammaCheck:

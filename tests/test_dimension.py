@@ -186,6 +186,22 @@ class TestTopologicalDimension:
         assert all(v < 1 for v in values)
         assert values == sorted(values)
 
+    def test_matches_power_sum_root(self):
+        # the root of x^{m-1} = x^{m-2} + ... + 1 bisected directly, as it
+        # was before the log form; x**(m-1) overflows from m = 1026 on
+        def power_sum_root(m):
+            lo, hi = 1.0, 2.0
+            while hi - lo > 1e-14:
+                mid = 0.5 * (lo + hi)
+                if mid ** (m - 1) > sum(mid**i for i in range(m - 1)):
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+
+        for m in range(3, 61):
+            assert abs(topo_dim(m) - math.log2(power_sum_root(m))) <= 1e-13
+
     def test_against_count_growth(self):
         for m in (3, 4, 5):
             ratio = words.count_words(m, 31) / words.count_words(m, 30)

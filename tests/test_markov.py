@@ -12,7 +12,6 @@ from rllshift.dimension import f_m
 from rllshift.markov import (
     RunState,
     build_chain,
-    chain_period,
     digit_mass,
     empirical_local_dimension,
     is_irreducible,
@@ -84,10 +83,14 @@ class TestChain:
                 assert sum(prob for _, _, prob in chain.kernel[st]) == 1
 
     def test_irreducible_aperiodic(self):
-        for m in (3, 4, 5):
-            chain = build_chain(m, P13)
-            assert is_irreducible(chain)
-            assert chain_period(chain) == 1
+        for m in range(3, 13):
+            assert is_irreducible(build_chain(m, P13))
+            # Wielandt: an S x S nonnegative matrix has a strictly positive
+            # power (S-1)^2 + 1 exactly when it is irreducible and aperiodic
+            matrix = measure._transfer_matrix(m, float(P13), float(1 - P13))
+            size = len(matrix)
+            power = np.linalg.matrix_power(matrix, (size - 1) ** 2 + 1)
+            assert (power > 0).all()
 
 
 class TestPathMeasure:

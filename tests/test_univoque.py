@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllshift import markov, univoque, words
+from rllshift import markov
 from rllshift.univoque import (
     CLEAN_TO_DEPTH,
     EXACT_MEMBER,
@@ -11,7 +13,6 @@ from rllshift.univoque import (
     VIOLATED,
     WEAK,
     EventuallyPeriodicSequence,
-    frequency_profile,
     gamma_check_periodic,
     gamma_check_prefix,
     theta_embed,
@@ -44,6 +45,45 @@ def loop_gamma_prefix(s, depth):
     return (CLEAN_TO_DEPTH, None, None, tuple(flags))
 
 
+def loop_gamma_periodic(seq, variant):
+    """Reference: the shift-by-shift compares that gamma_check_periodic
+    replaces with one prefix scan.  Each compare runs preperiod + period + k
+    symbols, past which both sides are periodic; shifts past preperiod +
+    period repeat.  Works on any representation, normalized or not."""
+    pre, per = seq.preperiod, seq.period
+    horizon = len(pre) + len(per)
+
+    def symbol(i):
+        return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
+
+    for k in range(1 if variant == STRICT else 0, horizon + 1):
+        for flip, wrong in ((False, "greater"), (True, "less")):
+            verdict = "equal"
+            for i in range(horizon + k):
+                a, b = symbol(i + k), symbol(i)
+                if flip:
+                    b = "1" if b == "0" else "0"
+                if a != b:
+                    verdict = "less" if a < b else "greater"
+                    break
+            if verdict == wrong or (verdict == "equal" and variant == STRICT):
+                return (EXACT_NONMEMBER, k, None, ())
+    return (EXACT_MEMBER, None, None, ())
+
+
+def loop_normalized(pre, per):
+    """Reference: minimal period by trying every rotation, then the
+    preperiod absorbed into the period from the back."""
+    L = len(per)
+    d = next(
+        d for d in range(1, L + 1) if all(per[i] == per[(i + d) % L] for i in range(L))
+    )
+    per = per[:d]
+    while pre and pre[-1] == per[-1]:
+        pre, per = pre[:-1], per[-1] + per[:-1]
+    return pre, per
+
+
 def _verdict(v):
     return (v.status, v.k, v.position, v.equality_flags)
 
@@ -70,6 +110,17 @@ class TestNormalization:
     def test_bad_symbols_rejected(self):
         with pytest.raises(ValueError):
             EventuallyPeriodicSequence("", "02")
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.text("01", max_size=12),
+        st.text("01", min_size=1, max_size=8),
+        st.integers(1, 4),
+    )
+    def test_matches_rotation_loop(self, pre, unit, repeats):
+        per = unit * repeats  # repeated units: periods that are not minimal
+        seq = EventuallyPeriodicSequence(pre, per).normalized()
+        assert (seq.preperiod, seq.period) == loop_normalized(pre, per)
 
 
 class TestPeriodicDecision:
@@ -116,6 +167,27 @@ class TestPeriodicDecision:
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):
             gamma_check_periodic(EventuallyPeriodicSequence("", "10"), "loose")
+
+    def test_matches_loop_exhaustive(self):
+        for n_pre, n_per in itertools.product(range(6), range(1, 7)):
+            for bits in itertools.product("01", repeat=n_pre + n_per):
+                word = "".join(bits)
+                seq = EventuallyPeriodicSequence(word[:n_pre], word[n_pre:])
+                for variant in (STRICT, WEAK):
+                    got = _verdict(gamma_check_periodic(seq, variant))
+                    assert got == loop_gamma_periodic(seq, variant), (seq, variant)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.text("01", max_size=30),
+        st.text("01", min_size=1, max_size=30),
+        st.sampled_from((STRICT, WEAK)),
+    )
+    def test_matches_loop(self, pre, per, variant):
+        seq = EventuallyPeriodicSequence(pre, per)
+        assert _verdict(gamma_check_periodic(seq, variant)) == loop_gamma_periodic(
+            seq, variant
+        )
 
 
 class TestPrefixCheck:
@@ -227,8 +299,6 @@ class TestThetaEmbedding:
     def test_clean_windows_have_bounded_runs(self):
         # any length-16 window surviving the prefix check has all complete
         # runs no longer than its leading run
-        import itertools
-
         for bits in itertools.product("01", repeat=10):
             w = "11" + "".join(bits) + "0011"
             verdict = gamma_check_prefix(w, len(w) - 1)
@@ -243,29 +313,3 @@ class TestThetaEmbedding:
                     runs.append(count)
                     count = 1
             assert all(r <= runs[0] for r in runs)
-
-
-class TestFrequencyProfile:
-    def test_alternating(self):
-        prof = frequency_profile("01" * 200)
-        assert prof.n == 400
-        assert prof.ratio_series[-1] == 0.5
-        assert abs(prof.liminf_est - 0.5) < 0.02
-        assert prof.liminf_est <= prof.limsup_est
-
-    def test_constant(self):
-        prof = frequency_profile("0" * 50)
-        assert prof.liminf_est == prof.limsup_est == 1.0
-
-    def test_tail_window_explicit(self):
-        prof = frequency_profile("0011", tail_window=4)
-        assert prof.liminf_est == 0.5
-        assert prof.limsup_est == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            frequency_profile("")
-
-    def test_accepts_window_objects(self):
-        prof = frequency_profile(words.SequenceWindow("0101"))
-        assert prof.n == 4

@@ -16,7 +16,6 @@ from rllshift.words import (
     d2,
     enumerate_words,
     is_admissible,
-    lex_compare,
     occurrence_report,
     pi2,
 )
@@ -235,8 +234,3 @@ class TestMetricAndProjection:
                 metric = d2(w, v)
                 if metric.exact:
                     assert abs(pi2(w) - pi2(v)) <= metric.value
-
-    def test_lex_examples(self):
-        assert lex_compare("10", "11") == words.LESS
-        assert lex_compare("110", "110") == words.EQUAL_SO_FAR
-        assert lex_compare("1101", "1100") == words.GREATER
