@@ -152,7 +152,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    if args.periodic:
+    if args.periodic is not None:
         pre, _, per = args.periodic.partition(":")
         seq = univoque.EventuallyPeriodicSequence(pre, per)
         verdict = univoque.gamma_check_periodic(seq, args.variant)
@@ -216,9 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True, help="comma-separated values")
 
     sp = command("gamma-check", cmd_gamma, "univoque-condition verdicts")
-    sp.add_argument("--w", default=None, help="finite '0'/'1' window")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--w", default=None, help="finite '0'/'1' window")
+    source.add_argument("--periodic", default=None, help="preperiod:period")
     sp.add_argument("--depth", type=int, default=100)
-    sp.add_argument("--periodic", default=None, help="preperiod:period")
     sp.add_argument("--variant", choices=("strict", "weak"), default="strict")
 
     sp = command("verify", cmd_verify, "run the full verification suite")
@@ -230,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gamma-check" and not (args.w or args.periodic):
-        parser.error("gamma-check needs --w or --periodic")
     # exact values print in full, however many digits they have
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:

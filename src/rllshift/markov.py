@@ -81,43 +81,33 @@ def path_measure(chain: ChainSpec, w: Word | str):
 # stationary distribution (exact for a Fraction p)
 
 
-def _solve_linear(rows: list[list], rhs: list) -> list:
-    """Gaussian elimination with partial (nonzero) pivoting, in the entries' type."""
-    n = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise RuntimeError("singular stationary system (chain bug)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
-    """The unique probability vector fixed by the kernel, in the number type of p."""
+    """The unique probability vector fixed by the kernel, in the number type of p.
+
+    Regeneration (Kac 1947): every cycle of the chain passes through the
+    first state r = (0, 1), so pi(x) = v(x) / sum(v), where v(x) is the
+    expected number of visits to x in one excursion from r and v(r) = 1.
+    In `build_chain`'s order the edges (d, k) -> (d, k+1) and
+    (0, k) -> (1, 1) point forward and (1, k) -> (0, 1) points back into r;
+    without the edges into r the order is topological, so one forward pass
+    adding v(x) * prob along each edge x -> y, y != r, gives v.  Any other
+    backward edge closes a cycle that avoids r and raises RuntimeError.
+    """
     if not is_irreducible(chain):
         raise RuntimeError("chain is not irreducible")
-    states = chain.states
-    index = {st: i for i, st in enumerate(states)}
-    n = len(states)
-    zero, one = chain.p * 0, chain.p**0
-    # pi (P - I) = 0 with the last equation replaced by sum(pi) = 1
-    rows = [[zero] * n for _ in range(n)]
-    for st in states:
+    first = chain.states[0]
+    index = {st: i for i, st in enumerate(chain.states)}
+    visits = {st: chain.p * 0 for st in chain.states}
+    visits[first] = chain.p**0
+    for i, st in enumerate(chain.states):
         for _, nxt, prob in chain.kernel[st]:
-            rows[index[nxt]][index[st]] += prob
-    for i in range(n):
-        rows[i][i] -= one
-    rows[n - 1] = [one] * n
-    rhs = [zero] * (n - 1) + [one]
-    sol = _solve_linear(rows, rhs)
-    return {st: sol[index[st]] for st in states}
+            if nxt == first:
+                continue
+            if index[nxt] <= i:
+                raise RuntimeError(f"edge {st} -> {nxt} makes a cycle avoiding {first}")
+            visits[nxt] += visits[st] * prob
+    total = sum(visits.values())
+    return {st: v / total for st, v in visits.items()}
 
 
 def digit_mass(dist: dict[RunState, Fraction | float], digit: int):

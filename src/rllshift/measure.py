@@ -219,9 +219,9 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     matrix product: O(S^3 log n) in all, at any n.  At large m and small n
     this is slower than n kernel steps would be; on a 2-core x86-64 VM,
     m = 150 and n = 100 take about 25 ms against 3 ms, and m = 500 and
-    n = 10 take 0.26 s against 1 ms.  No caller meets that: all run at
-    S <= 70, and the `lambda` CLI also runs the O(S^3) exact stationary
-    solve, which takes far longer at such m.
+    n = 10 take 0.26 s against 1 ms.  The gate and the benchmark run at
+    S <= 70; the largest call in CI, m = 300 and n = 1000, takes 0.17 s on
+    the same VM.
 
     Always float, also for a Fraction p.  All terms are nonnegative, so
     there is no cancellation.  The tests hold the relative error to 1e-12

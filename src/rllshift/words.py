@@ -10,6 +10,7 @@ from fractions import Fraction
 from operator import mul
 
 MIN_ORDER = 3
+WORD_CAP = 1 << 21  # default bound on the words one enumeration materializes
 
 
 class CapacityError(Exception):
@@ -165,39 +166,39 @@ def count_words(m: int, n: int) -> int:
     return sum(z) + sum(o)
 
 
-def enumerate_words(m: int, n: int, cap: int = 1 << 21) -> list[Word]:
-    """All admissible words of length n in lexicographic order.
+def _levels(m: int, n: int, cap: int):
+    """Yield the admissible words of each length 0..n, each in lexicographic order.
 
-    Raises CapacityError when the list would exceed `cap` entries; use
-    count_words for sizes beyond that.
+    Appending '0', then '1', to each word of a sorted level keeps the next
+    level sorted.  Raises CapacityError before building any level when
+    length n, the largest level, holds more than `cap` words.
     """
     total = count_words(m, n)
     if total > cap:
         raise CapacityError(
             f"{total} words of length {n} exceed the cap {cap}; use count_words"
         )
-    out: list[Word] = []
-    buf: list[str] = []
+    level = [""]
+    yield level
+    for _ in range(n):
+        level = [w + c for w in level for c in "01" if not w.endswith(c * (m - 1))]
+        yield level
 
-    def extend(last: str, run: int) -> None:
-        if len(buf) == n:
-            out.append(Word("".join(buf), m))
-            return
-        for sym in "01":
-            nrun = run + 1 if sym == last else 1
-            if nrun >= m:
-                continue
-            buf.append(sym)
-            extend(sym, nrun)
-            buf.pop()
 
-    extend("", 0)
-    return out
+def enumerate_words(m: int, n: int, cap: int = WORD_CAP) -> list[Word]:
+    """All admissible words of length n in lexicographic order.
+
+    Raises CapacityError when the list would exceed `cap` entries; use
+    count_words for sizes beyond that.
+    """
+    for level in _levels(m, n, cap):
+        pass
+    return [Word(w, m) for w in level]
 
 
 def words_upto(m: int, L: int) -> list[str]:
     """Every admissible word of length <= L, shortest first, from the empty word."""
-    return [w.symbols for n in range(L + 1) for w in enumerate_words(m, n)]
+    return [w for level in _levels(m, L, WORD_CAP) for w in level]
 
 
 def admissible_pairs(table, L: int):

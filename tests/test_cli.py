@@ -112,6 +112,15 @@ class TestLambda:
         assert "/" not in stationary
         assert abs(float(stationary) - float(record["closed_form"])) <= 1e-12
 
+    def test_float_stationary_near_one_is_finite(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lambda", "--m", "30", "--p", "0.999999999999", "--n", "100"
+        )
+        assert code == 0
+        record = json.loads(out)
+        stationary, closed = float(record["stationary"]), float(record["closed_form"])
+        assert abs(stationary - closed) <= 1e-14 * closed
+
     def test_horizon_of_a_trillion(self, capsys):
         code, out, _ = run_cli(
             capsys, "lambda", "--m", "12", "--p", "3/10", "--n", "1000000000000"
@@ -233,6 +242,11 @@ class TestGammaCheck:
     def test_missing_input_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["gamma-check"])
+        assert err.value.code == 2
+
+    def test_window_and_periodic_together_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["gamma-check", "--w", "01", "--periodic", "0:1"])
         assert err.value.code == 2
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rllshift import markov, measure, words
 from rllshift.dimension import f_m
 from rllshift.markov import (
+    ChainSpec,
     RunState,
     build_chain,
     digit_mass,
@@ -40,6 +41,32 @@ def loop_sample(chain, n, seed):
             digit, run = 1 - digit, 1
         bits[i] = digit
     return bits
+
+
+def gauss_stationary(chain):
+    """Reference: solve pi (P - I) = 0, sum(pi) = 1 by Gauss-Jordan elimination."""
+    states = chain.states
+    index = {st: i for i, st in enumerate(states)}
+    n = len(states)
+    zero, one = chain.p * 0, chain.p**0
+    # the balance equations with the last one replaced by the normalization
+    aug = [[zero] * (n + 1) for _ in range(n)]
+    for st in states:
+        for _, nxt, prob in chain.kernel[st]:
+            aug[index[nxt]][index[st]] += prob
+    for i in range(n):
+        aug[i][i] -= one
+    aug[n - 1] = [one] * (n + 1)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return {st: aug[index[st]][n] for st in states}
 
 
 def loop_increments(run, q):
@@ -112,7 +139,7 @@ class TestPathMeasure:
 
 
 class TestStationary:
-    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("m", range(3, 61))
     @pytest.mark.parametrize("p", [P13, Fraction(1, 2), Fraction(2, 3)])
     def test_matches_closed_form_exactly(self, m, p):
         pi = stationary(build_chain(m, p))
@@ -129,8 +156,47 @@ class TestStationary:
         pi = stationary(build_chain(3, p))
         assert digit_mass(pi, 0) == (1 + p) / 3
 
-    def test_fixed_by_kernel(self):
-        chain = build_chain(4, Fraction(2, 5))
+    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize(
+        "p", [P13, Fraction(2, 5), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]
+    )
+    def test_matches_gauss_jordan_exactly(self, m, p):
+        chain = build_chain(m, p)
+        assert stationary(chain) == gauss_stationary(chain)
+
+    def test_float_within_1e14_of_exact(self):
+        # entries of p**k underflow near the ends of (0, 1); the pass only
+        # multiplies and adds positive numbers, so no cancellation occurs
+        ps = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9]
+        ps += [1 - x for x in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)]
+        for m in range(3, 61, 3):
+            for p in ps:
+                got = digit_mass(stationary(build_chain(m, p)), 0)
+                exact = f_m(m, Fraction(p))
+                assert math.isfinite(got)
+                assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact, (m, p)
+
+    def test_cycle_avoiding_first_state_raises(self):
+        a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
+        half = Fraction(1, 2)
+        # irreducible, but b -> c -> b never visits a
+        kernel = {a: ((0, b, 1),), b: ((1, c, 1),), c: ((0, b, half), (0, a, half))}
+        chain = ChainSpec(3, P13, (a, b, c), kernel, ((a, 1),))
+        assert is_irreducible(chain)
+        with pytest.raises(RuntimeError, match="cycle"):
+            stationary(chain)
+
+    def test_unreachable_state_raises(self):
+        a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
+        # nothing leads into c
+        kernel = {a: ((0, b, 1),), b: ((1, a, 1),), c: ((0, a, 1),)}
+        chain = ChainSpec(3, P13, (a, b, c), kernel, ((a, 1),))
+        with pytest.raises(RuntimeError, match="irreducible"):
+            stationary(chain)
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_fixed_by_kernel(self, m):
+        chain = build_chain(m, Fraction(2, 5))
         pi = stationary(chain)
         pushed = {st: Fraction(0) for st in chain.states}
         for st, mass in pi.items():
