@@ -103,8 +103,6 @@ def cmd_sample(args) -> int:
     chain = markov.build_chain(args.m, float(_parse_p(args.p)))
     q = float(_parse_p(args.q)) if args.q else float(chain.p)
     run = markov.sample(chain, args.n, args.seed)
-    # the series only for CSV rows; its last value equals the final-value path
-    local = markov.empirical_local_dimension(run, q) if args.format == "csv" else None
     summary = {
         "schema": SCHEMA,
         "m": args.m,
@@ -113,17 +111,16 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "n": args.n,
         "freq0_final": run.freq0(),
-        "local_dim_final": (
-            markov.final_local_dimension(run, q) if local is None else float(local[-1])
-        ),
+        "local_dim_final": markov.final_local_dimension(run, q),
     }
     if args.format == "json":
         _emit(args, json.dumps(summary))
         return 0
+    local = markov.empirical_local_dimension(run, q)
     freq = run.frequency_series()
     lines = ["n,freq0,local_dim"]
     for i in range(args.stride - 1, run.n, args.stride):
-        lines.append(f"{i + 1},{freq[i]!r},{local[i]!r}")
+        lines.append(f"{i + 1},{float(freq[i])!r},{float(local[i])!r}")
     _emit(args, "\n".join(lines) + "\n" + json.dumps(summary))
     return 0
 
@@ -153,11 +150,16 @@ def cmd_dims(args) -> int:
 
 def cmd_gamma(args) -> int:
     if args.periodic is not None:
+        if args.depth is not None:
+            raise ValueError("--depth applies to --w, not to --periodic")
         pre, _, per = args.periodic.partition(":")
         seq = univoque.EventuallyPeriodicSequence(pre, per)
-        verdict = univoque.gamma_check_periodic(seq, args.variant)
+        verdict = univoque.gamma_check_periodic(seq, args.variant or univoque.STRICT)
     else:
-        verdict = univoque.gamma_check_prefix(args.w, args.depth)
+        if args.variant is not None:
+            raise ValueError("--variant applies to --periodic, not to --w")
+        depth = 100 if args.depth is None else args.depth
+        verdict = univoque.gamma_check_prefix(args.w, depth)
     record = {
         "schema": SCHEMA,
         "status": verdict.status,
@@ -219,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--w", default=None, help="finite '0'/'1' window")
     source.add_argument("--periodic", default=None, help="preperiod:period")
-    sp.add_argument("--depth", type=int, default=100)
-    sp.add_argument("--variant", choices=("strict", "weak"), default="strict")
+    sp.add_argument("--depth", type=int, help="with --w only (default 100)")
+    sp.add_argument("--variant", choices=("strict", "weak"), help="with --periodic only")
 
     sp = command("verify", cmd_verify, "run the full verification suite")
     sp.add_argument("--quick", action="store_true")

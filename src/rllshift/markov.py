@@ -149,15 +149,11 @@ class SampleRun:
     def word(self) -> str:
         return (self.bits + 48).tobytes().decode("ascii")
 
-    def zeros_prefix(self) -> np.ndarray:
-        """Cumulative count of 0's over prefixes (length n)."""
-        return np.cumsum(self.bits == 0)
-
     def freq0(self) -> float:
         return float(np.count_nonzero(self.bits == 0)) / self.n
 
     def frequency_series(self) -> np.ndarray:
-        return self.zeros_prefix() / np.arange(1, self.n + 1)
+        return np.cumsum(self.bits == 0) / np.arange(1, self.n + 1)
 
 
 BLOCK = 8  # symbols per table lookup in `sample`
@@ -217,11 +213,11 @@ def _block_table(m: int, favoured: int) -> tuple[tuple[int, ...], bytes, np.ndar
 def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     """Draw a length-n admissible word from the path law, deterministically.
 
-    With u = rng.random(n), symbol 0 is 0 exactly when u[0] < p.  Each later
-    symbol i extends the current run when the run is below m-1 and
-    u[i] < p (run of 0's) or u[i] < 1.0 - p (run of 1's); otherwise it
-    flips the digit.  The walk applies this law BLOCK symbols per lookup in
-    `_block_table` and yields the same bits as the per-symbol walk.
+    With u = rng.random(n), drawn a slice at a time, symbol 0 is 0 exactly
+    when u[0] < p.  Each later symbol i extends the current run when the run
+    is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p (run of 1's);
+    otherwise it flips the digit.  The walk applies this law BLOCK symbols
+    per lookup in `_block_table` and yields the same bits as the per-symbol walk.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -229,60 +225,61 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     p = float(chain.p)
     q = 1.0 - p
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n)
     bits = np.empty(n, dtype=np.uint8)
-    bits[0] = 0 if u[0] < p else 1
+    bits[0] = 0 if rng.random() < p else 1
     # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
     row, nxt, emitted = _block_table(m, 0 if p > 0.5 else 1)
     x = 2 + int(bits[0])
     jump = 2 * BLOCK
     for start in range(1, n, _SLICE):
-        part = u[start : start + _SLICE]
-        # padded with class 0; the padding's bits are cut off below
-        cls = np.zeros(-(-len(part) // BLOCK) * BLOCK, dtype=np.uint8)
-        cls[: len(part)] = part < p
-        cls[: len(part)] += part < q
+        size = min(_SLICE, n - start)
+        # whole blocks: the last one may draw past symbol n-1; those bits are cut off
+        u = rng.random(-(-size // BLOCK) * BLOCK)
+        cls = (u < p).astype(np.uint8) + (u < q)
         ks = []
         for code in (cls.reshape(-1, BLOCK) @ _POW3).tolist():
             k = row[x] + code
             ks.append(k)
             x = nxt[k] or x + jump
-        bits[start : start + len(part)] = np.unpackbits(emitted[ks])[: len(part)]
+        bits[start : start + size] = np.unpackbits(emitted[ks])[:size]
     return SampleRun(m, p, seed, n, bits)
 
 
-def log_measure_increments(run: SampleRun, q: float) -> np.ndarray:
-    """-log of the per-symbol measure factor of the path, at parameter q.
-
-    Forced positions (the preceding run is maximal) contribute 0.
-    """
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie in (0,1), got {q}")
+def _forced_positions(run: SampleRun) -> np.ndarray:
+    """Indices of the symbols right after m-1 equal ones; the rest are free."""
     bits = run.bits
-    out = np.where(bits == 0, -math.log(q), -math.log(1.0 - q))
-    # run j covers edges[j] <= i < edges[j+1]; the symbol after its
-    # (m-1)-th one is forced.  `out` comes before these temporaries: with
-    # glibc malloc the other order left 8 MiB more peak resident memory
-    # after a mix of 1e5- to 1e6-symbol runs.
+    # run j covers edges[j] <= i < edges[j+1]; the symbol after its (m-1)-th one is forced
     edges = np.flatnonzero(np.diff(bits, prepend=bits[0] ^ 1, append=bits[-1] ^ 1))
     forced = edges[:-1][np.diff(edges) >= run.m - 1] + (run.m - 1)
-    out[forced[forced < run.n]] = 0.0
-    return out
+    return forced[forced < run.n]
+
+
+def _local_dimension(n0, n1, n, q: float):
+    """-log(q**n0 (1-q)**n1) / (n log 2), the same bits for scalars and arrays."""
+    if not 0 < q < 1:
+        raise ValueError(f"q must lie in (0,1), got {q}")
+    return (n0 * -math.log(q) + n1 * -math.log(1.0 - q)) / (n * math.log(2.0))
 
 
 def empirical_local_dimension(run: SampleRun, q: float) -> np.ndarray:
-    """Series n -> -log mu_q[w|_n] / (n log 2) along the sampled path."""
-    inc = log_measure_increments(run, q)
-    cum = np.cumsum(inc)
-    return cum / (np.arange(1, run.n + 1) * math.log(2.0))
+    """Series n -> -log mu_q[w|_n] / (n log 2) along the sampled path.
+
+    mu_q[w] = q**N0 (1-q)**N1, N0 and N1 counting the 0's and 1's of w at free
+    positions.  Error model: the counts are exact, so each value is within
+    about four roundings (two products, a sum, a quotient), under 1e-15
+    relative at any n, of the exactly rounded per-symbol sum over n log 2.
+    """
+    free = np.ones(run.n, dtype=bool)
+    free[_forced_positions(run)] = False
+    n1 = np.cumsum(free & (run.bits == 1))
+    return _local_dimension(np.cumsum(free) - n1, n1, np.arange(1, run.n + 1), q)
 
 
 def final_local_dimension(run: SampleRun, q: float) -> float:
-    """The last value of `empirical_local_dimension`, bit for bit, without
-    the series: the running sum is taken in place (np.sum would add in
-    another order)."""
-    inc = log_measure_increments(run, q)
-    return float(np.cumsum(inc, out=inc)[-1] / (run.n * math.log(2.0)))
+    """The last value of `empirical_local_dimension`, bit for bit, from two counts."""
+    forced = run.bits[_forced_positions(run)]
+    n1 = np.count_nonzero(run.bits) - np.count_nonzero(forced)
+    return _local_dimension(run.n - len(forced) - n1, n1, run.n, q)
 
 
 def sampled_word(run: SampleRun) -> Word:

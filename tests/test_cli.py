@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rllshift import cli, words
+from rllshift import cli, markov, words
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +170,8 @@ class TestSample:
         assert lines[0] == "n,freq0,local_dim"
         assert lines[1].startswith("1000,")
         assert lines[3].startswith("3000,")
+        _, freq, local = (float(x) for x in lines[3].split(","))
+        assert 0 < freq < 1 and local > 0
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("stride", ["0", "-3"])
@@ -183,6 +185,19 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert f"error: --stride must be >= 1, got {stride}" in err
+
+    def test_local_dim_final_from_counts(self, capsys):
+        # at q = 1/2 every free symbol adds log 2, so the value is (N0+N1)/n
+        code, out, _ = run_cli(
+            capsys,
+            "sample",
+            "--m", "3", "--p", "0.5", "--n", "1000000",
+            "--seed", "7", "--format", "json",
+        )
+        assert code == 0
+        run = markov.sample(markov.build_chain(3, 0.5), 1_000_000, 7)
+        exact = sum(words.occurrence_counts(3, run.word)) / run.n
+        assert abs(json.loads(out)["local_dim_final"] - exact) <= 1e-15 * exact
 
     def test_seed_reproducibility(self, capsys):
         args = ("sample", "--m", "3", "--p", "0.4", "--n", "2000",
@@ -243,6 +258,18 @@ class TestGammaCheck:
         with pytest.raises(SystemExit) as err:
             cli.main(["gamma-check"])
         assert err.value.code == 2
+
+    def test_variant_with_window_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gamma-check", "--w", "0110", "--depth", "2", "--variant", "weak"
+        )
+        assert (code, out) == (2, "")
+        assert "error: --variant applies to --periodic" in err
+
+    def test_depth_with_periodic_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gamma-check", "--periodic", ":10", "--depth", "5")
+        assert (code, out) == (2, "")
+        assert "error: --depth applies to --w" in err
 
     def test_window_and_periodic_together_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

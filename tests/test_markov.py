@@ -70,7 +70,7 @@ def gauss_stationary(chain):
 
 
 def loop_increments(run, q):
-    """Reference: the per-symbol walk that log_measure_increments vectorizes."""
+    """Reference: -log of each symbol's measure factor; forced positions add 0."""
     log_q, log_1q = -math.log(q), -math.log(1.0 - q)
     out = np.empty(run.n, dtype=np.float64)
     digit, rlen = -1, 0
@@ -83,6 +83,14 @@ def loop_increments(run, q):
         rlen = rlen + 1 if b == digit else 1
         digit = b
     return out
+
+
+def assert_within_fsum(series, inc, lengths=None):
+    """Each series[k-1] is within 1e-15 relative of the exactly rounded sum of
+    the first k increments over k log 2."""
+    for k in lengths or range(1, len(series) + 1):
+        want = math.fsum(inc[:k]) / (k * math.log(2.0))
+        assert abs(series[k - 1] - want) <= 1e-15 * want
 
 
 class TestChain:
@@ -290,11 +298,11 @@ class TestLocalDimension:
         assert series[-1] >= 0.5 - 0.01
 
     def test_forced_positions_contribute_nothing(self):
-        # every third symbol of 010011... style maximal runs is forced
+        # "00" forces the 1 at position 3, which adds no mass
         run = markov.SampleRun(3, 0.5, 0, 4, np.array([0, 0, 1, 1], dtype=np.uint8))
-        inc = markov.log_measure_increments(run, 0.5)
-        assert inc[2] == 0.0  # "00" forces the 1
-        assert inc[0] == inc[1] == inc[3] == pytest.approx(np.log(2))
+        series = empirical_local_dimension(run, 0.5)
+        for got, want in zip(series, [1, 1, 2 / 3, 3 / 4], strict=True):
+            assert abs(got - want) <= 1e-15 * want
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -302,11 +310,39 @@ class TestLocalDimension:
         st.lists(st.integers(0, 1), min_size=1, max_size=60),
         st.floats(0.01, 0.99),
     )
-    def test_increments_match_loop_bit_for_bit(self, m, bits, q):
+    def test_series_matches_loop_sum(self, m, bits, q):
         # any bit string, admissible or not, including runs longer than m-1
         run = markov.SampleRun(m, 0.5, 0, len(bits), np.array(bits, dtype=np.uint8))
-        got = markov.log_measure_increments(run, q)
-        assert got.tobytes() == loop_increments(run, q).tobytes()
+        assert_within_fsum(empirical_local_dimension(run, q), loop_increments(run, q))
+
+    @pytest.mark.parametrize("m,p,q", [(3, 0.2, 0.2), (12, 0.85, 0.6)])
+    def test_error_model_at_a_million(self, m, p, q):
+        run = sample(build_chain(m, p), 1_000_000, ERGODIC_SEED)
+        inc = loop_increments(run, q)
+        final = markov.final_local_dimension(run, q)
+        want = math.fsum(inc) / (run.n * math.log(2.0))
+        assert abs(final - want) <= 1e-15 * want
+        series = empirical_local_dimension(run, q)
+        assert_within_fsum(series, inc, (1, 999, 65_537, 500_001, run.n))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(3, 12),
+        st.floats(0.05, 0.95),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0, 1), min_size=1, max_size=5),
+    )
+    def test_free_counts_are_occurrence_counts(self, m, p, n, seed, cuts):
+        # the path's free 0's and 1's are the paper's N0 and N1 of each prefix
+        run = sample(build_chain(m, p), n, seed)
+        forced = markov._forced_positions(run)
+        free = np.ones(n, dtype=bool)
+        free[forced] = False
+        for k in {max(1, round(c * n)) for c in cuts} | {n}:
+            prefix = run.bits[:k][free[:k]]
+            n1 = int(np.count_nonzero(prefix))
+            assert (len(prefix) - n1, n1) == words.occurrence_counts(m, run.word[:k])
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
