@@ -48,6 +48,7 @@ from .dimension import (
 from .univoque import (
     EventuallyPeriodicSequence,
     GammaVerdict,
+    clean_windows,
     gamma_check_periodic,
     gamma_check_prefix,
     theta_embed,

@@ -1,6 +1,7 @@
 """Command-line surface: enumerate | measure | lambda | sample | dims | gamma-check | verify.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage error.
+Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage error
+(including an --out file that cannot be written).
 Rational p ("num/den") keeps computations exact; decimal p switches the
 affected computations to float mode.
 """
@@ -239,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except (ValueError, words.CapacityError) as exc:
+    except (ValueError, OSError, words.CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

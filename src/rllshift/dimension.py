@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .words import _check_order
 
 LOG2 = math.log(2.0)
@@ -31,9 +33,11 @@ def _check_open_unit(x: float, name: str) -> None:
 
 
 def _denominator(m: int, x):
-    # 1 - x^m - (1-x)^m; for a float, (1-x)^m via expm1/log1p to survive tiny x
+    # 1 - x^m - (1-x)^m; for floats, (1-x)^m via expm1/log1p to survive tiny x
     if isinstance(x, Fraction):
         return 1 - x**m - (1 - x) ** m
+    if isinstance(x, np.ndarray):
+        return -np.expm1(m * np.log1p(-x)) - x**m
     return -math.expm1(m * math.log1p(-x)) - x**m
 
 
@@ -50,12 +54,18 @@ def f_m(m: int, x):
     return (x - x**m) / _denominator(m, x)
 
 
-def g_m(m: int, x: float) -> float:
-    """(x^m(1-x) - x(1-x)^m) / (1 - x^m - (1-x)^m); equals x - f_m(x)."""
+def g_m(m: int, x):
+    """(x^m(1-x) - x(1-x)^m) / (1 - x^m - (1-x)^m); equals x - f_m(x).
+
+    Exact for a Fraction x; elementwise for a float ndarray, which must lie
+    in (0, 1) everywhere.  In floats 1 - x^m cancels in the denominator as
+    x -> 1, so the absolute error is about 1e-16 / (1 - x).
+    """
     _check_order(m)
-    _check_open_unit(x, "x")
-    y = 1.0 - x
-    return (x**m * y - x * math.exp(m * math.log(y))) / _denominator(m, x)
+    for end in (x.min(), x.max()) if isinstance(x, np.ndarray) else (x,):
+        _check_open_unit(end, "x")  # a nan element makes both ends nan
+    y = 1 - x
+    return (x**m * y - x * y**m) / _denominator(m, x)
 
 
 def solve_qm(m: int, p: float, tol: float = 1e-12) -> float:

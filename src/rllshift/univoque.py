@@ -105,6 +105,31 @@ def gamma_check_prefix(w, depth: int) -> GammaVerdict:
     return GammaVerdict(CLEAN_TO_DEPTH, None, None, tuple(flags))
 
 
+def clean_windows(L: int):
+    """Yield every length-L window clean to depth L-1, in lexicographic order.
+
+    A depth-first search that extends only prefixes that are still clean,
+    each decided by gamma_check_prefix at depth len - 1.  Pruning loses no
+    window: a violation at shift k in a prefix compares sigma^k s with s (or
+    with its complement) up to a position inside the prefix, and every
+    extension of the prefix makes the same comparison, still within depth,
+    and reaches the same difference.  So every prefix of a clean window is
+    clean.
+    """
+    if L < 2:
+        raise ValueError(f"window length must be >= 2, got {L}")
+    stack = ["1", "0"]  # length-1 prefixes compare no shifts
+    while stack:
+        s = stack.pop()
+        n = len(s)
+        if n > 1 and gamma_check_prefix(s, n - 1).status != CLEAN_TO_DEPTH:
+            continue
+        if n == L:
+            yield s
+        else:
+            stack += (s + "1", s + "0")  # '0' pops first
+
+
 def gamma_check_periodic(
     s: EventuallyPeriodicSequence, variant: str = STRICT
 ) -> GammaVerdict:

@@ -188,13 +188,11 @@ def check_g_bound(quick: bool = False) -> CheckResult:
     points = 1000 if quick else 10_000
     worst = 0.0
     bad = 0
+    grid = np.arange(1, points) / points  # i / points, 0 < i < points
     for m in range(3, 21):
-        for i in range(1, points):
-            x = i / points
-            v = abs(dimension.g_m(m, x)) * m
-            worst = max(worst, v)
-            if v > 1.0:
-                bad += 1
+        v = np.abs(dimension.g_m(m, grid)) * m
+        worst = max(worst, float(v.max()))
+        bad += int(np.count_nonzero(v > 1.0))
     return CheckResult(
         "g-bound",
         bad == 0,
@@ -287,11 +285,7 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
             problems.append(f"seed {seed} violated at k={verdict.k}")
 
     clean = 0
-    for code in range(1 << window_len):
-        s = format(code, f"0{window_len}b")
-        verdict = univoque.gamma_check_prefix(s, window_len - 1)
-        if verdict.status != univoque.CLEAN_TO_DEPTH:
-            continue
+    for s in univoque.clean_windows(window_len):  # all 2**window_len, pruned
         clean += 1
         runs = [len(list(run)) for _, run in groupby(s)]
         first = runs[0]

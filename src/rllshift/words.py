@@ -238,9 +238,16 @@ def _flip_positions(m: int, s: str) -> tuple[list[int], list[int]]:
 
 
 def occurrence_counts(m: int, s: str) -> tuple[int, int]:
-    """(n0, n1) of the occurrence report, by the local run characterization."""
-    set0, set1 = _flip_positions(m, s)
-    return len(set0), len(set1)
+    """(n0, n1) of the occurrence report, for any '0'/'1' string s.
+
+    A 0 is forced, and left out of n0, exactly when a run of at least m-1
+    ones ends right before it: when it closes an occurrence of 1^{m-1}0.
+    Such occurrences cannot overlap, so str.count counts them; n1 likewise.
+    """
+    return (
+        s.count("0") - s.count("1" * (m - 1) + "0"),
+        s.count("1") - s.count("0" * (m - 1) + "1"),
+    )
 
 
 def occurrence_report(w: Word) -> OccurrenceReport:

@@ -2,8 +2,11 @@
 
 The full suite runs once per session; each test prints its own
 PASS/FAIL line so the -v output reads as a criterion-by-criterion
-report, then asserts the stored result.
+report, then asserts the stored result.  The assembled report must
+match the one committed under tests/data byte for byte.
 """
+from pathlib import Path
+
 import pytest
 
 from rllshift import verify
@@ -12,6 +15,15 @@ from rllshift import verify
 @pytest.fixture(scope="session")
 def suite_results():
     return {num: result for num, result in verify.run_suite(quick=False)}
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_full.txt"
+
+
+def test_report_matches_golden(suite_results):
+    report = verify.format_report(list(suite_results.items()))
+    # `verify --out` writes the report and a final newline
+    assert report + "\n" == GOLDEN_REPORT.read_text()
 
 
 def _gate(suite_results, num):

@@ -288,7 +288,7 @@ class TestVerify:
 
     def test_quick_work_counts_pinned(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--quick")
-        assert out.split("\n")[:6] == [
+        assert out.splitlines() == [
             "PASS   1  occurrence-subadditivity: m in (3,4), |w|+|v| <= 8: "
             "3036 pairs, 0 violations",
             "PASS   2  occurrence-counting-bound: m in (3,4,5), |w| <= 10: "
@@ -300,6 +300,24 @@ class TestVerify:
             "0 violations",
             "PASS   6  pullback-bounds: |w| <= 5, k <= 5, 9 (m,p) combos: "
             "0 violations",
+            "PASS   7  non-invariance-witness: m in (3,4,5), p in (1/3,2/3): "
+            "0 failures",
+            "PASS   8  lambda0-triple-agreement: 12 (m,p) combos, cesaro n=2000: "
+            "exact + 1e-3 agreement",
+            "PASS   9  g-bound: m in 3..20, 1000-point grid: max m*|g_m| = 0.998000",
+            "PASS  10  root-quality: m <= 20, p in (0.3,0.4,0.6): "
+            "residual <= 1e-12, |q-p| <= 1/m",
+            "PASS  11  entropy-convergence: bounds 0.726336, 0.809138, 0.853327, "
+            "0.867450 vs h(0.3) = 0.881291",
+            "PASS  12  ergodic-frequency: m=3 q=0.2 n=100000 seed=20260824: "
+            "freq0 = 0.400610 (target 0.4 +/- 0.0064)",
+            "PASS  13  local-dimension: final estimate 0.484064 vs bound "
+            "0.360964 - 0.01",
+            "PASS  14  gamma-construction: 10 embedded samples clean to depth 200; "
+            "380/4096 length-12 windows clean, runs bounded by the leading run",
+            "PASS  15  determinism: repeated seeded sample and repeated Cesaro "
+            "evaluation are identical",
+            "15/15 checks passed",
         ]
 
     def test_output_deterministic_across_workers(self, capsys):
@@ -336,3 +354,15 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--quick"), ("enumerate", "--m", "3", "--n", "10")],
+    )
+    def test_out_into_missing_directory_exit_two(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2  # 1 is kept for a failed verification
+        assert out == ""
+        assert err.startswith("error:")
+        assert not target.parent.exists()

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rllshift import cli, dimension, words
@@ -81,6 +82,32 @@ class TestGFunction:
 
     def test_example_point(self):
         assert g_m(3, 0.2) == pytest.approx(-0.2, abs=1e-13)
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 12, 20])
+    def test_array_matches_scalar_and_exact(self, m):
+        xs = np.concatenate(
+            [np.arange(1, 1000) / 1000, [1e-300, 1e-9, 0.5 - 1e-12, 1 - 1e-9]]
+        )
+        values = g_m(m, xs)
+        assert values.shape == xs.shape
+        for x, v in zip(xs.tolist(), values.tolist()):
+            # absolute error model: 1 - x^m cancels in the denominator as
+            # x -> 1, so the error grows like one ulp of 1 over 1 - x
+            bound = 4e-16 / (1 - x)
+            assert abs(v - (Fraction(x) - f_m(m, Fraction(x)))) <= bound
+            assert abs(v - g_m(m, x)) <= 2 * bound
+
+    def test_fraction_is_exact(self):
+        x = Fraction(2, 7)
+        assert g_m(5, x) == x - f_m(5, x)
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, 1.0, -0.25, 1.5, float("nan"), float("inf")]
+    )
+    def test_array_outside_unit_interval_rejected(self, bad):
+        xs = np.array([0.25, bad, 0.75])
+        with pytest.raises(ValueError, match=r"x must lie in \(0,1\)"):
+            g_m(3, xs)
 
     @pytest.mark.parametrize("m", range(3, 21))
     def test_bounded_by_reciprocal(self, m):

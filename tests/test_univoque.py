@@ -13,6 +13,7 @@ from rllshift.univoque import (
     VIOLATED,
     WEAK,
     EventuallyPeriodicSequence,
+    clean_windows,
     gamma_check_periodic,
     gamma_check_prefix,
     theta_embed,
@@ -277,6 +278,25 @@ class TestPrefixCheck:
             gamma_check_prefix("10", 0)
         with pytest.raises(ValueError):
             gamma_check_prefix("10", 2)
+
+
+def brute_clean_windows(L):
+    """Reference: all 2**L windows, each checked at depth L-1."""
+    windows = (format(code, f"0{L}b") for code in range(1 << L))
+    return [
+        s for s in windows if gamma_check_prefix(s, L - 1).status == CLEAN_TO_DEPTH
+    ]
+
+
+class TestCleanWindows:
+    @pytest.mark.parametrize("L", range(2, 17))
+    def test_matches_brute_force(self, L):
+        assert list(clean_windows(L)) == brute_clean_windows(L)
+
+    @pytest.mark.parametrize("L", [-1, 0, 1])
+    def test_short_length_rejected(self, L):
+        with pytest.raises(ValueError):
+            next(clean_windows(L))
 
 
 class TestThetaEmbedding:

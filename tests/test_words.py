@@ -173,6 +173,13 @@ class TestOccurrence:
         assert (r.set0, r.set1) == brute_occurrence(m, s)
         assert (r.n0, r.n1) == words.occurrence_counts(m, s)
 
+    @PROPERTY
+    @given(st.integers(3, 12), st.text(alphabet="01", max_size=60))
+    def test_counts_match_flip_positions(self, m, s):
+        # inadmissible strings too: the substring counts need no run check
+        set0, set1 = words._flip_positions(m, s)
+        assert words.occurrence_counts(m, s) == (len(set0), len(set1))
+
     @pytest.mark.parametrize("m", [3, 4])
     def test_complement_swaps_report(self, m):
         for w in enumerate_words(m, 7):
