@@ -4,7 +4,6 @@ from .words import (
     CapacityError,
     InadmissibleWordError,
     OccurrenceReport,
-    SequenceWindow,
     Word,
     complement,
     count_words,
@@ -31,7 +30,6 @@ from .markov import (
     build_chain,
     empirical_local_dimension,
     final_local_dimension,
-    path_measure,
     sample,
     stationary,
 )

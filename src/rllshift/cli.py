@@ -61,10 +61,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_measure(args) -> int:
     meas = measure.bernoulli(args.m, _parse_p(args.p), args.mode)
-    if args.k:
-        value = measure.pullback_cylinder(meas, args.w, args.k)
-    else:
-        value = measure.mu_recursive(meas, args.w)
+    value = measure.pullback_cylinder(meas, args.w, args.k)
     record = {
         "schema": SCHEMA,
         "m": args.m,

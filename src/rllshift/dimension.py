@@ -119,8 +119,8 @@ def entropy_binary(p: float) -> float:
     return (-p * math.log(p) - (1.0 - p) * math.log1p(-p)) / LOG2
 
 
-def growth_root(m: int, tol: float = 1e-14) -> float:
-    """Positive root of x^{m-1} = x^{m-2} + ... + x + 1, in (1, 2).
+def growth_root(m: int) -> float:
+    """Positive root of x^{m-1} = x^{m-2} + ... + x + 1 in (1, 2), to 1e-14.
 
     Times (x - 1) the equation reads x^{m-1} (2 - x) = 1.  Its log,
     (m-1) log x + log(2 - x), is positive on (1, root) and negative on
@@ -128,7 +128,7 @@ def growth_root(m: int, tol: float = 1e-14) -> float:
     """
     _check_order(m)
     lo, hi = 1.0, 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if (m - 1) * math.log(mid) + math.log(2.0 - mid) < 0:
             hi = mid

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .words import Word, _check_order, is_admissible_symbols, symbols_of
+from .words import _check_order
 
 
 class RunState(NamedTuple):
@@ -25,14 +25,13 @@ class RunState(NamedTuple):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Transition kernel over run states, plus the initial distribution."""
+    """Transition kernel over run states."""
 
     m: int
     p: Fraction | float
     states: tuple[RunState, ...]
     # state -> ((emitted digit, next state, probability), ...)
     kernel: dict[RunState, tuple[tuple[int, RunState, object], ...]]
-    init: tuple[tuple[RunState, object], ...]
 
 
 def build_chain(m: int, p) -> ChainSpec:
@@ -53,28 +52,7 @@ def build_chain(m: int, p) -> ChainSpec:
                 (d, RunState(d, r + 1), stay),
                 (1 - d, RunState(1 - d, 1), 1 - stay),
             )
-    init = ((RunState(0, 1), p), (RunState(1, 1), q))
-    return ChainSpec(m, p, states, kernel, init)
-
-
-def path_measure(chain: ChainSpec, w: Word | str):
-    """Product of transition probabilities along w; equals the cylinder measure."""
-    s = symbols_of(w)
-    val = chain.p**0
-    state = None
-    for c in s:
-        sym = int(c)
-        if state is None:
-            val = val * dict(chain.init)[RunState(sym, 1)]
-            state = RunState(sym, 1)
-            continue
-        step = {digit: (nxt, prob) for digit, nxt, prob in chain.kernel[state]}
-        if sym not in step:
-            return val * 0
-        nxt, prob = step[sym]
-        val = val * prob
-        state = nxt
-    return val
+    return ChainSpec(m, p, states, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +258,3 @@ def final_local_dimension(run: SampleRun, q: float) -> float:
     forced = run.bits[_forced_positions(run)]
     n1 = np.count_nonzero(run.bits) - np.count_nonzero(forced)
     return _local_dimension(run.n - len(forced) - n1, n1, run.n, q)
-
-
-def sampled_word(run: SampleRun) -> Word:
-    w = Word(run.word, run.m)
-    assert is_admissible_symbols(run.m, w.symbols)
-    return w

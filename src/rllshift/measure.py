@@ -24,7 +24,7 @@ from .words import (
     _start,
     _step,
     admissible_pairs,
-    is_admissible,
+    is_admissible_symbols,
     occurrence_counts,
     symbols_of,
     words_upto,
@@ -103,6 +103,13 @@ class PullbackSeries:
 # cylinder measure
 
 
+def _symbols(meas: BernoulliTypeMeasure, w: Word | str) -> str:
+    """The symbols of w; a Word must carry the measure's order."""
+    if isinstance(w, Word) and w.order != meas.m:
+        raise ValueError(f"word order {w.order} differs from the measure's m={meas.m}")
+    return symbols_of(w)
+
+
 def _mu_symbols(m: int, w0, w1, wf, s: str):
     """Numerator of [s] by the branching rule on kernel weights; 0 if inadmissible."""
     val = w0**0  # typed one (int or float)
@@ -126,18 +133,16 @@ def mu_recursive(meas: BernoulliTypeMeasure, w: Word | str):
     Inadmissible words map to 0 (the cylinder is empty), so additivity
     identities hold uniformly.
     """
-    s = (w if isinstance(w, Word) else Word(symbols_of(w), meas.m)).symbols
+    s = _symbols(meas, w)
     return meas._value(_mu_symbols(meas.m, *meas.weights, s), len(s))
 
 
 def mu_closed(meas: BernoulliTypeMeasure, w: Word | str):
     """Closed form p^{n0} (1-p)^{n1} from the occurrence counts."""
-    word = w if isinstance(w, Word) else Word(symbols_of(w), meas.m)
-    if not is_admissible(word):
-        raise InadmissibleWordError(
-            f"{word.symbols!r} is not admissible for m={word.order}"
-        )
-    n0, n1 = occurrence_counts(meas.m, word.symbols)
+    s = _symbols(meas, w)
+    if not is_admissible_symbols(meas.m, s):
+        raise InadmissibleWordError(f"{s!r} is not admissible for m={meas.m}")
+    n0, n1 = occurrence_counts(meas.m, s)
     return meas.p**n0 * meas.q**n1
 
 
@@ -152,7 +157,7 @@ def pullback_cylinder(meas: BernoulliTypeMeasure, w: Word | str, k: int):
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    s = symbols_of(w)
+    s = _symbols(meas, w)
     m, weights = meas.m, meas.weights
     if k == 0:
         return meas._value(_mu_symbols(m, *weights, s), len(s))
@@ -233,7 +238,7 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     """
     if not 1 <= n < 2**1024:
         raise ValueError(f"n must lie in [1, 2**1024), got {n}")
-    s = symbols_of(w)
+    s = _symbols(meas, w)
     m = meas.m
     p = float(meas.p)
     q = 1.0 - p

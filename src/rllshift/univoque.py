@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import SequenceWindow, Word, is_admissible, symbols_of
+from .words import InadmissibleWordError, Word, _check_symbols, is_admissible, symbols_of
 
 VIOLATED = "violated"
 CLEAN_TO_DEPTH = "clean-to-depth"
@@ -36,9 +36,8 @@ class EventuallyPeriodicSequence:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be non-empty")
-        for part in (self.preperiod, self.period):
-            if part.strip("01") != "":
-                raise ValueError(f"symbols must be '0'/'1', got {part!r}")
+        _check_symbols(self.preperiod)
+        _check_symbols(self.period)
 
     def prefix(self, n: int) -> str:
         per = self.period
@@ -163,12 +162,12 @@ def gamma_check_periodic(
     return GammaVerdict(EXACT_NONMEMBER, k, None)
 
 
-def theta_embed(u: Word) -> SequenceWindow:
+def theta_embed(u: Word) -> str:
     """Prefix 1^{2m} u of the univoque-construction sequences.
 
     Since u is admissible, every aligned length-m block past the leading
     1-run avoids the forbidden constant blocks.
     """
     if not is_admissible(u):
-        raise ValueError(f"{u.symbols!r} is not admissible for m={u.order}")
-    return SequenceWindow("1" * (2 * u.order) + u.symbols)
+        raise InadmissibleWordError(f"{u.symbols!r} is not admissible for m={u.order}")
+    return "1" * (2 * u.order) + u.symbols

@@ -5,12 +5,13 @@ length m.  Everything here is pure and operates on immutable values.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 MIN_ORDER = 3
-WORD_CAP = 1 << 21  # default bound on the words one enumeration materializes
+WORD_CAP = 1 << 21  # bound on the words one enumeration materializes
 
 
 class CapacityError(Exception):
@@ -50,23 +51,6 @@ class Word:
 
 
 @dataclass(frozen=True)
-class SequenceWindow:
-    """A finite prefix standing in for an (unspecified) infinite sequence.
-
-    Predicates on windows must stay three-valued: anything the prefix is
-    too short to decide is reported as undetermined, never guessed.
-    """
-
-    prefix: str
-
-    def __post_init__(self):
-        _check_symbols(self.prefix)
-
-    def __len__(self) -> int:
-        return len(self.prefix)
-
-
-@dataclass(frozen=True)
 class OccurrenceReport:
     """Positions whose digit can be flipped keeping the prefix admissible."""
 
@@ -85,15 +69,13 @@ class MetricValue:
 
 
 def symbols_of(x) -> str:
-    """Accept a Word, SequenceWindow or raw '0'/'1' string."""
+    """Accept a Word or raw '0'/'1' string."""
     if isinstance(x, Word):
         return x.symbols
-    if isinstance(x, SequenceWindow):
-        return x.prefix
     if isinstance(x, str):
         _check_symbols(x)
         return x
-    raise TypeError(f"expected Word, SequenceWindow or str, got {type(x)!r}")
+    raise TypeError(f"expected Word or str, got {type(x)!r}")
 
 
 def is_admissible_symbols(m: int, s: str) -> bool:
@@ -166,17 +148,17 @@ def count_words(m: int, n: int) -> int:
     return sum(z) + sum(o)
 
 
-def _levels(m: int, n: int, cap: int):
+def _levels(m: int, n: int):
     """Yield the admissible words of each length 0..n, each in lexicographic order.
 
     Appending '0', then '1', to each word of a sorted level keeps the next
     level sorted.  Raises CapacityError before building any level when
-    length n, the largest level, holds more than `cap` words.
+    length n, the largest level, holds more than WORD_CAP words.
     """
     total = count_words(m, n)
-    if total > cap:
+    if total > WORD_CAP:
         raise CapacityError(
-            f"{total} words of length {n} exceed the cap {cap}; use count_words"
+            f"{total} words of length {n} exceed the cap {WORD_CAP}; use count_words"
         )
     level = [""]
     yield level
@@ -185,20 +167,20 @@ def _levels(m: int, n: int, cap: int):
         yield level
 
 
-def enumerate_words(m: int, n: int, cap: int = WORD_CAP) -> list[Word]:
+def enumerate_words(m: int, n: int) -> list[Word]:
     """All admissible words of length n in lexicographic order.
 
-    Raises CapacityError when the list would exceed `cap` entries; use
+    Raises CapacityError when the list would exceed WORD_CAP entries; use
     count_words for sizes beyond that.
     """
-    for level in _levels(m, n, cap):
+    for level in _levels(m, n):
         pass
     return [Word(w, m) for w in level]
 
 
 def words_upto(m: int, L: int) -> list[str]:
     """Every admissible word of length <= L, shortest first, from the empty word."""
-    return [w for level in _levels(m, L, WORD_CAP) for w in level]
+    return [w for level in _levels(m, L) for w in level]
 
 
 def admissible_pairs(table, L: int):
@@ -217,26 +199,6 @@ def admissible_pairs(table, L: int):
                 yield w, v, wv
 
 
-def _flip_positions(m: int, s: str) -> tuple[list[int], list[int]]:
-    """1-based positions of the 0's and of the 1's that could be flipped.
-
-    Position k counts iff the run of the other digit immediately before it
-    is shorter than m-1, so that flipping s_k keeps the prefix admissible.
-    """
-    sets: dict[str, list[int]] = {"0": [], "1": []}
-    prev = ""
-    run = 0  # run of `prev` ending just before the current position
-    for k, c in enumerate(s, start=1):
-        if c == prev:
-            run += 1
-            sets[c].append(k)
-        else:
-            if run < m - 1:
-                sets[c].append(k)
-            prev, run = c, 1
-    return sets["0"], sets["1"]
-
-
 def occurrence_counts(m: int, s: str) -> tuple[int, int]:
     """(n0, n1) of the occurrence report, for any '0'/'1' string s.
 
@@ -251,11 +213,21 @@ def occurrence_counts(m: int, s: str) -> tuple[int, int]:
 
 
 def occurrence_report(w: Word) -> OccurrenceReport:
-    """Flip-admissible positions of w (1-based), for an admissible word."""
+    """Flip-admissible positions of w (1-based), for an admissible word.
+
+    The forced positions close the occurrences of 1^{m-1}0 and 0^{m-1}1
+    that `occurrence_counts` counts; every other position is free.
+    """
     if not is_admissible(w):
         raise InadmissibleWordError(f"{w.symbols!r} is not admissible for m={w.order}")
-    set0, set1 = _flip_positions(w.order, w.symbols)
-    return OccurrenceReport(tuple(set0), tuple(set1), len(set0), len(set1))
+    m, s = w.order, w.symbols
+    # the end of a match, 0-based and exclusive, is the 1-based closing position
+    forced = {hit.end() for pattern in ("1" * (m - 1) + "0", "0" * (m - 1) + "1")
+              for hit in re.finditer(pattern, s)}
+    free = [(k, c) for k, c in enumerate(s, start=1) if k not in forced]
+    set0 = tuple(k for k, c in free if c == "0")
+    set1 = tuple(k for k, c in free if c == "1")
+    return OccurrenceReport(set0, set1, len(set0), len(set1))
 
 
 def complement(x):
@@ -263,8 +235,6 @@ def complement(x):
     flipped = symbols_of(x).translate(str.maketrans("01", "10"))
     if isinstance(x, Word):
         return Word(flipped, x.order)
-    if isinstance(x, SequenceWindow):
-        return SequenceWindow(flipped)
     return flipped
 
 

@@ -16,7 +16,6 @@ from rllshift.markov import (
     digit_mass,
     empirical_local_dimension,
     is_irreducible,
-    path_measure,
     sample,
     stationary,
 )
@@ -128,22 +127,21 @@ class TestChain:
             assert (power > 0).all()
 
 
-class TestPathMeasure:
-    def test_examples(self):
-        p = P13
-        chain = build_chain(3, p)
-        assert path_measure(chain, "010") == p * (1 - p) * p
-        assert path_measure(chain, "0011") == p * p * (1 - p)  # forced third step
-        assert path_measure(chain, "000") == 0
-        assert path_measure(chain, "001") == p * p
-
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_equals_cylinder_measure(self, m):
-        chain = build_chain(m, Fraction(2, 5))
-        meas = measure.bernoulli(m, Fraction(2, 5))
-        for n in range(1, 11):
-            for w in words.enumerate_words(m, n):
-                assert path_measure(chain, w) == measure.mu_closed(meas, w)
+class TestKernelMatchesMeasure:
+    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("p", [P13, Fraction(2, 5), Fraction(9, 10)])
+    def test_rows_equal_measure_step(self, m, p):
+        # the oracle chain and the measure's kernel share no code
+        chain = build_chain(m, p)
+        for i, st in enumerate(chain.states):
+            unit = [Fraction(0)] * len(chain.states)
+            unit[i] = Fraction(1)
+            z, o = words._step(unit[: m - 1], unit[m - 1 :], p, 1 - p, 1)
+            row = dict.fromkeys(chain.states, Fraction(0))
+            for digit, nxt, prob in chain.kernel[st]:
+                assert digit == nxt.digit
+                row[nxt] += prob
+            assert list(row.values()) == z + o
 
 
 class TestStationary:
@@ -189,7 +187,7 @@ class TestStationary:
         half = Fraction(1, 2)
         # irreducible, but b -> c -> b never visits a
         kernel = {a: ((0, b, 1),), b: ((1, c, 1),), c: ((0, b, half), (0, a, half))}
-        chain = ChainSpec(3, P13, (a, b, c), kernel, ((a, 1),))
+        chain = ChainSpec(3, P13, (a, b, c), kernel)
         assert is_irreducible(chain)
         with pytest.raises(RuntimeError, match="cycle"):
             stationary(chain)
@@ -198,7 +196,7 @@ class TestStationary:
         a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
         # nothing leads into c
         kernel = {a: ((0, b, 1),), b: ((1, a, 1),), c: ((0, a, 1),)}
-        chain = ChainSpec(3, P13, (a, b, c), kernel, ((a, 1),))
+        chain = ChainSpec(3, P13, (a, b, c), kernel)
         with pytest.raises(RuntimeError, match="irreducible"):
             stationary(chain)
 

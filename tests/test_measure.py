@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rllshift import measure, words
 from rllshift.dimension import f_m
+from rllshift.univoque import theta_embed
 from rllshift.measure import (
     PullbackRecurrenceError,
     bernoulli,
@@ -101,6 +102,42 @@ class TestMu:
     def test_closed_rejects_inadmissible(self):
         with pytest.raises(words.InadmissibleWordError):
             mu_closed(bernoulli(3, P13), "000")
+
+    @pytest.mark.parametrize("value", [
+        mu_recursive,
+        mu_closed,
+        lambda meas, w: pullback_cylinder(meas, w, 2),
+        lambda meas, w: cesaro_lambda(meas, w, 10),
+    ])
+    def test_word_of_another_order_rejected(self, value):
+        # [0000] is empty in Lambda_3, nonempty in Lambda_5
+        meas = bernoulli(3, P13)
+        with pytest.raises(ValueError, match="order 5"):
+            value(meas, words.Word("0000", 5))
+        assert value(meas, words.Word("0110", 3)) == value(meas, "0110")
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.integers(3, 8),
+        st.sampled_from([P13, Fraction(2, 5), 0.3]),
+        st.text(alphabet="01", max_size=12),
+        st.sampled_from("01"),
+        st.text(alphabet="01", max_size=12),
+    )
+    def test_inadmissible_contract(self, m, p, head, c, tail):
+        s = head + c * m + tail  # a run of m equal symbols
+        meas = bernoulli(m, p)
+        assert mu_recursive(meas, s) == 0
+        for k in range(4):
+            assert pullback_cylinder(meas, s, k) == 0
+        assert cesaro_lambda(meas, s, 50) == 0.0
+        for reject in (
+            lambda: mu_closed(meas, s),
+            lambda: words.occurrence_report(words.Word(s, m)),
+            lambda: theta_embed(words.Word(s, m)),
+        ):
+            with pytest.raises(words.InadmissibleWordError):
+                reject()
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_closed_equals_recursive(self, m):

@@ -18,7 +18,7 @@ from rllshift.univoque import (
     gamma_check_prefix,
     theta_embed,
 )
-from rllshift.words import Word
+from rllshift.words import InadmissibleWordError, Word
 
 
 def loop_gamma_prefix(s, depth):
@@ -301,11 +301,10 @@ class TestCleanWindows:
 
 class TestThetaEmbedding:
     def test_prefix_shape(self):
-        win = theta_embed(Word("010011", 3))
-        assert win.prefix == "111111010011"
+        assert theta_embed(Word("010011", 3)) == "111111010011"
 
     def test_inadmissible_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InadmissibleWordError):
             theta_embed(Word("000", 3))
 
     def test_embedded_samples_stay_clean(self):
