@@ -4,12 +4,11 @@ from .words import (
     CapacityError,
     InadmissibleWordError,
     OccurrenceReport,
-    Word,
     complement,
     count_words,
     d2,
     enumerate_words,
-    is_admissible,
+    is_admissible_symbols,
     occurrence_report,
     pi2,
 )

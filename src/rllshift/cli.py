@@ -54,13 +54,12 @@ def cmd_enumerate(args) -> int:
         }
         _emit(args, json.dumps(record))
         return 0
-    listing = words.enumerate_words(args.m, args.n)
-    _emit(args, "\n".join(w.symbols for w in listing))
+    _emit(args, "\n".join(words.enumerate_words(args.m, args.n)))
     return 0
 
 
 def cmd_measure(args) -> int:
-    meas = measure.bernoulli(args.m, _parse_p(args.p), args.mode)
+    meas = measure.bernoulli(args.m, _parse_p(args.p))
     value = measure.pullback_cylinder(meas, args.w, args.k)
     record = {
         "schema": SCHEMA,
@@ -126,7 +125,10 @@ def cmd_sample(args) -> int:
 def _parse_range(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(x) for x in text.split(",")]
 
 
@@ -195,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--w", required=True)
     sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--mode", choices=("exact", "float"), default=None)
 
     sp = command("lambda", cmd_lambda, "invariant mass of [0], three ways")
     sp.add_argument("--m", type=int, required=True)

@@ -16,17 +16,15 @@ from itertools import accumulate
 import numpy as np
 
 from .words import (
-    InadmissibleWordError,
-    Word,
     _check_order,
+    _check_symbols,
     _dot,
     _emission,
+    _require_admissible,
     _start,
     _step,
     admissible_pairs,
-    is_admissible_symbols,
     occurrence_counts,
-    symbols_of,
     words_upto,
 )
 
@@ -75,15 +73,11 @@ class BernoulliTypeMeasure:
         return Fraction(num, self.p.denominator**n) if self.mode == EXACT else num
 
 
-def bernoulli(m: int, p, mode: str | None = None) -> BernoulliTypeMeasure:
-    """Build a measure, defaulting to exact mode for rational p."""
+def bernoulli(m: int, p) -> BernoulliTypeMeasure:
+    """Build a measure: exact for a rational p (Fraction, int or 'a/b'), else float."""
     if isinstance(p, (str, int)):
         p = Fraction(p)
-    if mode is None:
-        mode = EXACT if isinstance(p, Fraction) else FLOAT
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-    return BernoulliTypeMeasure(m, Fraction(p) if mode == EXACT else float(p))
+    return BernoulliTypeMeasure(m, p if isinstance(p, Fraction) else float(p))
 
 
 @dataclass(frozen=True)
@@ -103,13 +97,6 @@ class PullbackSeries:
 # cylinder measure
 
 
-def _symbols(meas: BernoulliTypeMeasure, w: Word | str) -> str:
-    """The symbols of w; a Word must carry the measure's order."""
-    if isinstance(w, Word) and w.order != meas.m:
-        raise ValueError(f"word order {w.order} differs from the measure's m={meas.m}")
-    return symbols_of(w)
-
-
 def _mu_symbols(m: int, w0, w1, wf, s: str):
     """Numerator of [s] by the branching rule on kernel weights; 0 if inadmissible."""
     val = w0**0  # typed one (int or float)
@@ -127,22 +114,20 @@ def _mu_symbols(m: int, w0, w1, wf, s: str):
     return val
 
 
-def mu_recursive(meas: BernoulliTypeMeasure, w: Word | str):
+def mu_recursive(meas: BernoulliTypeMeasure, w: str):
     """Cylinder measure by the step-by-step branching rule.
 
     Inadmissible words map to 0 (the cylinder is empty), so additivity
     identities hold uniformly.
     """
-    s = _symbols(meas, w)
-    return meas._value(_mu_symbols(meas.m, *meas.weights, s), len(s))
+    _check_symbols(w)
+    return meas._value(_mu_symbols(meas.m, *meas.weights, w), len(w))
 
 
-def mu_closed(meas: BernoulliTypeMeasure, w: Word | str):
+def mu_closed(meas: BernoulliTypeMeasure, w: str):
     """Closed form p^{n0} (1-p)^{n1} from the occurrence counts."""
-    s = _symbols(meas, w)
-    if not is_admissible_symbols(meas.m, s):
-        raise InadmissibleWordError(f"{s!r} is not admissible for m={meas.m}")
-    n0, n1 = occurrence_counts(meas.m, s)
+    _require_admissible(meas.m, w)
+    n0, n1 = occurrence_counts(meas.m, w)
     return meas.p**n0 * meas.q**n1
 
 
@@ -150,21 +135,21 @@ def mu_closed(meas: BernoulliTypeMeasure, w: Word | str):
 # shift pullbacks on the run-state kernel of `words`
 
 
-def pullback_cylinder(meas: BernoulliTypeMeasure, w: Word | str, k: int):
+def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     """mu_p(sigma^{-k}[w]) summed by run-state DP, never by enumeration.
 
     Inadmissible words map to 0 at every k, as in mu_recursive.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    s = _symbols(meas, w)
+    _check_symbols(w)
     m, weights = meas.m, meas.weights
     if k == 0:
-        return meas._value(_mu_symbols(m, *weights, s), len(s))
+        return meas._value(_mu_symbols(m, *weights, w), len(w))
     z, o = _start(m, *weights[:2])
     for _ in range(k - 1):
         z, o = _step(z, o, *weights)
-    return meas._value(_dot(z, o, _emission(m, *weights, s)), k + len(s))
+    return meas._value(_dot(z, o, _emission(m, *weights, w)), k + len(w))
 
 
 def _check_series_recurrences(m, w0, w1, wf, a, c, d, exact: bool) -> None:
@@ -214,7 +199,7 @@ def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
     return np.array(rows)
 
 
-def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
+def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
     """(1/n) sum_{k<n} mu(sigma^{-k}[w]), computed in binary64.
 
     With P the S x S transfer matrix of the kernel (S = 2(m-1)), the start
@@ -238,12 +223,12 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
     """
     if not 1 <= n < 2**1024:
         raise ValueError(f"n must lie in [1, 2**1024), got {n}")
-    s = _symbols(meas, w)
+    _check_symbols(w)
     m = meas.m
     p = float(meas.p)
     q = 1.0 - p
     power = _transfer_matrix(m, p, q)
-    g = np.concatenate(_emission(m, p, q, 1, s))
+    g = np.concatenate(_emission(m, p, q, 1, w))
     x = np.concatenate(_start(m, p, q))
     total = 0.0
     rest = n - 1  # bits of the number of terms of G still to be added
@@ -259,7 +244,7 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: Word | str, n: int) -> float:
             # rounding of p + (1-p) and of each product from doubling at every
             # squaring, a relative error that would grow like n * 1e-16
             power /= power.sum(axis=1, keepdims=True)
-    return float(_mu_symbols(m, p, q, 1, s) + total) / n
+    return float(_mu_symbols(m, p, q, 1, w) + total) / n
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import InadmissibleWordError, Word, _check_symbols, is_admissible, symbols_of
+from .words import _check_symbols, _require_admissible
 
 VIOLATED = "violated"
 CLEAN_TO_DEPTH = "clean-to-depth"
@@ -54,7 +54,7 @@ class EventuallyPeriodicSequence:
         return EventuallyPeriodicSequence(pre, per)
 
 
-def gamma_check_prefix(w, depth: int) -> GammaVerdict:
+def gamma_check_prefix(s: str, depth: int) -> GammaVerdict:
     """Check strictness of all shifts up to `depth` against a finite window.
 
     Never claims membership: a comparison that stays equal through the
@@ -67,7 +67,7 @@ def gamma_check_prefix(w, depth: int) -> GammaVerdict:
     even on periodic windows, where comparing symbol by symbol from the
     start is quadratic.
     """
-    s = symbols_of(w)
+    _check_symbols(s)
     n = len(s)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -162,12 +162,11 @@ def gamma_check_periodic(
     return GammaVerdict(EXACT_NONMEMBER, k, None)
 
 
-def theta_embed(u: Word) -> str:
+def theta_embed(m: int, u: str) -> str:
     """Prefix 1^{2m} u of the univoque-construction sequences.
 
     Since u is admissible, every aligned length-m block past the leading
     1-run avoids the forbidden constant blocks.
     """
-    if not is_admissible(u):
-        raise InadmissibleWordError(f"{u.symbols!r} is not admissible for m={u.order}")
-    return "1" * (2 * u.order) + u.symbols
+    _require_admissible(m, u)
+    return "1" * (2 * m) + u

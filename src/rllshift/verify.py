@@ -279,7 +279,7 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
     chain = markov.build_chain(3, 0.5)
     for seed in range(n_samples):
         run = markov.sample(chain, sample_len, seed)
-        win = univoque.theta_embed(words.Word(run.word, run.m))
+        win = univoque.theta_embed(run.m, run.word)
         verdict = univoque.gamma_check_prefix(win, depth)
         if verdict.status != univoque.CLEAN_TO_DEPTH:
             problems.append(f"seed {seed} violated at k={verdict.k}")

@@ -1,7 +1,8 @@
 """Combinatorics of run-length-limited binary words.
 
-A word is admissible for order m when no run of equal symbols reaches
-length m.  Everything here is pure and operates on immutable values.
+A word is a plain '0'/'1' str; it is admissible for order m when no run
+of equal symbols reaches length m.  A function that needs the order takes
+m as its first argument.  Everything here is pure.
 """
 from __future__ import annotations
 
@@ -33,24 +34,6 @@ def _check_order(m: int) -> None:
 
 
 @dataclass(frozen=True)
-class Word:
-    """A finite binary word together with its constraint order."""
-
-    symbols: str
-    order: int
-
-    def __post_init__(self):
-        _check_order(self.order)
-        _check_symbols(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __str__(self) -> str:
-        return self.symbols
-
-
-@dataclass(frozen=True)
 class OccurrenceReport:
     """Positions whose digit can be flipped keeping the prefix admissible."""
 
@@ -68,25 +51,19 @@ class MetricValue:
     exact: bool
 
 
-def symbols_of(x) -> str:
-    """Accept a Word or raw '0'/'1' string."""
-    if isinstance(x, Word):
-        return x.symbols
-    if isinstance(x, str):
-        _check_symbols(x)
-        return x
-    raise TypeError(f"expected Word or str, got {type(x)!r}")
-
-
 def is_admissible_symbols(m: int, s: str) -> bool:
-    """True iff s has no run of m equal symbols: the definition of Lambda_m."""
+    """True iff s has no run of m equal symbols: the definition of Lambda_m.
+
+    Raises ValueError for m < 3 or a symbol other than '0'/'1'.
+    """
     _check_order(m)
+    _check_symbols(s)
     return "0" * m not in s and "1" * m not in s
 
 
-def is_admissible(w: Word) -> bool:
-    """True iff every maximal run in w has length <= m-1."""
-    return is_admissible_symbols(w.order, w.symbols)
+def _require_admissible(m: int, s: str) -> None:
+    if not is_admissible_symbols(m, s):
+        raise InadmissibleWordError(f"{s!r} is not admissible for m={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +144,7 @@ def _levels(m: int, n: int):
         yield level
 
 
-def enumerate_words(m: int, n: int) -> list[Word]:
+def enumerate_words(m: int, n: int) -> list[str]:
     """All admissible words of length n in lexicographic order.
 
     Raises CapacityError when the list would exceed WORD_CAP entries; use
@@ -175,7 +152,7 @@ def enumerate_words(m: int, n: int) -> list[Word]:
     """
     for level in _levels(m, n):
         pass
-    return [Word(w, m) for w in level]
+    return level
 
 
 def words_upto(m: int, L: int) -> list[str]:
@@ -212,15 +189,13 @@ def occurrence_counts(m: int, s: str) -> tuple[int, int]:
     )
 
 
-def occurrence_report(w: Word) -> OccurrenceReport:
-    """Flip-admissible positions of w (1-based), for an admissible word.
+def occurrence_report(m: int, s: str) -> OccurrenceReport:
+    """Flip-admissible positions of s (1-based), for an admissible word.
 
     The forced positions close the occurrences of 1^{m-1}0 and 0^{m-1}1
     that `occurrence_counts` counts; every other position is free.
     """
-    if not is_admissible(w):
-        raise InadmissibleWordError(f"{w.symbols!r} is not admissible for m={w.order}")
-    m, s = w.order, w.symbols
+    _require_admissible(m, s)
     # the end of a match, 0-based and exclusive, is the 1-based closing position
     forced = {hit.end() for pattern in ("1" * (m - 1) + "0", "0" * (m - 1) + "1")
               for hit in re.finditer(pattern, s)}
@@ -230,34 +205,33 @@ def occurrence_report(w: Word) -> OccurrenceReport:
     return OccurrenceReport(set0, set1, len(set0), len(set1))
 
 
-def complement(x):
+def complement(s: str) -> str:
     """Symbolwise flip; an involution that preserves admissibility."""
-    flipped = symbols_of(x).translate(str.maketrans("01", "10"))
-    if isinstance(x, Word):
-        return Word(flipped, x.order)
-    return flipped
+    _check_symbols(s)
+    return s.translate(str.maketrans("01", "10"))
 
 
-def pi2(x) -> Fraction:
+def pi2(s: str) -> Fraction:
     """Projection to [0,1]: sum of w_n / 2^n over the finite word."""
-    s = symbols_of(x)
+    _check_symbols(s)
     if not s:
         return Fraction(0)
     return Fraction(int(s, 2), 2 ** len(s))
 
 
-def d2(w, v) -> MetricValue:
+def d2(w: str, v: str) -> MetricValue:
     """Metric 2^{-inf{k>=0: w_{k+1} != v_{k+1}}} on finite windows.
 
     Exact when the windows differ within the common length L; otherwise an
     upper-bound sentinel (value 2^{-L}, exact=False).  Callers must branch
     on `exact`.
     """
-    a, b = symbols_of(w), symbols_of(v)
-    if not a or not b:
+    _check_symbols(w)
+    _check_symbols(v)
+    if not w or not v:
         raise ValueError("d2 requires non-empty windows")
-    common = min(len(a), len(b))
+    common = min(len(w), len(v))
     for i in range(common):
-        if a[i] != b[i]:
+        if w[i] != v[i]:
             return MetricValue(Fraction(1, 2**i), True)
     return MetricValue(Fraction(1, 2**common), False)

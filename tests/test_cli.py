@@ -226,6 +226,12 @@ class TestDims:
         assert lines[1].split(",")[2] == ""  # q undefined at p = 0
         assert lines[2].split(",")[2] != ""
 
+    def test_empty_range_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "dims", "--m", "3:2", "--p", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_orders_past_float_powers(self, capsys):
         # x**(m-1) near the growth root overflows binary64 from m = 1026 on
         code, out, _ = run_cli(capsys, "dims", "--m", "1026:1030", "--p", "0.5")

@@ -18,7 +18,7 @@ from rllshift.univoque import (
     gamma_check_prefix,
     theta_embed,
 )
-from rllshift.words import InadmissibleWordError, Word
+from rllshift.words import InadmissibleWordError
 
 
 def loop_gamma_prefix(s, depth):
@@ -301,17 +301,17 @@ class TestCleanWindows:
 
 class TestThetaEmbedding:
     def test_prefix_shape(self):
-        assert theta_embed(Word("010011", 3)) == "111111010011"
+        assert theta_embed(3, "010011") == "111111010011"
 
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleWordError):
-            theta_embed(Word("000", 3))
+            theta_embed(3, "000")
 
     def test_embedded_samples_stay_clean(self):
         chain = markov.build_chain(3, 0.5)
         for seed in range(10):
             run = markov.sample(chain, 400, seed=seed)
-            win = theta_embed(Word(run.word, 3))
+            win = theta_embed(3, run.word)
             verdict = gamma_check_prefix(win, 200)
             assert verdict.status == CLEAN_TO_DEPTH
 

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from rllshift import words
 from rllshift.words import (
     CapacityError,
-    Word,
     complement,
     count_words,
     d2,
     enumerate_words,
-    is_admissible,
+    is_admissible_symbols,
     occurrence_report,
     pi2,
 )
@@ -69,20 +68,20 @@ def loop_flip_positions(m, s):
 
 class TestAdmissibility:
     def test_examples(self):
-        assert is_admissible(Word("010", 3))
-        assert not is_admissible(Word("0001", 3))
-        assert is_admissible(Word("000", 4))
+        assert is_admissible_symbols(3, "010")
+        assert not is_admissible_symbols(3, "0001")
+        assert is_admissible_symbols(4, "000")
 
     def test_empty_word_admissible(self):
-        assert is_admissible(Word("", 3))
+        assert is_admissible_symbols(3, "")
 
     def test_order_below_three_rejected(self):
         with pytest.raises(ValueError):
-            Word("01", 2)
+            is_admissible_symbols(2, "01")
 
     def test_bad_symbols_rejected(self):
         with pytest.raises(ValueError):
-            Word("012", 3)
+            is_admissible_symbols(3, "012")
 
     @PROPERTY
     @given(st.integers(3, 7), binary)
@@ -92,14 +91,14 @@ class TestAdmissibility:
 
 class TestEnumeration:
     def test_small_sizes(self):
-        assert [w.symbols for w in enumerate_words(3, 1)] == ["0", "1"]
+        assert enumerate_words(3, 1) == ["0", "1"]
         assert len(enumerate_words(3, 3)) == 6
         assert len(enumerate_words(3, 4)) == 10
 
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force_in_lex_order(self, m, n):
-        assert [w.symbols for w in enumerate_words(m, n)] == brute_words(m, n)
+        assert enumerate_words(m, n) == brute_words(m, n)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -112,7 +111,7 @@ class TestEnumeration:
 
     def test_count_examples(self):
         assert count_words(3, 0) == 1
-        assert enumerate_words(3, 0) == [Word("", 3)]
+        assert enumerate_words(3, 0) == [""]
         assert count_words(3, 2) == 4
         assert count_words(3, 5) == 16
         assert count_words(4, 3) == 8
@@ -135,7 +134,7 @@ class TestWordTable:
     @PROPERTY
     @given(st.integers(3, 6), st.integers(0, 10))
     def test_words_upto_concatenates_lengths(self, m, L):
-        expected = [w.symbols for n in range(L + 1) for w in enumerate_words(m, n)]
+        expected = [w for n in range(L + 1) for w in enumerate_words(m, n)]
         assert words.words_upto(m, L) == expected
 
     @PROPERTY
@@ -158,33 +157,33 @@ class TestWordTable:
 
 class TestOccurrence:
     def test_examples(self):
-        r = occurrence_report(Word("010", 3))
+        r = occurrence_report(3, "010")
         assert (r.n0, r.n1) == (2, 1)
-        r = occurrence_report(Word("001", 3))
+        r = occurrence_report(3, "001")
         assert (r.n0, r.n1) == (2, 0)
         assert 3 not in r.set1  # 000 is forbidden, so position 3 is stuck
-        r = occurrence_report(Word("0101", 5))
+        r = occurrence_report(5, "0101")
         assert (r.n0, r.n1) == (2, 2)
 
     def test_inadmissible_rejected(self):
         with pytest.raises(words.InadmissibleWordError):
-            occurrence_report(Word("000", 3))
+            occurrence_report(3, "000")
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_local_rule_matches_definition(self, m):
         for n in range(1, 11):
             for w in enumerate_words(m, n):
-                r = occurrence_report(w)
-                assert (r.set0, r.set1) == brute_occurrence(m, w.symbols)
+                r = occurrence_report(m, w)
+                assert (r.set0, r.set1) == brute_occurrence(m, w)
 
     @PROPERTY
     @given(st.integers(3, 6), binary)
     def test_report_matches_definition(self, m, s):
         if not words.is_admissible_symbols(m, s):
             with pytest.raises(words.InadmissibleWordError):
-                occurrence_report(Word(s, m))
+                occurrence_report(m, s)
             return
-        r = occurrence_report(Word(s, m))
+        r = occurrence_report(m, s)
         assert (r.set0, r.set1) == brute_occurrence(m, s)
         assert (r.n0, r.n1) == words.occurrence_counts(m, s)
 
@@ -198,14 +197,14 @@ class TestOccurrence:
     @pytest.mark.parametrize("m", [3, 4])
     def test_complement_swaps_report(self, m):
         for w in enumerate_words(m, 7):
-            r = occurrence_report(w)
-            rc = occurrence_report(complement(w))
+            r = occurrence_report(m, w)
+            rc = occurrence_report(m, complement(w))
             assert (rc.set0, rc.n0) == (r.set1, r.n1)
             assert (rc.set1, rc.n1) == (r.set0, r.n0)
 
     def test_subadditivity_small(self):
         m = 3
-        pool = [w.symbols for n in range(1, 6) for w in enumerate_words(m, n)]
+        pool = [w for n in range(1, 6) for w in enumerate_words(m, n)]
         for w in pool:
             for v in pool:
                 if not words.is_admissible_symbols(m, w + v):
@@ -224,7 +223,7 @@ class TestComplement:
     def test_involution_and_admissibility(self):
         for w in enumerate_words(3, 6):
             assert complement(complement(w)) == w
-            assert is_admissible(complement(w))
+            assert is_admissible_symbols(3, complement(w))
 
 
 class TestMetricAndProjection:
