@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -17,14 +18,22 @@ from . import dimension, markov, measure, univoque, verify, words
 SCHEMA = 1
 
 
-def _parse_p(text: str):
-    """'num/den' -> Fraction (exact mode); decimal -> float (float mode)."""
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    value = float(text)
+def _parse_p(text: str, flag: str = "--p"):
+    """'num/den' -> Fraction (exact mode); decimal -> float (float mode).
+
+    Any other text, nan and inf included, raises ValueError naming `flag`.
+    """
+    malformed = f"{flag} must be a rational 'a/b' or a finite decimal, got {text!r}"
+    try:
+        value = Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(malformed) from None
+    if isinstance(value, Fraction):
+        return value
+    if not math.isfinite(value):
+        raise ValueError(malformed)
     if value == Fraction(text) and "." not in text and "e" not in text.lower():
         return Fraction(text)
     return value
@@ -97,8 +106,10 @@ def cmd_lambda(args) -> int:
 def cmd_sample(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
+    if not 0 <= args.seed < 2**128:
+        raise ValueError(f"--seed must lie in [0, 2**128), got {args.seed}")
     chain = markov.build_chain(args.m, float(_parse_p(args.p)))
-    q = float(_parse_p(args.q)) if args.q else float(chain.p)
+    q = float(_parse_p(args.q, "--q")) if args.q else float(chain.p)
     run = markov.sample(chain, args.n, args.seed)
     summary = {
         "schema": SCHEMA,

@@ -112,17 +112,120 @@ def _dot(z, o, e):
     return sum(map(mul, z, ez)) + sum(map(mul, o, eo))
 
 
+def _cycle_weights(m: int, w0, w1, wf):
+    """Coefficients c[j] of F0(z) F1(z), so that det(I - zP) = 1 - F0(z) F1(z).
+
+    Every cycle of the kernel is one run of 0's and then one run of 1's.  A
+    0-run of length L < m-1 weighs w0^(L-1) w1 (the 1 that ends it is free),
+    one of length m-1 weighs w0^(m-2) wf; F0 and F1 are their generating
+    functions in z.  Any two cycles share the state (0, 1), so the cycle
+    expansion of the determinant has no other terms.  c has degree
+    S = 2(m-1), c[0] = c[1] = 0, and each sequence x P^n e obeys
+    y_n = sum_j c[j] y_(n-j).
+    """
+    f0 = [w0**(run - 1) * w1 for run in range(1, m - 1)] + [w0**(m - 2) * wf]
+    f1 = [w1**(run - 1) * w0 for run in range(1, m - 1)] + [w1**(m - 2) * wf]
+    c = [w0 * 0] * (2 * m - 1)
+    for i, x in enumerate(f0, start=1):
+        for j, y in enumerate(f1, start=1):
+            c[i + j] += x * y
+    return c
+
+
+def _reduce(u, fold):
+    """u mod chi(z), in place from the top, for chi(z) = z^S - sum_j c[j] z^(S-j).
+
+    fold lists c[S], ..., c[2]: z^d = z^(d-S) z^S puts u[d] c[j] on z^(d-j).
+    """
+    size = len(fold) + 1
+    for d in range(len(u) - 1, size - 1, -1):
+        h = u[d]
+        if h:
+            u[d - size:d - 1] = [x + h * y for x, y in zip(u[d - size:d - 1], fold)]
+    del u[size:]
+    return u
+
+
+def _square(r):
+    """Coefficients of r(z)^2, each cross product taken once and doubled."""
+    size = len(r)
+    u = [r[0] * 0] * (2 * size - 1)
+    for i, x in enumerate(r):
+        if x:
+            u[2 * i] += x * x
+            x2, hi = x + x, i + size
+            u[2 * i + 1:hi] = [a + x2 * y for a, y in zip(u[2 * i + 1:hi], r[i + 1:])]
+    return u
+
+
+def _walk(m: int, w0, w1, wf, e, k: int):
+    """_dot(z, o, e) for the masses (z, o) after k >= 1 symbols from _start.
+
+    Equal to stepping k-1 times, in O(S^2 log k) products (S = 2(m-1))
+    instead of O(S k).  Stepping gives y_j for j = 1..S; by Cayley-Hamilton
+    y_k = sum_t r_t y_(1+t), where r(z) = z^(k-1) mod chi(z) and
+    chi(z) = z^S - sum_j c[j] z^(S-j) from `_cycle_weights`.  r comes by
+    square-and-multiply; a multiply by z is a shift plus one reduction
+    (Fiduccia 1985).
+
+    The split is one rule: _walk steps all the way while k <= 4 S
+    bit_length(k), where the S^2 products of a squaring cost more than the
+    steps they save.  It also always steps for integer weights when S times
+    the bits added per symbol, bit_length(w0 + w1 - 1), exceeds 300: a
+    squaring multiplies S^2/2 pairs of k-digit integers, about S log2(b)/300
+    times the work of the k small steps it replaces, until k is large enough
+    for Karatsuba to pay.
+
+    Integer weights give integers equal to the step loop's bit for bit: chi
+    is monic and every r_t is a nonnegative integer.  Float weights must be
+    stochastic (w0 + w1 = wf = 1), so chi(1) = 0 and r(1) = 1 exactly; each
+    squaring divides r by its sum, which keeps the rounding of the squarings
+    from compounding.  All terms are nonnegative, so there is no
+    cancellation: the tests hold the relative error to 1e-12 against the
+    step loop (k <= 5000) and to 1e-14 against the exact stationary value
+    at k = 10**12.  The step loop itself drifts like k * 1e-16.
+    """
+    z, o = _start(m, w0, w1)
+    size = 2 * (m - 1)
+    growth = (w0 + w1 - 1).bit_length() if isinstance(w0, int) else 0
+    if k <= 4 * size * k.bit_length() or size * growth > 300:
+        for _ in range(k - 1):
+            z, o = _step(z, o, w0, w1, wf)
+        return _dot(z, o, e)
+    ys = [_dot(z, o, e)]
+    for _ in range(size - 1):
+        z, o = _step(z, o, w0, w1, wf)
+        ys.append(_dot(z, o, e))
+    fold = _cycle_weights(m, w0, w1, wf)[:1:-1]
+    n = k - 1
+    shift = n.bit_length()
+    while n >> (shift - 1) < size:  # the leading bits: z^(n >> shift), no reduction
+        shift -= 1
+    r = [w0 * 0] * size
+    r[n >> shift] = w0**0
+    for bit in reversed(range(shift)):
+        r = _reduce(_square(r), fold)
+        if isinstance(w0, float):
+            total = sum(r)
+            r = [x / total for x in r]
+        if n >> bit & 1:
+            r = _reduce([w0 * 0] + r, fold)
+    return sum(map(mul, r, ys))
+
+
 def count_words(m: int, n: int) -> int:
-    """Number of admissible words of length n (1 for the empty word)."""
+    """Number of admissible words of length n (1 for the empty word).
+
+    One `_walk` on unit weights with the all-ones emission, exact: n-1
+    kernel steps while n <= 4 S bit_length(n) (S = 2(m-1)) or S > 300,
+    else O(S^2 log n) integer products by square-and-multiply.
+    """
     _check_order(m)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     if n == 0:
         return 1
-    z, o = _start(m, 1, 1)
-    for _ in range(n - 1):
-        z, o = _step(z, o, 1, 1, 1)
-    return sum(z) + sum(o)
+    return _walk(m, 1, 1, 1, ([1] * (m - 1),) * 2, n)
 
 
 def _levels(m: int, n: int):

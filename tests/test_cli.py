@@ -186,6 +186,19 @@ class TestSample:
         assert out == ""
         assert f"error: --stride must be >= 1, got {stride}" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_exit_two(self, capsys, fmt, seed):
+        code, out, err = run_cli(
+            capsys,
+            "sample",
+            "--m", "3", "--p", "0.5", "--n", "100",
+            "--seed", str(seed), "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --seed must lie in [0, 2**128), got {seed}\n"
+
     def test_local_dim_final_from_counts(self, capsys):
         # at q = 1/2 every free symbol adds log 2, so the value is (N0+N1)/n
         code, out, _ = run_cli(
@@ -360,6 +373,25 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "zero denominator" in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "abc", "1/2/3"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("measure", "--m", "3", "--w", "0", "--p"), "--p"),
+            (("lambda", "--m", "3", "--p"), "--p"),
+            (("sample", "--m", "3", "--n", "10", "--seed", "1", "--p"), "--p"),
+            (("sample", "--m", "3", "--n", "10", "--seed", "1", "--p", "1/3", "--q"), "--q"),
+            (("dims", "--m", "3", "--p"), "--p"),
+        ],
+    )
+    def test_p_not_a_number_exit_two(self, capsys, argv, flag, text):
+        code, out, err = run_cli(capsys, *argv, text)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {flag} must be a rational 'a/b' or a finite decimal, got {text!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

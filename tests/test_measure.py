@@ -2,11 +2,12 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllshift import measure, words
+from rllshift import markov, measure, words
 from rllshift.dimension import f_m
 from rllshift.univoque import gamma_check_prefix, theta_embed
 from rllshift.measure import (
@@ -39,6 +40,14 @@ def loop_cesaro(meas, s, n):
         total += words._dot(z, o, e)
         z, o = words._step(z, o, p, q, 1)
     return total / n
+
+
+def loop_walk(m, w0, w1, wf, e, k):
+    """Reference: the k-1 kernel steps that words._walk replaces by doubling."""
+    z, o = words._start(m, w0, w1)
+    for _ in range(k - 1):
+        z, o = words._step(z, o, w0, w1, wf)
+    return words._dot(z, o, e)
 
 
 def brute_pullback(meas, w, k):
@@ -234,6 +243,77 @@ class TestPullback:
                     if words.is_admissible_symbols(3, x + w)
                 )
                 assert pullback_cylinder(meas, w, k) == split
+
+
+class TestWalk:
+    """words._walk against the step loop, the cycle polynomial, and the limit."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.integers(3, 12),
+        st.integers(2, 10).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+        st.text(alphabet="01", max_size=10),
+        st.one_of(st.integers(1, 400), st.integers(400, 3000)),
+    )
+    def test_exact_equals_loop(self, m, ab, w, k):
+        # empty and inadmissible words included; the latter give 0 at every k
+        a, b = ab
+        weights = (a, b - a, b)
+        e = words._emission(m, *weights, w)
+        got = words._walk(m, *weights, e, k)
+        assert type(got) is int
+        assert got == loop_walk(m, *weights, e, k)
+        if not words.is_admissible_symbols(m, w):
+            assert got == 0
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("p", [Fraction(1, 1000), P13, Fraction(1, 2), Fraction(9, 10)])
+    def test_cycle_polynomial(self, m, p):
+        # det(I - zP) = 1 - F0(z) F1(z) against numpy's characteristic polynomial
+        c = words._cycle_weights(m, float(p), float(1 - p), 1)
+        charpoly = np.poly(measure._transfer_matrix(m, float(p), float(1 - p)))
+        assert len(c) == len(charpoly) == 2 * m - 1
+        assert np.allclose(charpoly, [1.0] + [-x for x in c[1:]], rtol=0, atol=1e-9)
+        # and on integer weights the recurrence holds exactly for the step loop
+        a, b = p.numerator, p.denominator
+        weights = (a, b - a, b)
+        c = words._cycle_weights(m, *weights)
+        e = words._emission(m, *weights, "0110")
+        y = [None] + [loop_walk(m, *weights, e, k) for k in range(1, 6 * m)]
+        for n in range(2 * m - 1, 6 * m):
+            assert y[n] == sum(c[j] * y[n - j] for j in range(2, 2 * m - 1))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        st.integers(3, 12),
+        st.one_of(
+            ratios,
+            st.sampled_from([1e-3, 1e-12, 1 - 1e-12]),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        st.text("01", max_size=6),
+        st.integers(1, 5000),
+    )
+    def test_float_pullback_matches_loop(self, m, p, w, k):
+        p = float(p)
+        got = pullback_cylinder(bernoulli(m, p), w, k)
+        want = loop_walk(m, p, 1 - p, 1, words._emission(m, p, 1 - p, 1, w), k)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("m", [3, 7, 12])
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 1000), Fraction(3, 10), Fraction(1, 2), Fraction(999, 1000)]
+    )
+    def test_float_pullback_reaches_stationary_value(self, m, p):
+        chain = markov.build_chain(m, p)
+        pi = markov.stationary(chain)
+        meas = bernoulli(m, float(p))
+        for w in ("", "0", "01", "110", "0110"):
+            ez, eo = words._emission(m, p, 1 - p, 1, w)
+            exact = sum(pi[s] * x for s, x in zip(chain.states, ez + eo))
+            got = pullback_cylinder(meas, w, 10**12)
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
 
 
 class TestSeries:
