@@ -169,7 +169,7 @@ def cmd_gamma(args) -> int:
     else:
         if args.variant is not None:
             raise ValueError("--variant applies to --periodic, not to --w")
-        depth = 100 if args.depth is None else args.depth
+        depth = min(100, len(args.w) - 1) if args.depth is None else args.depth
         verdict = univoque.gamma_check_prefix(args.w, depth)
     record = {
         "schema": SCHEMA,
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--w", default=None, help="finite '0'/'1' window")
     source.add_argument("--periodic", default=None, help="preperiod:period")
-    sp.add_argument("--depth", type=int, help="with --w only (default 100)")
+    sp.add_argument("--depth", type=int, help="with --w only (default min(100, len(w) - 1))")
     sp.add_argument("--variant", choices=("strict", "weak"), help="with --periodic only")
 
     sp = command("verify", cmd_verify, "run the full verification suite")

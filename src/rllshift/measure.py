@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .words import (
     _check_symbols,
     _dot,
     _emission,
+    _masses,
     _require_admissible,
     _start,
     _step,
@@ -139,15 +140,13 @@ def mu_closed(meas: BernoulliTypeMeasure, w: str):
 def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     """mu_p(sigma^{-k}[w]) on the run-state kernel, never by enumeration.
 
-    k = 0 reads w alone.  Otherwise one `words._walk`: k-1 kernel steps
-    while k <= 4 S bit_length(k) (S = 2(m-1)), else O(S^2 log k) products
-    by square-and-multiply of z^(k-1) modulo the kernel's characteristic
-    polynomial; an exact p = a/b also steps when S * bit_length(b - 1)
-    exceeds 300.  Exact mode equals the step loop bit for bit.  Float mode
-    rescales each squaring to sum 1; its relative error is held to 1e-12
-    against the step loop (k <= 5000) and to 1e-14 against the exact
-    stationary value at k = 10**12.  Inadmissible words map to 0 at every
-    k, as in mu_recursive.
+    k = 0 reads w alone.  Otherwise one `words._walk`: S kernel steps
+    (S = 2(m-1)), then, when k > S, bit_length(k-1) squarings of z^(k-1)
+    modulo the kernel's characteristic polynomial.  Exact mode equals the
+    step loop bit for bit.  Float mode rescales each squaring to sum 1; its
+    relative error is held to 1e-12 against the step loop (k <= 5000) and
+    to 1e-14 against the exact stationary value at k = 10**12.
+    Inadmissible words map to 0 at every k, as in mu_recursive.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -180,11 +179,9 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
     cylinders = ("0", "1", "01", "10")
     emissions = [_emission(m, *weights, s) for s in cylinders]
     a, b, c, d = series = [[_mu_symbols(m, *weights, s)] for s in cylinders]
-    z, o = _start(m, *weights[:2])
-    for _ in range(kmax):
+    for z, o in islice(_masses(m, *weights), kmax):
         for seq, e in zip(series, emissions):
             seq.append(_dot(z, o, e))
-        z, o = _step(z, o, *weights)
     _check_series_recurrences(m, *weights, a, c, d, exact=meas.mode == EXACT)
     sums = accumulate(a, lambda t, x: t * weights[2] + x)  # sum_{k<n} a_k, over wf**n
     cesaro = [meas._value(t, n) / n for n, t in enumerate(sums, start=1)]
@@ -298,12 +295,7 @@ def pullback_bounds_check(
         raise ValueError("pullback_bounds_check requires exact mode")
     m = meas.m
     a, _, b = weights = meas.weights
-    # masses after k symbols, shared across all words
-    masses = []
-    z, o = _start(m, *weights[:2])
-    for _ in range(kmax):
-        masses.append((z, o))
-        z, o = _step(z, o, *weights)
+    masses = list(islice(_masses(m, *weights), kmax))  # shared across all words
     violations = []
     for s in words_upto(m, L)[1:]:  # the non-empty words
         mu_w = _mu_symbols(m, *weights, s)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 MIN_ORDER = 3
@@ -92,6 +93,14 @@ def _step(z, o, w0, w1, wf):
     )
 
 
+def _masses(m: int, w0, w1, wf):
+    """Yield the masses (z, o) after 1, 2, ... symbols: `_start`, then `_step`."""
+    z, o = _start(m, w0, w1)
+    while True:
+        yield z, o
+        z, o = _step(z, o, w0, w1, wf)
+
+
 def _emission(m: int, w0, w1, wf, s: str):
     """(ez, eo): the weight of reading s from each state, built from the back.
 
@@ -161,20 +170,22 @@ def _square(r):
 def _walk(m: int, w0, w1, wf, e, k: int):
     """_dot(z, o, e) for the masses (z, o) after k >= 1 symbols from _start.
 
-    Equal to stepping k-1 times, in O(S^2 log k) products (S = 2(m-1))
-    instead of O(S k).  Stepping gives y_j for j = 1..S; by Cayley-Hamilton
-    y_k = sum_t r_t y_(1+t), where r(z) = z^(k-1) mod chi(z) and
-    chi(z) = z^S - sum_j c[j] z^(S-j) from `_cycle_weights`.  r comes by
-    square-and-multiply; a multiply by z is a shift plus one reduction
-    (Fiduccia 1985).
-
-    The split is one rule: _walk steps all the way while k <= 4 S
-    bit_length(k), where the S^2 products of a squaring cost more than the
-    steps they save.  It also always steps for integer weights when S times
-    the bits added per symbol, bit_length(w0 + w1 - 1), exceeds 300: a
-    squaring multiplies S^2/2 pairs of k-digit integers, about S log2(b)/300
-    times the work of the k small steps it replaces, until k is large enough
-    for Karatsuba to pay.
+    One algorithm (Fiduccia 1985), S = 2(m-1): step min(k, S) symbols for
+    y_1, ..., y_min(k,S), and return y_k when k <= S.  Past that, by
+    Cayley-Hamilton y_k = sum_t r_t y_(1+t), where r(z) = z^(k-1) mod chi(z)
+    and chi(z) = z^S - sum_j c[j] z^(S-j) from `_cycle_weights`.  r comes by
+    left-to-right square-and-multiply from r = 1; a multiply by z is a shift
+    plus one reduction.  The cost is S steps plus bit_length(k-1) squarings
+    of S^2/2 products each, where the step loop takes k-1 steps of O(S)
+    products.  The squarings cost more than the steps they replace up to a
+    k that grows with S and the size of the integers (p = 3/10; best of 3-9
+    on a 2-core x86-64 VM whose timings moved by up to 2x between runs):
+    doubling is faster from about 20 symbols on at m = 3 and 80 at m = 8
+    (k = 400: 0.74 ms against 1.4-2.3 ms for the step loop); at m = 30 it
+    is slower at k = 300 (5.0 ms against 4.1 ms) and even at k = 1000; at
+    m = 60, k = 500 and k = 3481 take 1.1-2.5 times the step loop's time
+    and k = 14000 0.8-1.1 times; count_words(300, 5000) takes 1.4-1.9 times
+    (1.4-2.1 s).
 
     Integer weights give integers equal to the step loop's bit for bit: chi
     is monic and every r_t is a nonnegative integer.  Float weights must be
@@ -185,25 +196,14 @@ def _walk(m: int, w0, w1, wf, e, k: int):
     step loop (k <= 5000) and to 1e-14 against the exact stationary value
     at k = 10**12.  The step loop itself drifts like k * 1e-16.
     """
-    z, o = _start(m, w0, w1)
     size = 2 * (m - 1)
-    growth = (w0 + w1 - 1).bit_length() if isinstance(w0, int) else 0
-    if k <= 4 * size * k.bit_length() or size * growth > 300:
-        for _ in range(k - 1):
-            z, o = _step(z, o, w0, w1, wf)
-        return _dot(z, o, e)
-    ys = [_dot(z, o, e)]
-    for _ in range(size - 1):
-        z, o = _step(z, o, w0, w1, wf)
-        ys.append(_dot(z, o, e))
+    ys = [_dot(z, o, e) for z, o in islice(_masses(m, w0, w1, wf), min(k, size))]
+    if k <= size:
+        return ys[-1]
     fold = _cycle_weights(m, w0, w1, wf)[:1:-1]
     n = k - 1
-    shift = n.bit_length()
-    while n >> (shift - 1) < size:  # the leading bits: z^(n >> shift), no reduction
-        shift -= 1
-    r = [w0 * 0] * size
-    r[n >> shift] = w0**0
-    for bit in reversed(range(shift)):
+    r = [w0**0] + [w0 * 0] * (size - 1)
+    for bit in reversed(range(n.bit_length())):
         r = _reduce(_square(r), fold)
         if isinstance(w0, float):
             total = sum(r)
@@ -216,9 +216,9 @@ def _walk(m: int, w0, w1, wf, e, k: int):
 def count_words(m: int, n: int) -> int:
     """Number of admissible words of length n (1 for the empty word).
 
-    One `_walk` on unit weights with the all-ones emission, exact: n-1
-    kernel steps while n <= 4 S bit_length(n) (S = 2(m-1)) or S > 300,
-    else O(S^2 log n) integer products by square-and-multiply.
+    One `_walk` on unit weights with the all-ones emission, exact: S steps
+    (S = 2(m-1)), then bit_length(n-1) squarings of z^(n-1) modulo the
+    kernel's characteristic polynomial when n > S.
     """
     _check_order(m)
     if n < 0:

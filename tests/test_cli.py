@@ -263,6 +263,13 @@ class TestGammaCheck:
         assert record["status"] == "violated"
         assert record["k"] == 1
 
+    def test_short_window_default_depth(self, capsys):
+        # with no --depth a window of <= 100 symbols checks every shift
+        code, out, _ = run_cli(capsys, "gamma-check", "--w", "0110")
+        assert code == 0
+        _, out3, _ = run_cli(capsys, "gamma-check", "--w", "0110", "--depth", "3")
+        assert out == out3
+
     def test_periodic_verdicts(self, capsys):
         _, out, _ = run_cli(capsys, "gamma-check", "--periodic", ":10")
         assert json.loads(out)["status"] == "exact-nonmember"

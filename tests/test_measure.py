@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rllshift import markov, measure, words
@@ -40,6 +40,30 @@ def loop_cesaro(meas, s, n):
         total += words._dot(z, o, e)
         z, o = words._step(z, o, p, q, 1)
     return total / n
+
+
+def examples(cases):
+    """Stack one hypothesis @example per case on a @given test."""
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return apply
+
+
+# k at and around S = 2(m-1), where the warm-up steps end and the doubling
+# starts, and big integers at m = 40 and 60 (b = 10, k <= 600)
+WALK_EXAMPLES = [
+    (m, (1 + m % 9, 10), "0110", k)
+    for m in range(3, 13)
+    for k in (1, 2 * m - 3, 2 * m - 2, 2 * m - 1, 2 * m)
+] + [
+    (40, (3, 10), "0110", 600),
+    (40, (9, 10), "", 79),
+    (60, (3, 10), "0110", 500),
+    (60, (7, 10), "101", 119),
+    (60, (1, 10), "0011", 600),
+]
 
 
 def loop_walk(m, w0, w1, wf, e, k):
@@ -255,6 +279,7 @@ class TestWalk:
         st.text(alphabet="01", max_size=10),
         st.one_of(st.integers(1, 400), st.integers(400, 3000)),
     )
+    @examples(WALK_EXAMPLES)
     def test_exact_equals_loop(self, m, ab, w, k):
         # empty and inadmissible words included; the latter give 0 at every k
         a, b = ab

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rllshift import words
@@ -122,6 +122,10 @@ class TestEnumeration:
 
     @PROPERTY
     @given(st.integers(3, 40), st.integers(0, 2000))
+    @example(151, 300)  # n = S = 2(m-1): kernel steps only
+    @example(151, 301)  # n = S + 1: the shortest doubling
+    @example(151, 1000)
+    @example(200, 1000)
     def test_count_matches_run_recurrence(self, m, n):
         # a word starting with 0 is a composition of n into runs of 1..m-1
         c = [1]
