@@ -134,13 +134,20 @@ def cmd_sample(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return [int(x) for x in text.split(",")]
+    """'m', 'm1,m2,...' or 'lo:hi' -> the orders; other text raises ValueError."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--m must be an integer, a comma list or lo:hi, got {text!r}"
+        ) from None
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def cmd_dims(args) -> int:
@@ -169,6 +176,8 @@ def cmd_gamma(args) -> int:
     else:
         if args.variant is not None:
             raise ValueError("--variant applies to --periodic, not to --w")
+        if args.depth is None and len(args.w) < 2:
+            raise ValueError(f"--w needs at least two symbols, got {args.w!r}")
         depth = min(100, len(args.w) - 1) if args.depth is None else args.depth
         verdict = univoque.gamma_check_prefix(args.w, depth)
     record = {

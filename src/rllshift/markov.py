@@ -114,7 +114,9 @@ class SampleRun:
     """A seeded path of the chain with its running statistics.
 
     Regenerating with the same (seed, n) reproduces the word bit for bit:
-    the generator is counter-based (Philox) keyed by the seed.
+    the generator is counter-based (Philox) keyed by the seed.  `forced`
+    marks the symbols that end a maximal run of m-1, which the chain flips
+    with probability 1; `sample` reads the marks off its block table.
     """
 
     m: int
@@ -122,6 +124,7 @@ class SampleRun:
     seed: int
     n: int
     bits: np.ndarray  # uint8, 0/1 symbols
+    forced: np.ndarray  # bool, True at the symbol right after m-1 equal ones
 
     @property
     def word(self) -> str:
@@ -140,14 +143,17 @@ _SLICE = 4096 * BLOCK  # symbols per batch of block work, to bound the temporari
 
 
 @functools.lru_cache(maxsize=1)
-def _block_table(m: int, favoured: int) -> tuple[tuple[int, ...], bytes, np.ndarray]:
+def _block_table(
+    m: int, favoured: int
+) -> tuple[tuple[int, ...], bytes, np.ndarray, np.ndarray]:
     """One block of BLOCK steps of the chain, for every run state and block code.
 
     A state (digit, run) is the integer x = 2*run + digit.  Symbol j of a
     block has a class c_j in {0, 1, 2}, the number of the tests u < p and
     u < 1-p that hold, and the block the code sum c_j 3**j; a free state
     extends its run when c_j = 2, or when c_j = 1 and its digit is
-    `favoured`, and otherwise flips.
+    `favoured`, and otherwise flips.  A state with no extension left
+    flips whatever c_j is: that symbol is forced.
 
     Only the runs >= m-1-BLOCK get a row, the lowest of them standing for
     every shorter run too: such a run cannot reach the cap inside a block,
@@ -155,8 +161,9 @@ def _block_table(m: int, favoured: int) -> tuple[tuple[int, ...], bytes, np.ndar
     the block no longer depends on the run.  So there are at most
     2*(BLOCK+1) rows whatever m is.  A block that flips ends on a run of at
     most BLOCK, so the next state fits in a byte, with 0 for "x + 2*BLOCK".
-    Returns (row offset of each x, next state, emitted bits as one byte),
-    the last two indexed by row offset + code.
+    Returns (row offset of each x, next state, emitted bits as one byte,
+    forced marks as one byte), the last three indexed by row offset + code;
+    both bytes hold the block's first symbol in their high bit.
     """
     cap = m - 1
     low = max(1, cap - BLOCK)
@@ -168,24 +175,32 @@ def _block_table(m: int, favoured: int) -> tuple[tuple[int, ...], bytes, np.ndar
     # the run since the last flip in the block; above BLOCK while none
     run = np.full_like(d, BLOCK + 1)
     emitted = np.zeros_like(d)
+    forced = np.zeros_like(d)
     cls = np.arange(3, dtype=np.uint8)[:, None]
     left_after_flip = min(cap - 1, BLOCK)
     for _ in range(BLOCK):
         # the class of the next symbol is the leading base-3 digit of the code
-        d, left, run, emitted = (a[:, None, :] for a in (d, left, run, emitted))
+        d, left, run, emitted, forced = (
+            a[:, None, :] for a in (d, left, run, emitted, forced)
+        )
         stay = (left > 0) & (cls + (d == favoured) >= 2)
+        # a flip with no extension left is forced
+        forced = 2 * forced + (~stay & (left == 0))
         # a flip toggles the digit and restarts the run at 1
         d = d ^ ~stay
         left = np.where(stay, left - 1, left_after_flip)
         run = run * stay + 1
         emitted = 2 * emitted + d
-        d, left, run, emitted = (a.reshape(rows, -1) for a in (d, left, run, emitted))
+        d, left, run, emitted, forced = (
+            a.reshape(rows, -1) for a in (d, left, run, emitted, forced)
+        )
     nxt = np.where(run > BLOCK, 0, 2 * run + d)
     x = np.arange(2 * m)
     row = ((x & 1) * per_digit + np.maximum(x >> 1, low) - low) * 3**BLOCK
-    emitted = emitted.ravel()
+    emitted, forced = emitted.ravel(), forced.ravel()
     emitted.setflags(write=False)
-    return tuple(row.tolist()), nxt.tobytes(), emitted
+    forced.setflags(write=False)
+    return tuple(row.tolist()), nxt.tobytes(), emitted, forced
 
 
 def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
@@ -194,8 +209,10 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     With u = rng.random(n), drawn a slice at a time, symbol 0 is 0 exactly
     when u[0] < p.  Each later symbol i extends the current run when the run
     is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p (run of 1's);
-    otherwise it flips the digit.  The walk applies this law BLOCK symbols
-    per lookup in `_block_table` and yields the same bits as the per-symbol walk.
+    otherwise it flips the digit, and the flip out of a run of m-1 is
+    forced.  The walk applies this law BLOCK symbols per lookup in
+    `_block_table` and yields the same bits as the per-symbol walk; the
+    same lookups give the forced marks.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -204,9 +221,11 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     q = 1.0 - p
     rng = np.random.Generator(np.random.Philox(key=seed))
     bits = np.empty(n, dtype=np.uint8)
+    forced = np.empty(n, dtype=bool)
     bits[0] = 0 if rng.random() < p else 1
+    forced[0] = False  # the first symbol ends no run
     # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
-    row, nxt, emitted = _block_table(m, 0 if p > 0.5 else 1)
+    row, nxt, emitted, marks = _block_table(m, 0 if p > 0.5 else 1)
     x = 2 + int(bits[0])
     jump = 2 * BLOCK
     for start in range(1, n, _SLICE):
@@ -219,17 +238,10 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
             k = row[x] + code
             ks.append(k)
             x = nxt[k] or x + jump
+        ks = np.fromiter(ks, np.intp, len(ks))
         bits[start : start + size] = np.unpackbits(emitted[ks])[:size]
-    return SampleRun(m, p, seed, n, bits)
-
-
-def _forced_positions(run: SampleRun) -> np.ndarray:
-    """Indices of the symbols right after m-1 equal ones; the rest are free."""
-    bits = run.bits
-    # run j covers edges[j] <= i < edges[j+1]; the symbol after its (m-1)-th one is forced
-    edges = np.flatnonzero(np.diff(bits, prepend=bits[0] ^ 1, append=bits[-1] ^ 1))
-    forced = edges[:-1][np.diff(edges) >= run.m - 1] + (run.m - 1)
-    return forced[forced < run.n]
+        forced[start : start + size] = np.unpackbits(marks[ks])[:size]
+    return SampleRun(m, p, seed, n, bits, forced)
 
 
 def _local_dimension(n0, n1, n, q: float):
@@ -247,14 +259,13 @@ def empirical_local_dimension(run: SampleRun, q: float) -> np.ndarray:
     about four roundings (two products, a sum, a quotient), under 1e-15
     relative at any n, of the exactly rounded per-symbol sum over n log 2.
     """
-    free = np.ones(run.n, dtype=bool)
-    free[_forced_positions(run)] = False
+    free = ~run.forced
     n1 = np.cumsum(free & (run.bits == 1))
     return _local_dimension(np.cumsum(free) - n1, n1, np.arange(1, run.n + 1), q)
 
 
 def final_local_dimension(run: SampleRun, q: float) -> float:
     """The last value of `empirical_local_dimension`, bit for bit, from two counts."""
-    forced = run.bits[_forced_positions(run)]
-    n1 = np.count_nonzero(run.bits) - np.count_nonzero(forced)
-    return _local_dimension(run.n - len(forced) - n1, n1, run.n, q)
+    # a free 1 is a 1 that is not forced: bits > forced holds exactly there
+    n1 = np.count_nonzero(run.bits > run.forced)
+    return _local_dimension(run.n - np.count_nonzero(run.forced) - n1, n1, run.n, q)

@@ -1,10 +1,14 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rllshift import cli, markov, words
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +216,21 @@ class TestSample:
         exact = sum(words.occurrence_counts(3, run.word)) / run.n
         assert abs(json.loads(out)["local_dim_final"] - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("sample_m3.json",
+             "--m 3 --p 0.2 --n 1000000 --seed 20260824 --format json"),
+            ("sample_m12.json",
+             "--m 12 --p 0.85 --q 0.6 --n 1000000 --seed 1 --format json"),
+            ("sample_m5.csv", "--m 5 --p 0.3 --n 20000 --seed 7 --stride 1000"),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "sample", *argv.split())
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
     def test_seed_reproducibility(self, capsys):
         args = ("sample", "--m", "3", "--p", "0.4", "--n", "2000",
                 "--seed", "9", "--format", "json")
@@ -245,6 +264,14 @@ class TestDims:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["a:b", "3,x", "3:", "", "3.5"])
+    def test_malformed_m_exit_two(self, capsys, text):
+        code, out, err = run_cli(capsys, "dims", "--m", text, "--p", "0.3")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --m must be an integer, a comma list or lo:hi, got {text!r}\n"
+        )
+
     def test_orders_past_float_powers(self, capsys):
         # x**(m-1) near the growth root overflows binary64 from m = 1026 on
         code, out, _ = run_cli(capsys, "dims", "--m", "1026:1030", "--p", "0.5")
@@ -269,6 +296,12 @@ class TestGammaCheck:
         assert code == 0
         _, out3, _ = run_cli(capsys, "gamma-check", "--w", "0110", "--depth", "3")
         assert out == out3
+
+    @pytest.mark.parametrize("w", ["0", "1", ""])
+    def test_window_too_short_for_default_depth(self, capsys, w):
+        code, out, err = run_cli(capsys, "gamma-check", "--w", w)
+        assert (code, out) == (2, "")
+        assert err == f"error: --w needs at least two symbols, got {w!r}\n"
 
     def test_periodic_verdicts(self, capsys):
         _, out, _ = run_cli(capsys, "gamma-check", "--periodic", ":10")

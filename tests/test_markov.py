@@ -42,6 +42,23 @@ def loop_sample(chain, n, seed):
     return bits
 
 
+def forced_mask(m, bits):
+    """Reference: True at the symbol right after m-1 equal ones; the rest are free."""
+    n = len(bits)
+    # run j covers edges[j] <= i < edges[j+1]; the symbol after its (m-1)-th one is forced
+    edges = np.flatnonzero(np.diff(bits, prepend=bits[0] ^ 1, append=bits[-1] ^ 1))
+    forced = edges[:-1][np.diff(edges) >= m - 1] + (m - 1)
+    mask = np.zeros(n, dtype=bool)
+    mask[forced[forced < n]] = True
+    return mask
+
+
+def hand_run(m, bits):
+    """A SampleRun over given bits, with the reference forced marks."""
+    bits = np.array(bits, dtype=np.uint8)
+    return markov.SampleRun(m, 0.5, 0, len(bits), bits, forced_mask(m, bits))
+
+
 def gauss_stationary(chain):
     """Reference: solve pi (P - I) = 0, sum(pi) = 1 by Gauss-Jordan elimination."""
     states = chain.states
@@ -233,10 +250,12 @@ class TestSampling:
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
-        st.integers(3, 15),
+        # rows of their own for every run state at m <= 9, clamped rows from 10 on
+        st.integers(3, 40),
         st.one_of(
             st.sampled_from(
-                [0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1e-12, 1 - 1e-12]
+                [0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1e-12, 1 - 1e-12,
+                 1e-9, 1 - 1e-9]
             ),
             st.floats(0, 1, exclude_min=True, exclude_max=True),
         ),
@@ -252,9 +271,11 @@ class TestSampling:
     )
     def test_bits_match_loop(self, m, p, n, seed):
         chain = build_chain(m, p)
-        got = sample(chain, n, seed).bits
-        assert got.dtype == np.uint8
-        assert got.tobytes() == loop_sample(chain, n, seed).tobytes()
+        run = sample(chain, n, seed)
+        assert run.bits.dtype == np.uint8
+        assert run.bits.tobytes() == loop_sample(chain, n, seed).tobytes()
+        assert run.forced.dtype == bool
+        assert np.array_equal(run.forced, forced_mask(m, run.bits))
 
     def test_bits_pinned(self):
         # check 12's band was calibrated on this path; check 14 samples these
@@ -271,11 +292,18 @@ class TestSampling:
             run = sample(build_chain(3, 0.5), 10_000, seed)
             assert hashlib.sha256(run.bits.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m", range(3, 41))
+    @pytest.mark.parametrize("p", [1e-9, 0.5, 1 - 1e-9])
+    def test_forced_matches_reference_across_a_slice(self, m, p):
+        # n is no multiple of BLOCK and takes a second slice
+        n = markov._SLICE + 2 * markov.BLOCK + 3
+        run = sample(build_chain(m, p), n, seed=m)
+        assert np.array_equal(run.forced, forced_mask(m, run.bits))
+
     def test_word_matches_join(self):
         run = sample(build_chain(4, 0.3), 5000, seed=2)
         assert run.word == "".join("01"[b] for b in run.bits)
-        one = markov.SampleRun(3, 0.5, 0, 1, np.array([1], dtype=np.uint8))
-        assert one.word == "1"
+        assert hand_run(3, [1]).word == "1"
 
     def test_frequency_series_shape(self):
         run = sample(build_chain(3, 0.5), 100, seed=0)
@@ -297,7 +325,7 @@ class TestLocalDimension:
 
     def test_forced_positions_contribute_nothing(self):
         # "00" forces the 1 at position 3, which adds no mass
-        run = markov.SampleRun(3, 0.5, 0, 4, np.array([0, 0, 1, 1], dtype=np.uint8))
+        run = hand_run(3, [0, 0, 1, 1])
         series = empirical_local_dimension(run, 0.5)
         for got, want in zip(series, [1, 1, 2 / 3, 3 / 4], strict=True):
             assert abs(got - want) <= 1e-15 * want
@@ -310,7 +338,7 @@ class TestLocalDimension:
     )
     def test_series_matches_loop_sum(self, m, bits, q):
         # any bit string, admissible or not, including runs longer than m-1
-        run = markov.SampleRun(m, 0.5, 0, len(bits), np.array(bits, dtype=np.uint8))
+        run = hand_run(m, bits)
         assert_within_fsum(empirical_local_dimension(run, q), loop_increments(run, q))
 
     @pytest.mark.parametrize("m,p,q", [(3, 0.2, 0.2), (12, 0.85, 0.6)])
@@ -334,9 +362,7 @@ class TestLocalDimension:
     def test_free_counts_are_occurrence_counts(self, m, p, n, seed, cuts):
         # the path's free 0's and 1's are the paper's N0 and N1 of each prefix
         run = sample(build_chain(m, p), n, seed)
-        forced = markov._forced_positions(run)
-        free = np.ones(n, dtype=bool)
-        free[forced] = False
+        free = ~run.forced
         for k in {max(1, round(c * n)) for c in cuts} | {n}:
             prefix = run.bits[:k][free[:k]]
             n1 = int(np.count_nonzero(prefix))
