@@ -171,7 +171,10 @@ def cmd_gamma(args) -> int:
         if args.depth is not None:
             raise ValueError("--depth applies to --w, not to --periodic")
         pre, _, per = args.periodic.partition(":")
-        seq = univoque.EventuallyPeriodicSequence(pre, per)
+        try:
+            seq = univoque.EventuallyPeriodicSequence(pre, per)
+        except ValueError as exc:
+            raise ValueError(f"--periodic takes preperiod:period: {exc}") from None
         verdict = univoque.gamma_check_periodic(seq, args.variant or univoque.STRICT)
     else:
         if args.variant is not None:

@@ -140,12 +140,9 @@ def mu_closed(meas: BernoulliTypeMeasure, w: str):
 def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     """mu_p(sigma^{-k}[w]) on the run-state kernel, never by enumeration.
 
-    k = 0 reads w alone.  Otherwise one `words._walk`: S kernel steps
-    (S = 2(m-1)), then, when k > S, bit_length(k-1) squarings of z^(k-1)
-    modulo the kernel's characteristic polynomial.  Exact mode equals the
-    step loop bit for bit.  Float mode rescales each squaring to sum 1; its
-    relative error is held to 1e-12 against the step loop (k <= 5000) and
-    to 1e-14 against the exact stationary value at k = 10**12.
+    k = 0 reads w alone.  Exact mode is one `words._walk`, O(S^2 log k) for
+    S = 2(m-1) and equal to the step loop bit for bit; float mode is the
+    first entry of `_float_doubling`, O(S^3 log k), shared with Cesaro.
     Inadmissible words map to 0 at every k, as in mu_recursive.
     """
     if k < 0:
@@ -154,6 +151,9 @@ def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     m, weights = meas.m, meas.weights
     if k == 0:
         return meas._value(_mu_symbols(m, *weights, w), len(w))
+    if meas.mode == FLOAT:
+        with np.errstate(over="ignore", invalid="ignore"):  # unused sum: inf past 2**1024
+            return _float_doubling(m, meas.p, w, k)[0]
     return meas._value(_walk(m, *weights, _emission(m, *weights, w), k), k + len(w))
 
 
@@ -202,39 +202,29 @@ def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
     return np.array(rows)
 
 
-def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
-    """(1/n) sum_{k<n} mu(sigma^{-k}[w]), computed in binary64.
+def _float_doubling(m: int, p: float, w: str, k: int):
+    """(x P^(k-1) e, sum_{j<k-1} x P^j e) in binary64, for k >= 1.
 
-    With P the S x S transfer matrix of the kernel (S = 2(m-1)), the start
-    masses x and the emission e of w, the sum is mu[w] + x G e with
-    G = sum_{j<n-1} P^j.  Binary doubling over the bits of n-1 keeps
-    A = P^(2^i) and g = (sum_{j<2^i} P^j) e, so each bit costs one S x S
-    matrix product: O(S^3 log n) in all, at any n.  At large m and small n
-    this is slower than n kernel steps would be; on a 2-core x86-64 VM,
-    m = 150 and n = 100 take about 25 ms against 3 ms, and m = 500 and
-    n = 10 take 0.26 s against 1 ms.  The gate and the benchmark run at
-    S <= 70; the largest call in CI, m = 300 and n = 1000, takes 0.17 s on
-    the same VM.
-
-    Always float, also for a Fraction p.  All terms are nonnegative, so
-    there is no cancellation.  The tests hold the relative error to 1e-12
-    against the step-by-step sum (n <= 3000, p down to 1e-12), to 1e-13
-    against the exact `pullback_series` Cesaro averages (n <= 200), and
-    the absolute error to 1e-9 against the closed form at n = 10**12.
-    n = 1 gives mu[w]; an inadmissible w gives 0.0.  n must lie below
-    2**1024, past which n itself, and the sum, overflow binary64.
+    P is the kernel's S x S transfer matrix (S = 2(m-1)), x the start
+    masses and e the emission of w: the float pullback at k, and the
+    Cesaro sum past mu[w].  Doubling over the bits of k-1 keeps A = P^(2^i)
+    and g = (sum_{j<2^i} P^j) e; a set bit adds x g to the sum and moves x
+    on by A.  O(S^3 log k) at any k, slower than k kernel steps at large m
+    and small k (median of 7, 2-core x86-64 VM: m = 300, k = 5 take 80 ms
+    against 0.3 ms; m = 150, k = 100 23 ms against 3 ms; k = 10**12 at
+    m = 300 0.33 s).  All terms are nonnegative: no cancellation.  Each
+    squaring rescales the rows of A to sum 1, else the rounding of p + (1-p)
+    would double at every squaring, an error growing like k * 1e-16.  The
+    tests hold the pullback's relative error to 1e-12 against the step loop
+    (m <= 40, k <= 5000) and to 1e-14 against the exact stationary value at
+    k = 10**12.
     """
-    if not 1 <= n < 2**1024:
-        raise ValueError(f"n must lie in [1, 2**1024), got {n}")
-    _check_symbols(w)
-    m = meas.m
-    p = float(meas.p)
     q = 1.0 - p
     power = _transfer_matrix(m, p, q)
-    g = np.concatenate(_emission(m, p, q, 1, w))
+    g = e = np.concatenate(_emission(m, p, q, 1, w))
     x = np.concatenate(_start(m, p, q))
     total = 0.0
-    rest = n - 1  # bits of the number of terms of G still to be added
+    rest = k - 1  # bits of the number of terms of the sum still to be added
     while rest:
         if rest & 1:
             total += x @ g
@@ -243,11 +233,27 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
         if rest:
             g = g + power @ g
             power = power @ power
-            # P^(2^i) is stochastic; rescaling its rows to sum 1 keeps the
-            # rounding of p + (1-p) and of each product from doubling at every
-            # squaring, a relative error that would grow like n * 1e-16
             power /= power.sum(axis=1, keepdims=True)
-    return float(_mu_symbols(m, p, q, 1, w) + total) / n
+    return float(x @ e), total
+
+
+def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
+    """(1/n) sum_{k<n} mu(sigma^{-k}[w]), computed in binary64.
+
+    mu[w] plus the sum from `_float_doubling` at k = n, O(S^3 log n) at any
+    n; always float, also for a Fraction p.  The tests hold the relative
+    error to 1e-12 against the step-by-step sum (n <= 3000, p down to
+    1e-12), to 1e-13 against the exact `pullback_series` Cesaro averages
+    (n <= 200), and the absolute error to 1e-9 against the closed form at
+    n = 10**12.  n = 1 gives mu[w], an inadmissible w 0.0; n must lie
+    below 2**1024, past which n and the sum overflow binary64.
+    """
+    if not 1 <= n < 2**1024:
+        raise ValueError(f"n must lie in [1, 2**1024), got {n}")
+    _check_symbols(w)
+    p = float(meas.p)
+    total = _float_doubling(meas.m, p, w, n)[1]
+    return float(_mu_symbols(meas.m, p, 1.0 - p, 1, w) + total) / n
 
 
 # ---------------------------------------------------------------------------

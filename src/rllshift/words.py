@@ -158,7 +158,7 @@ def _reduce(u, fold):
 def _square(r):
     """Coefficients of r(z)^2, each cross product taken once and doubled."""
     size = len(r)
-    u = [r[0] * 0] * (2 * size - 1)
+    u = [0] * (2 * size - 1)
     for i, x in enumerate(r):
         if x:
             u[2 * i] += x * x
@@ -167,7 +167,7 @@ def _square(r):
     return u
 
 
-def _walk(m: int, w0, w1, wf, e, k: int):
+def _walk(m: int, w0: int, w1: int, wf: int, e, k: int) -> int:
     """_dot(z, o, e) for the masses (z, o) after k >= 1 symbols from _start.
 
     One algorithm (Fiduccia 1985), S = 2(m-1): step min(k, S) symbols for
@@ -187,14 +187,8 @@ def _walk(m: int, w0, w1, wf, e, k: int):
     and k = 14000 0.8-1.1 times; count_words(300, 5000) takes 1.4-1.9 times
     (1.4-2.1 s).
 
-    Integer weights give integers equal to the step loop's bit for bit: chi
-    is monic and every r_t is a nonnegative integer.  Float weights must be
-    stochastic (w0 + w1 = wf = 1), so chi(1) = 0 and r(1) = 1 exactly; each
-    squaring divides r by its sum, which keeps the rounding of the squarings
-    from compounding.  All terms are nonnegative, so there is no
-    cancellation: the tests hold the relative error to 1e-12 against the
-    step loop (k <= 5000) and to 1e-14 against the exact stationary value
-    at k = 10**12.  The step loop itself drifts like k * 1e-16.
+    Integer weights only: chi is monic and every r_t is a nonnegative
+    integer, so the result equals the step loop's bit for bit.
     """
     size = 2 * (m - 1)
     ys = [_dot(z, o, e) for z, o in islice(_masses(m, w0, w1, wf), min(k, size))]
@@ -202,14 +196,11 @@ def _walk(m: int, w0, w1, wf, e, k: int):
         return ys[-1]
     fold = _cycle_weights(m, w0, w1, wf)[:1:-1]
     n = k - 1
-    r = [w0**0] + [w0 * 0] * (size - 1)
+    r = [1] + [0] * (size - 1)
     for bit in reversed(range(n.bit_length())):
         r = _reduce(_square(r), fold)
-        if isinstance(w0, float):
-            total = sum(r)
-            r = [x / total for x in r]
         if n >> bit & 1:
-            r = _reduce([w0 * 0] + r, fold)
+            r = _reduce([0] + r, fold)
     return sum(map(mul, r, ys))
 
 

@@ -134,6 +134,19 @@ class TestLambda:
         closed = Fraction(record["closed_form"])
         assert abs(float(record["cesaro"]) - closed) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("lambda_m12.json", "--m 12 --p 3/10 --n 1000000000000"),
+            ("lambda_m35.json", "--m 35 --p 0.3 --n 1000"),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, argv):
+        # every digit of the Cesaro average, not only its error bound
+        code, out, _ = run_cli(capsys, "lambda", *argv.split())
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
     def test_largest_horizon(self, capsys):
         code, out, _ = run_cli(
             capsys, "lambda", "--m", "3", "--p", "1/3", "--n", str(2**1023)
@@ -312,6 +325,20 @@ class TestGammaCheck:
         assert json.loads(out)["status"] == "exact-member"
         _, out, _ = run_cli(capsys, "gamma-check", "--periodic", "111:10")
         assert json.loads(out)["status"] == "exact-member"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("10", "period must be non-empty"),
+            ("10:", "period must be non-empty"),
+            ("", "period must be non-empty"),
+            ("0:2", "word symbols must be '0'/'1', got '2'"),
+        ],
+    )
+    def test_malformed_periodic_names_flag_and_form(self, capsys, text, reason):
+        code, out, err = run_cli(capsys, "gamma-check", "--periodic", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: --periodic takes preperiod:period: {reason}\n"
 
     def test_missing_input_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

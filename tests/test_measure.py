@@ -66,6 +66,18 @@ WALK_EXAMPLES = [
 ]
 
 
+# float pullbacks at k = 1 and around S = 2(m-1), where the exact walk
+# switches from kernel steps to doubling, and at S = 198 with k past S
+FLOAT_WALK_EXAMPLES = [
+    (m, 0.3, "0110", k)
+    for m in (3, 7, 12, 40)
+    for k in (1, 2 * m - 3, 2 * m - 2, 2 * m - 1)
+] + [
+    (100, 0.3, "0110", 199),
+    (100, 0.7, "101", 2000),
+]
+
+
 def loop_walk(m, w0, w1, wf, e, k):
     """Reference: the k-1 kernel steps that words._walk replaces by doubling."""
     z, o = words._start(m, w0, w1)
@@ -270,7 +282,8 @@ class TestPullback:
 
 
 class TestWalk:
-    """words._walk against the step loop, the cycle polynomial, and the limit."""
+    """Exact `words._walk` and float pullbacks against the step loop, the
+    cycle polynomial, and the limit."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(
@@ -310,7 +323,7 @@ class TestWalk:
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
-        st.integers(3, 12),
+        st.integers(3, 40),
         st.one_of(
             ratios,
             st.sampled_from([1e-3, 1e-12, 1 - 1e-12]),
@@ -319,6 +332,7 @@ class TestWalk:
         st.text("01", max_size=6),
         st.integers(1, 5000),
     )
+    @examples(FLOAT_WALK_EXAMPLES)
     def test_float_pullback_matches_loop(self, m, p, w, k):
         p = float(p)
         got = pullback_cylinder(bernoulli(m, p), w, k)
@@ -326,7 +340,7 @@ class TestWalk:
         assert isinstance(got, float)
         assert abs(got - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("m", [3, 7, 12])
+    @pytest.mark.parametrize("m", [3, 7, 12, 35, 100])
     @pytest.mark.parametrize(
         "p", [Fraction(1, 1000), Fraction(3, 10), Fraction(1, 2), Fraction(999, 1000)]
     )
@@ -339,6 +353,15 @@ class TestWalk:
             exact = sum(pi[s] * x for s, x in zip(chain.states, ez + eo))
             got = pullback_cylinder(meas, w, 10**12)
             assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
+
+    @pytest.mark.parametrize("k", [2**1024 - 1, 2**1024, 10**400])
+    def test_float_pullback_past_the_float_range(self, k):
+        # the Cesaro sum that the doubling carries overflows here; the
+        # pullback does not, and no warning escapes
+        meas = bernoulli(5, 0.3)
+        want = pullback_cylinder(meas, "0110", 10**12)
+        assert abs(pullback_cylinder(meas, "0110", k) - want) <= 1e-14 * want
+        assert pullback_cylinder(meas, "000000", k) == 0.0
 
 
 class TestSeries:
