@@ -21,13 +21,14 @@ from .words import (
     _dot,
     _emission,
     _masses,
+    _prepend,
     _require_admissible,
     _start,
     _step,
     _walk,
     admissible_pairs,
     occurrence_counts,
-    words_upto,
+    word_tree,
 )
 
 EXACT = "exact"
@@ -260,15 +261,27 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
 # exhaustive inequality checks: integer numerators, cross-multiplied
 
 
-def _quasi_bernoulli_bounds(a: int, b: int, prod: int, mu_wv: int):
-    """(mu[w]mu[v] <= mu[wv], p(1-p)mu[wv] <= mu[w]mu[v]), numerators over b**|wv|."""
-    return prod <= mu_wv, a * (b - a) * mu_wv <= b * b * prod
+def _quasi_bernoulli_bounds(a: int, b: int):
+    """For p = a/b, the test (prod, mu_wv) -> whether mu[w]mu[v] <= mu[wv]
+    and p(1-p)mu[wv] <= mu[w]mu[v], on numerators over b**|wv|."""
+    lhs, rhs = a * (b - a), b * b
+
+    def holds(prod: int, mu_wv: int) -> bool:
+        return prod <= mu_wv and lhs * mu_wv <= rhs * prod
+
+    return holds
 
 
-def _pullback_bounds(a: int, b: int, k: int, mu_w: int, pb: int):
-    """(mu[w] <= c pb, pb <= c mu[w]), c = (p(1-p))^-2; pb is over b**(k+|w|)."""
-    lhs, mu_k = (a * (b - a)) ** 2, mu_w * b**k
-    return lhs * mu_k <= b**4 * pb, lhs * pb <= b**4 * mu_k
+def _pullback_bounds(a: int, b: int):
+    """For p = a/b, the test (mu_k, pb) -> whether mu[w] <= c pb and
+    pb <= c mu[w], c = (p(1-p))^-2; pb is a numerator over b**(k+|w|), and
+    mu_k = mu[w] b**k puts mu[w] over the same power."""
+    lhs, rhs = (a * (b - a)) ** 2, b**4
+
+    def holds(mu_k: int, pb: int) -> bool:
+        return lhs * mu_k <= rhs * pb and lhs * pb <= rhs * mu_k
+
+    return holds
 
 
 def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str, str]]:
@@ -283,9 +296,11 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
     a, _, b = weights = meas.weights
-    mu = {s: _mu_symbols(meas.m, *weights, s) for s in words_upto(meas.m, L)}
+    holds = _quasi_bernoulli_bounds(a, b)
+    tree = word_tree(meas.m, L)
+    mu = dict(zip(tree.words, tree.numerators(*weights)))
     return [(w, v) for w, v, wv in admissible_pairs(mu, L)
-            if not all(_quasi_bernoulli_bounds(a, b, mu[w] * mu[v], mu[wv]))]
+            if not holds(mu[w] * mu[v], mu[wv])]
 
 
 def pullback_bounds_check(
@@ -301,12 +316,15 @@ def pullback_bounds_check(
         raise ValueError("pullback_bounds_check requires exact mode")
     m = meas.m
     a, _, b = weights = meas.weights
+    holds = _pullback_bounds(a, b)
     masses = list(islice(_masses(m, *weights), kmax))  # shared across all words
+    scales = [b**k for k in range(1, kmax + 1)]
+    tree = word_tree(m, L)
+    emissions = {"": _emission(m, *weights, "")}  # shortest first, so s[1:] is in
     violations = []
-    for s in words_upto(m, L)[1:]:  # the non-empty words
-        mu_w = _mu_symbols(m, *weights, s)
-        e = _emission(m, *weights, s)
-        for k, (z, o) in enumerate(masses, start=1):
-            if not all(_pullback_bounds(a, b, k, mu_w, _dot(z, o, e))):
+    for s, mu_w in zip(tree.words[1:], tree.numerators(*weights)[1:]):  # non-empty words
+        e = emissions[s] = _prepend(m, *weights, s[0], emissions[s[1:]])
+        for k, (z, o), scale in zip(range(1, kmax + 1), masses, scales):
+            if not holds(mu_w * scale, _dot(z, o, e)):
                 violations.append((s, k))
     return violations

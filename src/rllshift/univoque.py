@@ -107,26 +107,47 @@ def gamma_check_prefix(s: str, depth: int) -> GammaVerdict:
 def clean_windows(L: int):
     """Yield every length-L window clean to depth L-1, in lexicographic order.
 
-    A depth-first search that extends only prefixes that are still clean,
-    each decided by gamma_check_prefix at depth len - 1.  Pruning loses no
-    window: a violation at shift k in a prefix compares sigma^k s with s (or
-    with its complement) up to a position inside the prefix, and every
-    extension of the prefix makes the same comparison, still within depth,
-    and reaches the same difference.  So every prefix of a clean window is
-    clean.
+    The windows that gamma_check_prefix at depth L-1 finds clean, by a
+    depth-first search that extends only clean prefixes.  A node, prefix s
+    of length n, carries two sets of shifts k < n: `upper`, where s[k:]
+    equals s[:n-k], and `lower`, where s[k:] is the complement of s[:n-k].
+    Every other shift has met its first difference inside s, so its
+    comparison is settled in every extension of s:
+
+    - a violation is final: each extension compares the same symbols at
+      the same shift, still within depth, so dropping the node loses no
+      window;
+    - a shift that resolved strictly stays resolved.
+
+    So the two tied sets are all the state a node needs.  Appending c
+    tests c only at the tied shifts and at the new shift n, whose empty
+    overlap ties on both sides.  With c = '1', every upper tie needs
+    s[n-k] = '1', else sigma^k s exceeds s; lower ties with s[n-k] = '0'
+    stay tied, the rest resolve strictly.  With c = '0' it is the mirror:
+    every lower tie needs s[n-k] = '1', else sigma^k s falls below the
+    complement, and upper ties with s[n-k] = '0' stay tied.
+
+    A set is a bit mask in which bit j stands for the shift n-j, whose
+    next comparison reads s[j]; `ones` masks the 1's of s.  "Every tie
+    reads a '1'" is then `not upper & ~ones`, and one more symbol shifts a
+    mask left by one: a node costs a few integer operations, not a
+    gamma_check_prefix scan.
     """
     if L < 2:
         raise ValueError(f"window length must be >= 2, got {L}")
-    stack = ["1", "0"]  # length-1 prefixes compare no shifts
+    # (s, ones, upper, lower); length-1 prefixes compare no shifts
+    stack = [("1", 1, 0, 0), ("0", 0, 0, 0)]
     while stack:
-        s = stack.pop()
+        s, ones, upper, lower = stack.pop()
         n = len(s)
-        if n > 1 and gamma_check_prefix(s, n - 1).status != CLEAN_TO_DEPTH:
-            continue
         if n == L:
             yield s
-        else:
-            stack += (s + "1", s + "0")  # '0' pops first
+            continue
+        upper, lower = upper | 1, lower | 1  # the new shift n compares s[0]
+        if not upper & ~ones:
+            stack.append((s + "1", ones | 1 << n, upper << 1, (lower & ~ones) << 1))
+        if not lower & ~ones:  # pushed last, so '0' pops first
+            stack.append((s + "0", ones, (upper & ~ones) << 1, lower << 1))
 
 
 def gamma_check_periodic(

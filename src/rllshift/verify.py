@@ -35,8 +35,8 @@ def check_subadditivity(quick: bool = False) -> CheckResult:
     bad = 0
     pairs = 0
     for m in (3, 4):
-        wordlist = words.words_upto(m, max_total)
-        counts = {s: words.occurrence_counts(m, s) for s in wordlist}
+        tree = words.word_tree(m, max_total)
+        counts = dict(zip(tree.words, tree.counts()))
         for w, v, wv in words.admissible_pairs(counts, max_total):
             if not (w and v):  # the report counts pairs of non-empty words
                 continue
@@ -59,11 +59,12 @@ def check_counting_bound(quick: bool = False) -> CheckResult:
     bad = 0
     total = 0
     for m in (3, 4, 5):
-        for s in words.words_upto(m, max_len)[1:]:  # the non-empty words
-            n0, n1 = words.occurrence_counts(m, s)
+        tree = words.word_tree(m, max_len)
+        for s, (n0, n1) in zip(tree.words[1:], tree.counts()[1:]):  # non-empty words
             total += 1
-            for digits, n_d in ((s.count("0"), n0), (s.count("1"), n1)):
-                bad += m * digits > (m - 1) * n_d + len(s)
+            zeros = s.count("0")
+            bad += m * zeros > (m - 1) * n0 + len(s)
+            bad += m * (len(s) - zeros) > (m - 1) * n1 + len(s)
     return CheckResult(
         "occurrence-counting-bound",
         bad == 0,
@@ -72,20 +73,24 @@ def check_counting_bound(quick: bool = False) -> CheckResult:
 
 
 def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
-    """Closed form equals the branching recursion, as numerators over b**|w|."""
+    """Closed form equals the branching recursion, as numerators over b**|w|.
+
+    Two independent routes: the closed form from the substring counts of
+    `occurrence_counts`, the recursion from the word tree's products.
+    """
     max_len = 8 if quick else 12
     bad = 0
     total = 0
     for m in (3, 4, 5):
-        wordlist = words.words_upto(m, max_len)[1:]  # the non-empty words
-        counts = [words.occurrence_counts(m, s) for s in wordlist]
+        tree = words.word_tree(m, max_len)
+        counts = [words.occurrence_counts(m, s) for s in tree.words]  # substring counts
         for p in P_GRID:
-            w0, w1, b = measure.bernoulli(m, p).weights
-            for s, (n0, n1) in zip(wordlist, counts):
+            weights = measure.bernoulli(m, p).weights
+            pow0, pow1, powb = ([x**i for i in range(max_len + 1)] for x in weights)
+            recursion = tree.numerators(*weights)
+            for s, (n0, n1), num in zip(tree.words[1:], counts[1:], recursion[1:]):
                 total += 1
-                closed = w0**n0 * w1**n1 * b ** (len(s) - n0 - n1)
-                if measure._mu_symbols(m, w0, w1, b, s) != closed:
-                    bad += 1
+                bad += num != pow0[n0] * pow1[n1] * powb[len(s) - n0 - n1]
     return CheckResult(
         "closed-form-vs-recursion",
         bad == 0,
@@ -98,11 +103,12 @@ def check_normalization(quick: bool = False) -> CheckResult:
     max_len = 8 if quick else 12
     bad = []
     for m in (3, 4, 5):
-        wordlist = words.words_upto(m, max_len)
+        tree = words.word_tree(m, max_len)
         for p in P_GRID:
             w0, w1, b = measure.bernoulli(m, p).weights
-            for n, group in groupby(wordlist, key=len):
-                if sum(measure._mu_symbols(m, w0, w1, b, s) for s in group) != b**n:
+            nums = tree.numerators(w0, w1, b)
+            for n, (lo, hi) in enumerate(zip(tree.starts, tree.starts[1:])):
+                if sum(nums[lo:hi]) != b**n:
                     bad.append((m, p, n))
     return CheckResult(
         "normalization",

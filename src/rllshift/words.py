@@ -13,7 +13,7 @@ from itertools import islice
 from operator import mul
 
 MIN_ORDER = 3
-WORD_CAP = 1 << 21  # bound on the words one enumeration materializes
+WORD_CAP = 1 << 21  # bound on the longest level one enumeration materializes
 
 
 class CapacityError(Exception):
@@ -106,13 +106,19 @@ def _emission(m: int, w0, w1, wf, s: str):
 
     All zeros when s is inadmissible; all ones for the empty word.
     """
-    ez = eo = [w0**0] * (m - 1)
+    e = ([w0**0] * (m - 1),) * 2
     for c in reversed(s):
-        w, nxt = (w0, ez) if c == "0" else (w1, eo)  # the rest of s, from digit c
-        stay = [w * x for x in nxt[1:]] + [nxt[0] * 0]  # a run of c reaching m dies
-        flip = [w * nxt[0]] * (m - 2) + [wf * nxt[0]]  # forced out of a maximal run
-        ez, eo = (stay, flip) if c == "0" else (flip, stay)
-    return ez, eo
+        e = _prepend(m, w0, w1, wf, c, e)
+    return e
+
+
+def _prepend(m: int, w0, w1, wf, c: str, e):
+    """The emission of c + s from the emission e of s."""
+    ez, eo = e
+    w, nxt = (w0, ez) if c == "0" else (w1, eo)  # the rest, from digit c
+    stay = [w * x for x in nxt[1:]] + [nxt[0] * 0]  # a run of c reaching m dies
+    flip = [w * nxt[0]] * (m - 2) + [wf * nxt[0]]  # forced out of a maximal run
+    return (stay, flip) if c == "0" else (flip, stay)
 
 
 def _dot(z, o, e):
@@ -219,23 +225,74 @@ def count_words(m: int, n: int) -> int:
     return _walk(m, 1, 1, 1, ([1] * (m - 1),) * 2, n)
 
 
-def _levels(m: int, n: int):
-    """Yield the admissible words of each length 0..n, each in lexicographic order.
+FREE0, FREE1, FORCED = 0, 1, 2  # classes of a symbol: indices into (w0, w1, wf)
 
-    Appending '0', then '1', to each word of a sorted level keeps the next
-    level sorted.  Raises CapacityError before building any level when
-    length n, the largest level, holds more than WORD_CAP words.
+
+@dataclass(frozen=True)
+class WordTree:
+    """Every admissible word of length <= L as a prefix tree, shortest first.
+
+    words[0] is the empty word, the root; every other word is
+    words[parent[i]] plus one symbol, of class kind[i]: FREE0, FREE1, or
+    FORCED, the flip out of a run of m-1 (the root's entries are -1).  The
+    words of length n are words[starts[n]:starts[n+1]], in lexicographic
+    order.  An exhaustive table shares its prefixes, so a quantity that
+    grows symbol by symbol takes one step per node instead of one walk per
+    word.
     """
-    total = count_words(m, n)
+
+    words: list[str]
+    parent: list[int]
+    kind: list[int]
+    starts: list[int]
+
+    def counts(self) -> list[tuple[int, int]]:
+        """(n0, n1) of every word, its free 0's and free 1's: `occurrence_counts`."""
+        step = ((1, 0), (0, 1), (0, 0))
+        out = [(0, 0)]
+        for p, c in zip(self.parent[1:], self.kind[1:]):
+            (n0, n1), (d0, d1) = out[p], step[c]
+            out.append((n0 + d0, n1 + d1))
+        return out
+
+    def numerators(self, w0, w1, wf) -> list:
+        """Every word's numerator by the branching rule: one multiply per node."""
+        weight = (w0, w1, wf)
+        out = [w0**0]
+        for p, c in zip(self.parent[1:], self.kind[1:]):
+            out.append(out[p] * weight[c])
+        return out
+
+
+def word_tree(m: int, L: int) -> WordTree:
+    """The admissible words of length <= L as a `WordTree`.
+
+    A word ending in a run of m-1 has one child, the forced flip; every
+    other word has two, a free '0' and then a free '1', so each level stays
+    sorted.  Raises CapacityError before building any level when length L,
+    the largest level, holds more than WORD_CAP words.
+    """
+    total = count_words(m, L)  # checks m and L
     if total > WORD_CAP:
         raise CapacityError(
-            f"{total} words of length {n} exceed the cap {WORD_CAP}; use count_words"
+            f"{total} words of length {L} exceed the cap {WORD_CAP}; use count_words"
         )
-    level = [""]
-    yield level
-    for _ in range(n):
-        level = [w + c for w in level for c in "01" if not w.endswith(c * (m - 1))]
-        yield level
+    maximal = ("0" * (m - 1), "1" * (m - 1))
+    flip = {"0": "1", "1": "0"}
+    words, parent, kind, starts = [""], [-1], [-1], [0, 1]
+    for _ in range(L):
+        for i in range(starts[-2], starts[-1]):
+            w = words[i]
+            if w.endswith(maximal):
+                words.append(w + flip[w[-1]])
+                parent.append(i)
+                kind.append(FORCED)
+            else:
+                words += (w + "0", w + "1")
+                parent += (i, i)
+                kind += (FREE0, FREE1)
+        starts.append(len(words))
+    return WordTree(words, parent, kind, starts)
 
 
 def enumerate_words(m: int, n: int) -> list[str]:
@@ -244,22 +301,16 @@ def enumerate_words(m: int, n: int) -> list[str]:
     Raises CapacityError when the list would exceed WORD_CAP entries; use
     count_words for sizes beyond that.
     """
-    for level in _levels(m, n):
-        pass
-    return level
-
-
-def words_upto(m: int, L: int) -> list[str]:
-    """Every admissible word of length <= L, shortest first, from the empty word."""
-    return [w for level in _levels(m, L) for w in level]
+    tree = word_tree(m, n)
+    return tree.words[tree.starts[n]:]
 
 
 def admissible_pairs(table, L: int):
     """Yield (w, v, wv) for the keys w, v of `table` with |wv| <= L and wv admissible.
 
-    `table` is a shortest-first dict holding every admissible word of length
-    <= L (keyed by words_upto), so `wv in table` decides admissibility and
-    `table[wv]` is the stored value.  Order: w, then v, each shortest first.
+    `table` is a shortest-first dict keyed by the words of `word_tree(m, L)`,
+    so `wv in table` decides admissibility and `table[wv]` is the stored
+    value.  Order: w, then v, each shortest first.
     """
     for w in table:
         for v in table:

@@ -3,7 +3,8 @@
 The full suite runs once per session; each test prints its own
 PASS/FAIL line so the -v output reads as a criterion-by-criterion
 report, then asserts the stored result.  The assembled report must
-match the one committed under tests/data byte for byte.
+match the one committed under tests/data byte for byte, and so must the
+quick one (`verify --quick`).
 """
 from pathlib import Path
 
@@ -18,12 +19,18 @@ def suite_results():
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_full.txt"
+GOLDEN_QUICK_REPORT = Path(__file__).parent / "data" / "verify_quick.txt"
 
 
 def test_report_matches_golden(suite_results):
     report = verify.format_report(list(suite_results.items()))
     # `verify --out` writes the report and a final newline
     assert report + "\n" == GOLDEN_REPORT.read_text()
+
+
+def test_quick_report_matches_golden():
+    report = verify.format_report(verify.run_suite(quick=True))
+    assert report + "\n" == GOLDEN_QUICK_REPORT.read_text()
 
 
 def _gate(suite_results, num):

@@ -428,9 +428,11 @@ class TestIntegerScaled:
     def test_quasi_bernoulli_comparisons(self, m, p, L):
         # each integer comparison against the Fraction one it replaces, at
         # the true mu[wv] and at numerators on both sides of each bound
+        # (top >= 4 prod, so each boundary pair tests one bound alone)
         a, b = p.numerator, p.denominator
         weights = bernoulli(m, p).weights
-        table = {s: measure._mu_symbols(m, *weights, s) for s in words.words_upto(m, L)}
+        table = {s: measure._mu_symbols(m, *weights, s) for s in words.word_tree(m, L).words}
+        bounds = measure._quasi_bernoulli_bounds(a, b)
         for w, v, wv in words.admissible_pairs(table, L):
             prod = table[w] * table[v]
             assert Fraction(prod, b ** len(wv)) == ref_mu(m, p, w) * ref_mu(m, p, v)
@@ -439,8 +441,8 @@ class TestIntegerScaled:
             for mu_wv in {table[wv], prod - 1, prod, prod + 1, top, top + 1}:
                 fprod = Fraction(prod, b ** len(wv))
                 fwv = Fraction(mu_wv, b ** len(wv))
-                want = (fprod <= fwv, fwv <= fprod / (p * (1 - p)))
-                assert measure._quasi_bernoulli_bounds(a, b, prod, mu_wv) == want
+                want = fprod <= fwv and fwv <= fprod / (p * (1 - p))
+                assert bounds(prod, mu_wv) == want
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(st.integers(3, 6), ratios, st.integers(1, 6), st.integers(1, 8))
@@ -450,7 +452,8 @@ class TestIntegerScaled:
         meas = bernoulli(m, p)
         c = 1 / (p * p * (1 - p) * (1 - p))
         dists = ref_states(m, p, kmax)
-        for s in words.words_upto(m, L)[1:]:
+        bounds = measure._pullback_bounds(a, b)
+        for s in words.word_tree(m, L).words[1:]:
             mu_w = measure._mu_symbols(m, *meas.weights, s)
             fmu = ref_mu(m, p, s)
             assert Fraction(mu_w, b ** len(s)) == fmu
@@ -463,8 +466,8 @@ class TestIntegerScaled:
                 high = b**4 * mu_w * b**k // (a * (b - a)) ** 2
                 for num in {pb, low, low + 1, high, high + 1}:
                     fpb = Fraction(num, scale)
-                    want = (fmu <= c * fpb, fpb <= c * fmu)
-                    assert measure._pullback_bounds(a, b, k, mu_w, num) == want
+                    want = fmu <= c * fpb and fpb <= c * fmu
+                    assert bounds(mu_w * b**k, num) == want
                 assert Fraction(pb, scale) == ref_pullback(m, p, s, k, dists)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -288,10 +289,40 @@ def brute_clean_windows(L):
     ]
 
 
+def gamma_clean_windows(L):
+    """Reference: the depth-first search that clean_windows replaces, which
+    decides every prefix by one gamma_check_prefix scan at depth len - 1."""
+    stack = ["1", "0"]
+    while stack:
+        s = stack.pop()
+        n = len(s)
+        if n > 1 and gamma_check_prefix(s, n - 1).status != CLEAN_TO_DEPTH:
+            continue
+        if n == L:
+            yield s
+        else:
+            stack += (s + "1", s + "0")  # '0' pops first
+
+
+@functools.lru_cache(maxsize=None)
+def clean_set(L):
+    return frozenset(clean_windows(L))
+
+
 class TestCleanWindows:
     @pytest.mark.parametrize("L", range(2, 17))
     def test_matches_brute_force(self, L):
         assert list(clean_windows(L)) == brute_clean_windows(L)
+
+    @pytest.mark.parametrize("L", [17, 18])
+    def test_matches_prefix_scan_search(self, L):
+        assert list(clean_windows(L)) == list(gamma_clean_windows(L))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.text(alphabet="01", min_size=2, max_size=18))
+    def test_membership_is_a_clean_scan(self, s):
+        clean = gamma_check_prefix(s, len(s) - 1).status == CLEAN_TO_DEPTH
+        assert (s in clean_set(len(s))) == clean
 
     @pytest.mark.parametrize("L", [-1, 0, 1])
     def test_short_length_rejected(self, L):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rllshift import words
+from rllshift import measure, words
 from rllshift.words import (
     CapacityError,
     complement,
@@ -134,12 +134,37 @@ class TestEnumeration:
         assert count_words(m, n) == (2 * c[n] if n else 1)
 
 
+# kernel weights (w0, w1, wf): exact (a, b-a, b) for p = 2/7, float
+# (p, 1-p, 1) and counting
+KERNEL_WEIGHTS = st.sampled_from([(2, 5, 7), (0.3, 1 - 0.3, 1), (1, 1, 1)])
+
+
 class TestWordTable:
     @PROPERTY
-    @given(st.integers(3, 6), st.integers(0, 10))
-    def test_words_upto_concatenates_lengths(self, m, L):
-        expected = [w for n in range(L + 1) for w in enumerate_words(m, n)]
-        assert words.words_upto(m, L) == expected
+    @given(st.integers(3, 7), st.integers(0, 10))
+    def test_tree_concatenates_lengths(self, m, L):
+        tree = words.word_tree(m, L)
+        assert tree.words == [w for n in range(L + 1) for w in brute_words(m, n)]
+        for n in range(L + 1):
+            assert tree.words[tree.starts[n]:tree.starts[n + 1]] == enumerate_words(m, n)
+        for i in range(1, len(tree.words)):
+            assert tree.words[tree.parent[i]] == tree.words[i][:-1]
+
+    @PROPERTY
+    @given(st.integers(3, 7), st.integers(0, 10))
+    def test_tree_counts_match_occurrence_counts(self, m, L):
+        tree = words.word_tree(m, L)
+        assert tree.counts() == [words.occurrence_counts(m, s) for s in tree.words]
+
+    @PROPERTY
+    @given(st.integers(3, 7), st.integers(0, 10), KERNEL_WEIGHTS)
+    def test_tree_numerators_match_branching_rule(self, m, L, weights):
+        w0, w1, wf = weights
+        tree = words.word_tree(m, L)
+        # the same products in the same order, so float values agree exactly
+        assert tree.numerators(w0, w1, wf) == [
+            measure._mu_symbols(m, w0, w1, wf, s) for s in tree.words
+        ]
 
     @PROPERTY
     @given(st.integers(3, 5), st.integers(0, 8))
@@ -155,7 +180,7 @@ class TestWordTable:
             for v in binary_words
             if len(w) + len(v) <= L and words.is_admissible_symbols(m, w + v)
         ]
-        table = dict.fromkeys(words.words_upto(m, L))
+        table = dict.fromkeys(words.word_tree(m, L).words)
         assert list(words.admissible_pairs(table, L)) == brute
 
 
