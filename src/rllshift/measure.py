@@ -26,7 +26,6 @@ from .words import (
     _start,
     _step,
     _walk,
-    admissible_pairs,
     occurrence_counts,
     word_tree,
 )
@@ -288,8 +287,9 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
     """Violations of mu[w]mu[v] <= mu[wv] <= (p(1-p))^{-1} mu[w]mu[v].
 
     Exhaustive over admissible pairs with wv admissible and |w|+|v| <= L,
-    the empty word included.  Expected empty; violations are listed by w,
-    then v, each shortest first.
+    the empty word included: the split points of the words of the word
+    tree, each pair once.  Expected empty; violations are listed by wv in
+    tree order, then by split point.
     """
     if meas.mode != EXACT:
         raise ValueError("quasi_bernoulli_check requires exact mode")
@@ -299,8 +299,8 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
     holds = _quasi_bernoulli_bounds(a, b)
     tree = word_tree(meas.m, L)
     mu = dict(zip(tree.words, tree.numerators(*weights)))
-    return [(w, v) for w, v, wv in admissible_pairs(mu, L)
-            if not holds(mu[w] * mu[v], mu[wv])]
+    return [(u[:i], u[i:]) for u, mu_u in mu.items() for i in range(len(u) + 1)
+            if not holds(mu[u[:i]] * mu[u[i:]], mu_u)]
 
 
 def pullback_bounds_check(

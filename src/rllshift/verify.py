@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
@@ -37,15 +36,14 @@ def check_subadditivity(quick: bool = False) -> CheckResult:
     for m in (3, 4):
         tree = words.word_tree(m, max_total)
         counts = dict(zip(tree.words, tree.counts()))
-        for w, v, wv in words.admissible_pairs(counts, max_total):
-            if not (w and v):  # the report counts pairs of non-empty words
-                continue
-            pairs += 1
-            (w0, w1), (v0, v1), (c0, c1) = counts[w], counts[v], counts[wv]
-            if not (w0 + v0 - 1 <= c0 <= w0 + v0):
-                bad += 1
-            if not (w1 + v1 - 1 <= c1 <= w1 + v1):
-                bad += 1
+        for u, (c0, c1) in counts.items():
+            for i in range(1, len(u)):  # the split points into non-empty w, v
+                pairs += 1
+                (w0, w1), (v0, v1) = counts[u[:i]], counts[u[i:]]
+                if not (w0 + v0 - 1 <= c0 <= w0 + v0):
+                    bad += 1
+                if not (w1 + v1 - 1 <= c1 <= w1 + v1):
+                    bad += 1
     return CheckResult(
         "occurrence-subadditivity",
         bad == 0,
@@ -274,6 +272,17 @@ def check_local_dimension(quick: bool = False) -> CheckResult:
     )
 
 
+def _interior_run_above_first(s: str) -> bool:
+    """True iff a run of s other than its last is longer than its leading run.
+
+    With f the leading run's length, such a run holds f + 1 equal symbols
+    in s.rstrip(s[-1]), the window without its last run.
+    """
+    longer = len(s) - len(s.lstrip(s[0])) + 1
+    body = s.rstrip(s[-1])
+    return "0" * longer in body or "1" * longer in body
+
+
 def check_gamma_construction(quick: bool = False) -> CheckResult:
     """Embedded admissible samples stay clean; clean windows have bounded runs."""
     n_samples = 10 if quick else 100
@@ -293,9 +302,8 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
     clean = 0
     for s in univoque.clean_windows(window_len):  # all 2**window_len, pruned
         clean += 1
-        runs = [len(list(run)) for _, run in groupby(s)]
-        first = runs[0]
-        if any(r > first for r in runs[:-1]):
+        if _interior_run_above_first(s):
+            first = len(s) - len(s.lstrip(s[0]))
             problems.append(f"window {s} has an interior run above {first}")
     return CheckResult(
         "gamma-construction",

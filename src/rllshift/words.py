@@ -305,22 +305,6 @@ def enumerate_words(m: int, n: int) -> list[str]:
     return tree.words[tree.starts[n]:]
 
 
-def admissible_pairs(table, L: int):
-    """Yield (w, v, wv) for the keys w, v of `table` with |wv| <= L and wv admissible.
-
-    `table` is a shortest-first dict keyed by the words of `word_tree(m, L)`,
-    so `wv in table` decides admissibility and `table[wv]` is the stored
-    value.  Order: w, then v, each shortest first.
-    """
-    for w in table:
-        for v in table:
-            if len(w) + len(v) > L:
-                break
-            wv = w + v
-            if wv in table:
-                yield w, v, wv
-
-
 def occurrence_counts(m: int, s: str) -> tuple[int, int]:
     """(n0, n1) of the occurrence report, for any '0'/'1' string s.
 

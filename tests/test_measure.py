@@ -385,6 +385,17 @@ class TestSeries:
         with pytest.raises(ValueError):
             pullback_series(bernoulli(5, P13), 4)
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 8])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 2 / 3, 0.001])
+    def test_float_series_matches_exact(self, m, p):
+        # float mode passes the recurrences within FLOAT_TOL and agrees
+        # with the exact series at the same binary64 p
+        got = pullback_series(bernoulli(m, p), 40)
+        want = pullback_series(bernoulli(m, Fraction(p)), 40)
+        for name in ("a", "b", "c", "d", "cesaro_a"):
+            for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
+                assert abs(x - y) <= 1e-12 * y
+
     def test_recurrence_error_is_loud(self):
         # sanity: a corrupted d-series trips the validator
         meas = bernoulli(3, P13)
@@ -433,7 +444,8 @@ class TestIntegerScaled:
         weights = bernoulli(m, p).weights
         table = {s: measure._mu_symbols(m, *weights, s) for s in words.word_tree(m, L).words}
         bounds = measure._quasi_bernoulli_bounds(a, b)
-        for w, v, wv in words.admissible_pairs(table, L):
+        splits = [(u[:i], u[i:], u) for u in table for i in range(len(u) + 1)]
+        for w, v, wv in splits:
             prod = table[w] * table[v]
             assert Fraction(prod, b ** len(wv)) == ref_mu(m, p, w) * ref_mu(m, p, v)
             assert Fraction(table[wv], b ** len(wv)) == ref_mu(m, p, wv)
@@ -550,6 +562,24 @@ class TestInequalitySuites:
 
     def test_pullback_bounds_empty(self):
         assert measure.pullback_bounds_check(bernoulli(3, P13), 5, 5) == []
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_quasi_bernoulli_reports_every_split(self, monkeypatch, m):
+        # a bound that rejects every pair: the check must list them all,
+        # by wv in tree order, then by split point
+        monkeypatch.setattr(measure, "_quasi_bernoulli_bounds", lambda a, b: lambda *_: False)
+        tree = words.word_tree(m, 6)
+        every = [(u[:i], u[i:]) for u in tree.words for i in range(len(u) + 1)]
+        assert measure.quasi_bernoulli_check(bernoulli(m, P13), 6) == every
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_pullback_bounds_reports_every_pair(self, monkeypatch, m):
+        # as above: every non-empty w, shortest first, then every k
+        monkeypatch.setattr(measure, "_pullback_bounds", lambda a, b: lambda *_: False)
+        L, kmax = 5, 4
+        tree = words.word_tree(m, L)
+        every = [(w, k) for w in tree.words[1:] for k in range(1, kmax + 1)]
+        assert measure.pullback_bounds_check(bernoulli(m, P13), L, kmax) == every
 
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))

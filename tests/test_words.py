@@ -180,8 +180,15 @@ class TestWordTable:
             for v in binary_words
             if len(w) + len(v) <= L and words.is_admissible_symbols(m, w + v)
         ]
-        table = dict.fromkeys(words.word_tree(m, L).words)
-        assert list(words.admissible_pairs(table, L)) == brute
+        # every factor of an admissible word is admissible, so the pairs
+        # are the split points of the tree's words, each met once
+        splits = [
+            (u[:i], u[i:], u)
+            for u in words.word_tree(m, L).words
+            for i in range(len(u) + 1)
+        ]
+        assert len(splits) == len(set(splits))
+        assert set(splits) == set(brute)
 
 
 class TestOccurrence:
