@@ -66,6 +66,23 @@ def gamma_check_prefix(s: str, depth: int) -> GammaVerdict:
     the Z-algorithm, so the work is linear in depth plus the window length
     even on periodic windows, where comparing symbol by symbol from the
     start is quadratic.
+
+    Most shifts need no comparison at all.  Let s start with '1', f be the
+    length of its leading run, and take a shift k whose run, read from k,
+    has r < f symbols and ends inside s (k + r < n).  Then s[:r] = 1^r and
+    s[r] = '1', and both comparisons resolve strictly:
+
+    - upper: if s[k] = '1', s[k:k+r] = s[:r] and s[k+r] = '0' < s[r]; if
+      s[k] = '0', s[k] < s[0] at once;
+    - lower: if s[k] = '0', s[k:k+r] = 0^r is the complement of s[:r] and
+      s[k+r] = '1' exceeds the complement '0' of s[r]; if s[k] = '1', it
+      exceeds the complement '0' of s[0] at once.
+
+    So neither violates nor ties, and `_compared_shifts` yields only the
+    others: the k where f equal symbols start, and the k in the last run.
+    A skipped shift j also has a closed-form common prefix with s, which
+    the Z-box lookups read: the 1's from j up to the next '0', none if
+    s[j] = '0'.  A window that starts with '0' violates at k = 1.
     """
     _check_symbols(s)
     n = len(s)
@@ -73,35 +90,70 @@ def gamma_check_prefix(s: str, depth: int) -> GammaVerdict:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth >= n:
         raise ValueError(f"depth {depth} needs a window longer than {n}")
-    # same[k]: the common prefix of sigma^k w and w.  s[lo:hi] equals
-    # s[:hi-lo], and s[clo:chi] is the complement of s[:chi-clo], so inside
-    # them a comparison at k repeats the upper one at k-lo or k-clo.
-    same = [n] + [0] * depth
+    # same[k]: the common prefix of sigma^k w and w, -1 while unknown.
+    # s[lo:hi] equals s[:hi-lo], and s[clo:chi] is the complement of
+    # s[:chi-clo], so inside them a comparison at k repeats the upper one at
+    # k-lo or k-clo.
+    same = [n] + [-1] * depth
     lo = hi = clo = chi = 0
     flags: list[int] = []
-    for k in range(1, depth + 1):
-        overlap = n - k
-        # upper side: sigma^k w < w must stay possible
-        i = min(hi - k, same[k - lo]) if k < hi else 0
-        while i < overlap and s[k + i] == s[i]:
-            i += 1
-        same[k] = i
-        if k + i > hi:
-            lo, hi = k, k + i
-        if i < overlap and s[k + i] == "1":  # sigma^k w is larger here
-            return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
-        upper_equal = i == overlap
-        # lower side: complement(w) < sigma^k w must stay possible
-        i = min(chi - k, same[k - clo]) if k < chi else 0
-        while i < overlap and s[k + i] != s[i]:
-            i += 1
-        if k + i > chi:
-            clo, chi = k, k + i
-        if i < overlap and s[k + i] == "0":  # and smaller than the complement
-            return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
-        if upper_equal or i == overlap:
-            flags.append(k)
+    for shifts in _compared_shifts(s, depth):
+        for k in shifts:
+            overlap = n - k
+            # upper side: sigma^k w < w must stay possible
+            i = min(hi - k, same[k - lo]) if k < hi else 0
+            if i < 0:  # k - lo was skipped: its 1's up to the next '0'
+                i = min(hi - k, s.find("0", k - lo) - k + lo)
+            while i < overlap and s[k + i] == s[i]:
+                i += 1
+            same[k] = i
+            if k + i > hi:
+                lo, hi = k, k + i
+            if i < overlap and s[k + i] == "1":  # sigma^k w is larger here
+                return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
+            upper_equal = i == overlap
+            # lower side: complement(w) < sigma^k w must stay possible
+            i = min(chi - k, same[k - clo]) if k < chi else 0
+            if i < 0:
+                i = min(chi - k, s.find("0", k - clo) - k + clo)
+            while i < overlap and s[k + i] != s[i]:
+                i += 1
+            if k + i > chi:
+                clo, chi = k, k + i
+            if i < overlap and s[k + i] == "0":  # and smaller than the complement
+                return GammaVerdict(VIOLATED, k, i + 1, tuple(flags))
+            if upper_equal or i == overlap:
+                flags.append(k)
     return GammaVerdict(CLEAN_TO_DEPTH, None, None, tuple(flags))
+
+
+def _compared_shifts(s: str, depth: int):
+    """Yield as increasing ranges the shifts that gamma_check_prefix compares.
+
+    Every shift when s starts with '0', is constant, or starts with a
+    single '1' (f = 1: every run is as long as the leading one).  Otherwise
+    the shifts where f equal symbols start, one `find` per long run, and
+    the shifts of the last run.
+    """
+    n = len(s)
+    f = n - len(s.lstrip("1"))
+    if f <= 1 or f == n:
+        yield range(1, depth + 1)
+        return
+    blocks = ("0" * f, "1" * f)
+    at = [s.find(blocks[0], f), s.find(blocks[1], f)]  # s[f] is '0'
+    while True:
+        c = 0 if at[1] < 0 or 0 <= at[0] < at[1] else 1
+        a = at[c]
+        if a < 0 or a > depth:
+            break
+        end = s.find("10"[c], a)  # the run of c from a ends before it
+        if end < 0:  # it is the last run
+            yield range(a, depth + 1)
+            return
+        yield range(a, min(end - f, depth) + 1)
+        at[c] = s.find(blocks[c], end)  # the other symbol's next block is past end
+    yield range(len(s.rstrip(s[-1])), depth + 1)
 
 
 def clean_windows(L: int):

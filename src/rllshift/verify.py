@@ -241,14 +241,26 @@ def check_entropy_convergence(quick: bool = False) -> CheckResult:
     )
 
 
-def _ergodic_run(quick: bool) -> markov.SampleRun:
+def _ergodic_run(quick: bool, path: list | None = None) -> markov.SampleRun:
+    """The seeded path of checks 12, 13 and 15.
+
+    `path` is a list that one `run_suite` call shares among those checks:
+    the first draw is kept in it, and later calls return that draw.
+    """
+    if path:
+        return path[0]
     n = 100_000 if quick else 1_000_000
     chain = markov.build_chain(3, 0.2)
-    return markov.sample(chain, n, ERGODIC_SEED)
+    run = markov.sample(chain, n, ERGODIC_SEED)
+    if path is not None:
+        path.append(run)
+    return run
 
 
-def check_ergodic_frequency(quick: bool = False) -> CheckResult:
-    run = _ergodic_run(quick)
+def check_ergodic_frequency(
+    quick: bool = False, path: list | None = None
+) -> CheckResult:
+    run = _ergodic_run(quick, path)
     band = 0.0064 if quick else 0.002
     freq = run.freq0()
     ok = abs(freq - 0.4) <= band
@@ -260,8 +272,8 @@ def check_ergodic_frequency(quick: bool = False) -> CheckResult:
     )
 
 
-def check_local_dimension(quick: bool = False) -> CheckResult:
-    run = _ergodic_run(quick)
+def check_local_dimension(quick: bool = False, path: list | None = None) -> CheckResult:
+    run = _ergodic_run(quick, path)
     final = markov.final_local_dimension(run, 0.2)
     bound = dimension.lower_bound(3, 0.4, 0.2)
     ok = final >= bound - 0.01
@@ -315,9 +327,13 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
     )
 
 
-def check_determinism(quick: bool = False) -> CheckResult:
-    """Re-running the seeded pieces reproduces them bit for bit."""
-    run1 = _ergodic_run(quick)
+def check_determinism(quick: bool = False, path: list | None = None) -> CheckResult:
+    """Re-running the seeded pieces reproduces them bit for bit.
+
+    One fresh draw of the seeded path is compared with the draw kept in
+    `path`, or with a second fresh draw when there is none.
+    """
+    run1 = _ergodic_run(quick, path)
     run2 = _ergodic_run(quick)
     same_bits = bool(np.array_equal(run1.bits, run2.bits))
     ces1 = measure.cesaro_lambda(measure.bernoulli(3, Fraction(1, 3)), "0", 500)
@@ -351,8 +367,18 @@ CHECKS = (
 )
 
 
+# the checks that read `_ergodic_run`'s path: within one `run_suite` call
+# the first of them draws it and the others reuse that draw; check 15 draws
+# it once more to compare
+ERGODIC_CHECKS = ("12", "13", "15")
+
+
 def run_suite(quick: bool = False) -> list[tuple[str, CheckResult]]:
-    return [(num, fn(quick)) for num, fn in CHECKS]
+    path: list = []  # dropped on return, so no call sees another's draw
+    return [
+        (num, fn(quick, path) if num in ERGODIC_CHECKS else fn(quick))
+        for num, fn in CHECKS
+    ]
 
 
 def format_report(results: list[tuple[str, CheckResult]]) -> str:

@@ -24,8 +24,12 @@ class InadmissibleWordError(ValueError):
     """An operation that requires an admissible word received one that is not."""
 
 
+_DROP_SYMBOLS = str.maketrans("", "", "01")
+
+
 def _check_symbols(s: str) -> None:
-    if s.strip("01") != "":
+    # one table pass in C; strip("01") is several times slower on long words
+    if s.translate(_DROP_SYMBOLS):
         raise ValueError(f"word symbols must be '0'/'1', got {s!r}")
 
 

@@ -310,6 +310,22 @@ class TestGammaCheck:
         _, out3, _ = run_cli(capsys, "gamma-check", "--w", "0110", "--depth", "3")
         assert out == out3
 
+    @pytest.mark.parametrize(
+        "golden, w, depth",
+        [
+            # check 14's embedding shape: 1^{2m} u with every run of u short
+            ("gamma_embedded.json", "1" * 6 + "110" * 3333, ["--depth", "1000"]),
+            # periodic: ties at every multiple of the period and in the last run
+            ("gamma_flags.json", "1110" * 25, []),
+            # a run longer than the leading one, past shifts that are skipped
+            ("gamma_violated.json", "111" + "01" * 10 + "01111" + "0110" * 5, []),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, w, depth):
+        code, out, _ = run_cli(capsys, "gamma-check", "--w", w, *depth)
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
     @pytest.mark.parametrize("w", ["0", "1", ""])
     def test_window_too_short_for_default_depth(self, capsys, w):
         code, out, err = run_cli(capsys, "gamma-check", "--w", w)

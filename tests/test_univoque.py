@@ -47,6 +47,37 @@ def loop_gamma_prefix(s, depth):
     return (CLEAN_TO_DEPTH, None, None, tuple(flags))
 
 
+def z_gamma_prefix(s, depth):
+    """Reference: the common-prefix scan over every shift 1..depth, which
+    gamma_check_prefix narrows to the shifts in runs as long as the
+    leading run and in the last run."""
+    n = len(s)
+    same = [n] + [0] * depth
+    lo = hi = clo = chi = 0
+    flags = []
+    for k in range(1, depth + 1):
+        overlap = n - k
+        i = min(hi - k, same[k - lo]) if k < hi else 0
+        while i < overlap and s[k + i] == s[i]:
+            i += 1
+        same[k] = i
+        if k + i > hi:
+            lo, hi = k, k + i
+        if i < overlap and s[k + i] == "1":
+            return (VIOLATED, k, i + 1, tuple(flags))
+        upper_equal = i == overlap
+        i = min(chi - k, same[k - clo]) if k < chi else 0
+        while i < overlap and s[k + i] != s[i]:
+            i += 1
+        if k + i > chi:
+            clo, chi = k, k + i
+        if i < overlap and s[k + i] == "0":
+            return (VIOLATED, k, i + 1, tuple(flags))
+        if upper_equal or i == overlap:
+            flags.append(k)
+    return (CLEAN_TO_DEPTH, None, None, tuple(flags))
+
+
 def loop_gamma_periodic(seq, variant):
     """Reference: the shift-by-shift compares that gamma_check_periodic
     replaces with one prefix scan.  Each compare runs preperiod + period + k
@@ -84,6 +115,17 @@ def loop_normalized(pre, per):
     while pre and pre[-1] == per[-1]:
         pre, per = pre[:-1], per[-1] + per[:-1]
     return pre, per
+
+
+@st.composite
+def run_windows(draw):
+    """A window given by its runs: a leading run of f symbols, then runs of
+    1 to f + 3 symbols, alternating from a first symbol that is mostly '1'."""
+    f = draw(st.integers(1, 12))
+    runs = [f] + draw(st.lists(st.integers(1, f + 3), min_size=1, max_size=40))
+    first = draw(st.sampled_from("1110"))
+    other = "0" if first == "1" else "1"
+    return "".join((first, other)[i % 2] * r for i, r in enumerate(runs))
 
 
 def _verdict(v):
@@ -266,6 +308,28 @@ class TestPrefixCheck:
         w = (pre + period * length)[:length]
         depth = data.draw(st.integers(1, length - 1))
         assert _verdict(gamma_check_prefix(w, depth)) == loop_gamma_prefix(w, depth)
+
+    def test_matches_full_scan_exhaustively(self):
+        for n in range(2, 14):
+            for code in range(1 << n):
+                s = format(code, f"0{n}b")
+                for depth in range(1, n):
+                    assert _verdict(gamma_check_prefix(s, depth)) == z_gamma_prefix(s, depth)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(run_windows(), st.data())
+    def test_matches_full_scan_on_run_windows(self, w, data):
+        # runs near the leading run's length: the shifts the scan must still
+        # compare sit among ones it skips
+        depth = data.draw(st.sampled_from([1, len(w) - 1]) | st.integers(1, len(w) - 1))
+        assert _verdict(gamma_check_prefix(w, depth)) == z_gamma_prefix(w, depth)
+
+    def test_matches_full_scan_on_embedded_samples(self):
+        # check 14's full-gate windows: 1^6 u, u a sample of 10,000 symbols
+        chain = markov.build_chain(3, 0.5)
+        for seed in range(100):
+            w = theta_embed(3, markov.sample(chain, 10_000, seed).word)
+            assert _verdict(gamma_check_prefix(w, 1000)) == z_gamma_prefix(w, 1000)
 
     def test_constant_window(self):
         # every shift of 1^n ties with it through the whole overlap: about

@@ -1,11 +1,12 @@
 """The gate's own predicates, and checks that are shown to fail."""
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllshift import univoque, verify
+from rllshift import markov, univoque, verify
 
 
 def groupby_run_bound_broken(s):
@@ -37,3 +38,36 @@ class TestRunBound:
         # only the last run may be longer than the leading one
         monkeypatch.setattr(univoque, "clean_windows", lambda L: iter([window]))
         assert verify.check_gamma_construction(quick=True).passed
+
+
+class TestErgodicPath:
+    def _count_draws(self, monkeypatch):
+        seeds = []
+        sample = markov.sample
+
+        def counting(chain, n, seed):
+            seeds.append(seed)
+            return sample(chain, n, seed)
+
+        monkeypatch.setattr(markov, "sample", counting)
+        return seeds
+
+    def test_suite_draws_the_path_twice_per_call(self, monkeypatch):
+        seeds = self._count_draws(monkeypatch)
+        for calls in (1, 2):  # nothing carries over from one call to the next
+            verify.run_suite(quick=True)
+            assert seeds.count(verify.ERGODIC_SEED) == 2 * calls
+
+    def test_each_check_alone_reports_as_in_the_suite(self):
+        suite = dict(verify.run_suite(quick=True))
+        for num, fn in verify.CHECKS:
+            if num in verify.ERGODIC_CHECKS:
+                assert fn(True) == suite[num]
+
+    def test_determinism_compares_a_fresh_draw(self):
+        run = verify._ergodic_run(True)
+        assert verify.check_determinism(True, [run]).passed
+        bits = run.bits.copy()
+        bits[-1] ^= 1
+        changed = dataclasses.replace(run, bits=bits)
+        assert not verify.check_determinism(True, [changed]).passed

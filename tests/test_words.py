@@ -83,6 +83,17 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             is_admissible_symbols(3, "012")
 
+    # a digit, a blank, a line end and a non-ASCII digit, alone, inside a
+    # binary word and in front of one
+    @pytest.mark.parametrize("bad", ["2", " ", "\n", "\uff11"])
+    @pytest.mark.parametrize("shape", ["{}", "01{}10", "{}0110"])
+    def test_each_non_symbol_rejected(self, bad, shape):
+        with pytest.raises(ValueError):
+            words._check_symbols(shape.format(bad))
+
+    def test_empty_word_has_valid_symbols(self):
+        words._check_symbols("")
+
     @PROPERTY
     @given(st.integers(3, 7), binary)
     def test_matches_longest_run(self, m, s):
