@@ -27,7 +27,6 @@ from .markov import (
     RunState,
     SampleRun,
     build_chain,
-    empirical_local_dimension,
     final_local_dimension,
     sample,
     stationary,

@@ -124,11 +124,10 @@ def cmd_sample(args) -> int:
     if args.format == "json":
         _emit(args, json.dumps(summary))
         return 0
-    local = markov.empirical_local_dimension(run, q)
-    freq = run.frequency_series()
+    series = markov.strided_series(run, q, args.stride)
     lines = ["n,freq0,local_dim"]
-    for i in range(args.stride - 1, run.n, args.stride):
-        lines.append(f"{i + 1},{float(freq[i])!r},{float(local[i])!r}")
+    for n, freq, local in zip(*(x.tolist() for x in series)):
+        lines.append(f"{n},{freq!r},{local!r}")
     _emit(args, "\n".join(lines) + "\n" + json.dumps(summary))
     return 0
 

@@ -133,9 +133,6 @@ class SampleRun:
     def freq0(self) -> float:
         return float(np.count_nonzero(self.bits == 0)) / self.n
 
-    def frequency_series(self) -> np.ndarray:
-        return np.cumsum(self.bits == 0) / np.arange(1, self.n + 1)
-
 
 BLOCK = 8  # symbols per table lookup in `sample`
 _POW3 = 3 ** np.arange(BLOCK)
@@ -251,21 +248,38 @@ def _local_dimension(n0, n1, n, q: float):
     return (n0 * -math.log(q) + n1 * -math.log(1.0 - q)) / (n * math.log(2.0))
 
 
-def empirical_local_dimension(run: SampleRun, q: float) -> np.ndarray:
-    """Series n -> -log mu_q[w|_n] / (n log 2) along the sampled path.
+def _running_counts(flags: np.ndarray, stride: int) -> np.ndarray:
+    """The running count of True in flags after stride, 2 stride, ... symbols."""
+    k = len(flags) // stride
+    return np.count_nonzero(flags[: k * stride].reshape(k, stride), axis=1).cumsum()
 
-    mu_q[w] = q**N0 (1-q)**N1, N0 and N1 counting the 0's and 1's of w at free
-    positions.  Error model: the counts are exact, so each value is within
-    about four roundings (two products, a sum, a quotient), under 1e-15
-    relative at any n, of the exactly rounded per-symbol sum over n log 2.
+
+def strided_series(
+    run: SampleRun, q: float, stride: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, freq0, local dimension) along the sampled path at n = stride,
+    2 stride, ... <= run.n; stride 1 gives the whole series.
+
+    The local dimension is -log mu_q[w|_n] / (n log 2), mu_q[w] = q**N0
+    (1-q)**N1, N0 and N1 counting the 0's and 1's of w at free positions.
+    The running counts are exact and taken at those n before any float
+    operation, so a value does not depend on the stride.  Error model: each
+    value is within about four roundings (two products, a sum, a quotient),
+    under 1e-15 relative at any n, of the exactly rounded per-symbol sum
+    over n log 2.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    n = np.arange(stride, run.n + 1, stride)
     free = ~run.forced
-    n1 = np.cumsum(free & (run.bits == 1))
-    return _local_dimension(np.cumsum(free) - n1, n1, np.arange(1, run.n + 1), q)
+    n1 = _running_counts(free & (run.bits == 1), stride)
+    n0 = _running_counts(free, stride) - n1
+    return n, _running_counts(run.bits == 0, stride) / n, _local_dimension(n0, n1, n, q)
 
 
 def final_local_dimension(run: SampleRun, q: float) -> float:
-    """The last value of `empirical_local_dimension`, bit for bit, from two counts."""
+    """The last value of the `strided_series` local dimension, bit for bit,
+    from two counts."""
     # a free 1 is a 1 that is not forced: bits > forced holds exactly there
     n1 = np.count_nonzero(run.bits > run.forced)
     return _local_dimension(run.n - np.count_nonzero(run.forced) - n1, n1, run.n, q)

@@ -262,11 +262,12 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
 
 def _quasi_bernoulli_bounds(a: int, b: int):
     """For p = a/b, the test (prod, mu_wv) -> whether mu[w]mu[v] <= mu[wv]
-    and p(1-p)mu[wv] <= mu[w]mu[v], on numerators over b**|wv|."""
+    and p(1-p)mu[wv] <= mu[w]mu[v], on numerators over b**|wv|; elementwise
+    on object arrays of numerators."""
     lhs, rhs = a * (b - a), b * b
 
-    def holds(prod: int, mu_wv: int) -> bool:
-        return prod <= mu_wv and lhs * mu_wv <= rhs * prod
+    def holds(prod, mu_wv):
+        return (prod <= mu_wv) & (lhs * mu_wv <= rhs * prod)
 
     return holds
 
@@ -274,11 +275,12 @@ def _quasi_bernoulli_bounds(a: int, b: int):
 def _pullback_bounds(a: int, b: int):
     """For p = a/b, the test (mu_k, pb) -> whether mu[w] <= c pb and
     pb <= c mu[w], c = (p(1-p))^-2; pb is a numerator over b**(k+|w|), and
-    mu_k = mu[w] b**k puts mu[w] over the same power."""
+    mu_k = mu[w] b**k puts mu[w] over the same power; elementwise on object
+    arrays of numerators."""
     lhs, rhs = (a * (b - a)) ** 2, b**4
 
-    def holds(mu_k: int, pb: int) -> bool:
-        return lhs * mu_k <= rhs * pb and lhs * pb <= rhs * mu_k
+    def holds(mu_k, pb):
+        return (lhs * mu_k <= rhs * pb) & (lhs * pb <= rhs * mu_k)
 
     return holds
 
@@ -288,8 +290,9 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
 
     Exhaustive over admissible pairs with wv admissible and |w|+|v| <= L,
     the empty word included: the split points of the words of the word
-    tree, each pair once.  Expected empty; violations are listed by wv in
-    tree order, then by split point.
+    tree (`WordTree.splits`), each pair once, compared in one pass over
+    object arrays of exact numerators.  Expected empty; violations are
+    listed by wv in tree order, then by split point.
     """
     if meas.mode != EXACT:
         raise ValueError("quasi_bernoulli_check requires exact mode")
@@ -298,9 +301,31 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
     a, _, b = weights = meas.weights
     holds = _quasi_bernoulli_bounds(a, b)
     tree = word_tree(meas.m, L)
-    mu = dict(zip(tree.words, tree.numerators(*weights)))
-    return [(u[:i], u[i:]) for u, mu_u in mu.items() for i in range(len(u) + 1)
-            if not holds(mu[u[:i]] * mu[u[i:]], mu_u)]
+    mu = tree.numerators(*weights)  # Python ints, never int64
+    u, w, v = tree.splits()
+    bad = np.flatnonzero(~holds(mu[w] * mu[v], mu[u]))
+    return [(tree.words[i], tree.words[j]) for i, j in zip(w[bad].tolist(), v[bad].tolist())]
+
+
+def _tree_emissions(m: int, w0, w1, wf, tree) -> np.ndarray:
+    """`_emission` of every word of the tree: an object array (2(m-1), words).
+
+    Level by level: the emission of s is `_prepend` of s[0] to that of
+    s[1:], the suffix link, on columns of Python ints.  A level is sorted,
+    so its words that start with 0 come first: one call for them and one
+    for the rest.
+    """
+    ones = [w0**0] * (m - 1)
+    e = np.empty((2 * (m - 1), len(tree.parent)), dtype=object)
+    e[:, 0] = ones + ones
+    first, suffix = tree.arrays.first, tree.arrays.suffix
+    for lo, hi in zip(tree.starts[1:], tree.starts[2:]):
+        mid = lo + int(np.count_nonzero(first[lo:hi] == 0))
+        for c, start, stop in (("0", lo, mid), ("1", mid, hi)):
+            tail = e[:, suffix[start:stop]]
+            ez, eo = _prepend(m, w0, w1, wf, c, (tail[:m - 1], tail[m - 1:]))
+            e[:, start:stop] = ez + eo
+    return e
 
 
 def pullback_bounds_check(
@@ -309,22 +334,21 @@ def pullback_bounds_check(
     """Violations of c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w].
 
     c = p^{-2}(1-p)^{-2}; exhaustive over admissible 1 <= |w| <= L and
-    1 <= k <= kmax.  Expected empty; violations are listed by w, shortest
-    first, then k.
+    1 <= k <= kmax.  Every pullback is one object-array product of the
+    masses after k symbols with the emissions of `_tree_emissions`.
+    Expected empty; violations are listed by w, shortest first, then k.
     """
     if meas.mode != EXACT:
         raise ValueError("pullback_bounds_check requires exact mode")
     m = meas.m
     a, _, b = weights = meas.weights
     holds = _pullback_bounds(a, b)
-    masses = list(islice(_masses(m, *weights), kmax))  # shared across all words
-    scales = [b**k for k in range(1, kmax + 1)]
+    masses = np.array([z + o for z, o in islice(_masses(m, *weights), kmax)], dtype=object)
+    scales = np.array([b**k for k in range(1, kmax + 1)], dtype=object)
     tree = word_tree(m, L)
-    emissions = {"": _emission(m, *weights, "")}  # shortest first, so s[1:] is in
-    violations = []
-    for s, mu_w in zip(tree.words[1:], tree.numerators(*weights)[1:]):  # non-empty words
-        e = emissions[s] = _prepend(m, *weights, s[0], emissions[s[1:]])
-        for k, (z, o), scale in zip(range(1, kmax + 1), masses, scales):
-            if not holds(mu_w * scale, _dot(z, o, e)):
-                violations.append((s, k))
-    return violations
+    emissions = _tree_emissions(m, *weights, tree)[:, 1:]  # non-empty words
+    mu = tree.numerators(*weights)[1:]
+    # rows are words, columns k = 1..kmax: violations in (w, k) order
+    ok = holds(np.outer(mu, scales), (masses @ emissions).T)
+    bad = np.flatnonzero(~ok)
+    return [(tree.words[1 + i // kmax], 1 + i % kmax) for i in bad.tolist()]

@@ -35,15 +35,13 @@ def check_subadditivity(quick: bool = False) -> CheckResult:
     pairs = 0
     for m in (3, 4):
         tree = words.word_tree(m, max_total)
-        counts = dict(zip(tree.words, tree.counts()))
-        for u, (c0, c1) in counts.items():
-            for i in range(1, len(u)):  # the split points into non-empty w, v
-                pairs += 1
-                (w0, w1), (v0, v1) = counts[u[:i]], counts[u[i:]]
-                if not (w0 + v0 - 1 <= c0 <= w0 + v0):
-                    bad += 1
-                if not (w1 + v1 - 1 <= c1 <= w1 + v1):
-                    bad += 1
+        u, w, v = tree.splits()
+        inner = (w != 0) & (v != 0)  # the split points into non-empty w, v
+        u, w, v = u[inner], w[inner], v[inner]
+        pairs += len(u)
+        for count in (tree.arrays.n0, tree.arrays.n1):
+            joined, total = count[u], count[w] + count[v]
+            bad += int(np.count_nonzero((total - 1 > joined) | (joined > total)))
     return CheckResult(
         "occurrence-subadditivity",
         bad == 0,
@@ -57,12 +55,11 @@ def check_counting_bound(quick: bool = False) -> CheckResult:
     bad = 0
     total = 0
     for m in (3, 4, 5):
-        tree = words.word_tree(m, max_len)
-        for s, (n0, n1) in zip(tree.words[1:], tree.counts()[1:]):  # non-empty words
-            total += 1
-            zeros = s.count("0")
-            bad += m * zeros > (m - 1) * n0 + len(s)
-            bad += m * (len(s) - zeros) > (m - 1) * n1 + len(s)
+        a = words.word_tree(m, max_len).arrays
+        n, zeros, n0, n1 = (x[1:] for x in (a.depth, a.zeros, a.n0, a.n1))  # non-empty words
+        total += len(n)
+        bad += int(np.count_nonzero(m * zeros > (m - 1) * n0 + n))
+        bad += int(np.count_nonzero(m * (n - zeros) > (m - 1) * n1 + n))
     return CheckResult(
         "occurrence-counting-bound",
         bad == 0,

@@ -9,8 +9,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import mul
+
+import numpy as np
 
 MIN_ORDER = 3
 WORD_CAP = 1 << 21  # bound on the longest level one enumeration materializes
@@ -233,80 +236,176 @@ FREE0, FREE1, FORCED = 0, 1, 2  # classes of a symbol: indices into (w0, w1, wf)
 
 
 @dataclass(frozen=True)
+class TreeArrays:
+    """Per-node int arrays of a `WordTree`, indexed like its words.
+
+    first is the first symbol (-1 at the root), depth the length, n0 and
+    n1 the free 0's and free 1's (`occurrence_counts`), zeros the number of
+    0's, and suffix the index of words[i][1:] (the root is its own suffix).
+    """
+
+    first: np.ndarray
+    depth: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
+    zeros: np.ndarray
+    suffix: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class WordTree:
     """Every admissible word of length <= L as a prefix tree, shortest first.
 
-    words[0] is the empty word, the root; every other word is
-    words[parent[i]] plus one symbol, of class kind[i]: FREE0, FREE1, or
+    Node 0 is the empty word, the root; every other node i is node
+    parent[i] plus the symbol last[i], of class kind[i]: FREE0, FREE1, or
     FORCED, the flip out of a run of m-1 (the root's entries are -1).  The
-    words of length n are words[starts[n]:starts[n+1]], in lexicographic
-    order.  An exhaustive table shares its prefixes, so a quantity that
-    grows symbol by symbol takes one step per node instead of one walk per
-    word.
+    nodes of length n are starts[n]:starts[n+1], in lexicographic order.
+    An exhaustive table shares its prefixes, so a quantity that grows
+    symbol by symbol takes one step per node instead of one walk per word,
+    and one array step per level.  The strings (`words`) and the
+    `arrays` are built on first use.
     """
 
-    words: list[str]
-    parent: list[int]
-    kind: list[int]
+    parent: np.ndarray
+    kind: np.ndarray
+    last: np.ndarray
     starts: list[int]
 
-    def counts(self) -> list[tuple[int, int]]:
-        """(n0, n1) of every word, its free 0's and free 1's: `occurrence_counts`."""
-        step = ((1, 0), (0, 1), (0, 0))
-        out = [(0, 0)]
-        for p, c in zip(self.parent[1:], self.kind[1:]):
-            (n0, n1), (d0, d1) = out[p], step[c]
-            out.append((n0 + d0, n1 + d1))
-        return out
+    def _levels(self):
+        """The words of each length, 0 to L, one list per level."""
+        symbols = (self.last + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        level = [""]
+        yield level
+        for lo, hi, up in zip(self.starts[1:], self.starts[2:], self.starts):
+            parents = (self.parent[lo:hi] - up).tolist()  # into the level above
+            level = [level[p] + c for p, c in zip(parents, symbols[lo:hi])]
+            yield level
 
-    def numerators(self, w0, w1, wf) -> list:
-        """Every word's numerator by the branching rule: one multiply per node."""
-        weight = (w0, w1, wf)
-        out = [w0**0]
-        for p, c in zip(self.parent[1:], self.kind[1:]):
-            out.append(out[p] * weight[c])
+    @cached_property
+    def words(self) -> list[str]:
+        """Every node's word, by index."""
+        return [w for level in self._levels() for w in level]
+
+    @cached_property
+    def arrays(self) -> TreeArrays:
+        """The `TreeArrays`, one numpy step per level.
+
+        A node's suffix is the child of its parent's suffix along the
+        node's last symbol (Weiner 1973): words[i][1:] is
+        words[parent[i]][1:] plus that symbol, and it is admissible, a
+        factor of an admissible word, so it is in the tree.
+        """
+        parent, kind, last, starts = self.parent, self.kind, self.last, self.starts
+        size = len(parent)
+        depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        # per-node increments of n0, n1, zeros and first, summed down each path
+        steps = (kind == FREE0, kind == FREE1, last == 0, last * (depth == 1))
+        acc = np.stack(steps, axis=1).astype(np.int64)
+        child = np.zeros((size, 2), dtype=np.intp)
+        child[parent[1:], last[1:]] = np.arange(1, size)
+        suffix = np.zeros(size, dtype=np.intp)  # the root and the length-1 words: the root
+        for n, (lo, hi) in enumerate(zip(starts[1:], starts[2:]), start=1):
+            p = parent[lo:hi]
+            acc[lo:hi] += acc[p]
+            if n > 1:
+                suffix[lo:hi] = child[suffix[p], last[lo:hi]]
+        n0, n1, zeros, first = acc.T
+        first[0] = -1
+        return TreeArrays(first, depth, n0, n1, zeros, suffix)
+
+    def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(word, prefix, suffix): the index triples of every split point
+        u = u[:i] u[i:] of the tree's words u, 0 <= i <= |u|.
+
+        Ordered by u in tree order, then by i.  u[:i] is an ancestor by
+        `parent`, u[i:] is i suffix links from u; each takes one array step
+        per length.
+        """
+        starts = self.starts
+        end, L = starts[-1], len(starts) - 2
+        size = self.arrays.depth + 1  # i = 0, ..., |u|
+        group = np.cumsum(size) - size  # where the splits of each word begin
+        word = np.repeat(np.arange(end), size)
+        prefix, suffix = np.empty_like(word), np.empty_like(word)
+        # u[i:] for the words of length >= i, i = 0, 1, ...: one more suffix link
+        links = self.arrays.suffix
+        tail = np.arange(end)
+        for i, lo in enumerate(starts[:-1]):
+            if i:
+                tail = links[tail[lo - starts[i - 1]:]]
+            suffix[group[lo:] + i] = tail
+        # u[:i] for the words of length >= i, i = L, L-1, ...: the words of
+        # length i, then the parents of the heads of the longer words
+        head = np.arange(starts[L], end)
+        for i in range(L, -1, -1):
+            lo = starts[i]
+            if i < L:
+                head = np.concatenate((np.arange(lo, starts[i + 1]), self.parent[head]))
+            prefix[group[lo:] + i] = head
+        return word, prefix, suffix
+
+    def numerators(self, w0, w1, wf) -> np.ndarray:
+        """Every word's numerator by the branching rule, one multiply per
+        node: an object array of Python ints, never a fixed-width int."""
+        weight = np.array([w0, w1, wf], dtype=object)
+        out = np.empty(len(self.parent), dtype=object)
+        out[0] = w0**0
+        for lo, hi in zip(self.starts[1:], self.starts[2:]):
+            out[lo:hi] = out[self.parent[lo:hi]] * weight[self.kind[lo:hi]]
         return out
 
 
 def word_tree(m: int, L: int) -> WordTree:
     """The admissible words of length <= L as a `WordTree`.
 
-    A word ending in a run of m-1 has one child, the forced flip; every
-    other word has two, a free '0' and then a free '1', so each level stays
-    sorted.  Raises CapacityError before building any level when length L,
-    the largest level, holds more than WORD_CAP words.
+    A node ending in a run of m-1 has one child, the forced flip; every
+    other node has two, a free '0' and then a free '1', so each level stays
+    sorted.  Each level is three array steps on the run states of the level
+    above: 2(r-1) + d for a last run of r d's, and 2(m-1) at the root.
+    Raises CapacityError before building any level when length L, the
+    largest level, holds more than WORD_CAP words.
     """
     total = count_words(m, L)  # checks m and L
     if total > WORD_CAP:
         raise CapacityError(
             f"{total} words of length {L} exceed the cap {WORD_CAP}; use count_words"
         )
-    maximal = ("0" * (m - 1), "1" * (m - 1))
-    flip = {"0": "1", "1": "0"}
-    words, parent, kind, starts = [""], [-1], [-1], [0, 1]
+    size = 2 * (m - 1)
+    state = np.arange(size)
+    digit, maximal = state % 2, state >= size - 2
+    # the children of each state, slot 0 then slot 1: symbol j extends a run
+    # of j's (state + 2) or starts one (state j); a maximal run has only
+    # its flip, in slot 0
+    child = np.empty((size + 1, 2), dtype=np.intp)
+    child[:size] = np.where(digit[:, None] == (0, 1), state[:, None] + 2, 1 - digit[:, None])
+    child[:size][maximal, 0] = 1 - digit[maximal]
+    child[size] = (0, 1)
+    has = np.ones((size + 1, 2), dtype=bool)
+    has[:size, 1] = ~maximal
+    states, parents, starts = [np.array([size])], [np.array([-1])], [0, 1]
     for _ in range(L):
-        for i in range(starts[-2], starts[-1]):
-            w = words[i]
-            if w.endswith(maximal):
-                words.append(w + flip[w[-1]])
-                parent.append(i)
-                kind.append(FORCED)
-            else:
-                words += (w + "0", w + "1")
-                parent += (i, i)
-                kind += (FREE0, FREE1)
-        starts.append(len(words))
-    return WordTree(words, parent, kind, starts)
+        slots = np.flatnonzero(has[states[-1]])  # 2 row + slot, in order
+        rows = slots >> 1
+        states.append(child.ravel()[2 * states[-1][rows] + (slots & 1)])
+        parents.append(rows + starts[-2])
+        starts.append(starts[-1] + len(rows))
+    state, parent = np.concatenate(states), np.concatenate(parents)
+    last = (state % 2).astype(np.int8)
+    kind = np.where(np.append(maximal, False)[state[parent]], FORCED, last).astype(np.int8)
+    last[0] = kind[0] = -1
+    return WordTree(parent, kind, last, starts)
 
 
 def enumerate_words(m: int, n: int) -> list[str]:
     """All admissible words of length n in lexicographic order.
 
+    Builds the strings of one length at a time and keeps only the last.
     Raises CapacityError when the list would exceed WORD_CAP entries; use
     count_words for sizes beyond that.
     """
-    tree = word_tree(m, n)
-    return tree.words[tree.starts[n]:]
+    for level in word_tree(m, n)._levels():
+        pass  # each length replaces the one before
+    return level
 
 
 def occurrence_counts(m: int, s: str) -> tuple[int, int]:

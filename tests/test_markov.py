@@ -14,7 +14,6 @@ from rllshift.markov import (
     RunState,
     build_chain,
     digit_mass,
-    empirical_local_dimension,
     is_irreducible,
     sample,
     stationary,
@@ -51,6 +50,15 @@ def forced_mask(m, bits):
     mask = np.zeros(n, dtype=bool)
     mask[forced[forced < n]] = True
     return mask
+
+
+def cumsum_series(run, q):
+    """Reference: freq0 and the local dimension at every n from n-length running counts."""
+    n = np.arange(1, run.n + 1)
+    free = ~run.forced
+    n1 = np.cumsum(free & (run.bits == 1))
+    local = markov._local_dimension(np.cumsum(free) - n1, n1, n, q)
+    return np.cumsum(run.bits == 0) / n, local
 
 
 def hand_run(m, bits):
@@ -307,7 +315,7 @@ class TestSampling:
 
     def test_frequency_series_shape(self):
         run = sample(build_chain(3, 0.5), 100, seed=0)
-        series = run.frequency_series()
+        series = markov.strided_series(run, 0.5, 1)[1]
         assert len(series) == 100
         assert series[-1] == run.freq0()
 
@@ -315,18 +323,18 @@ class TestSampling:
 class TestLocalDimension:
     def test_nonnegative(self):
         run = sample(build_chain(3, 0.4), 10_000, seed=3)
-        series = empirical_local_dimension(run, 0.4)
+        series = markov.strided_series(run, 0.4, 1)[2]
         assert np.all(series >= 0)
 
     def test_symmetric_case_dominates_bound(self):
         run = sample(build_chain(3, 0.5), 100_000, seed=5)
-        series = empirical_local_dimension(run, 0.5)
+        series = markov.strided_series(run, 0.5, 1)[2]
         assert series[-1] >= 0.5 - 0.01
 
     def test_forced_positions_contribute_nothing(self):
         # "00" forces the 1 at position 3, which adds no mass
         run = hand_run(3, [0, 0, 1, 1])
-        series = empirical_local_dimension(run, 0.5)
+        series = markov.strided_series(run, 0.5, 1)[2]
         for got, want in zip(series, [1, 1, 2 / 3, 3 / 4], strict=True):
             assert abs(got - want) <= 1e-15 * want
 
@@ -339,7 +347,7 @@ class TestLocalDimension:
     def test_series_matches_loop_sum(self, m, bits, q):
         # any bit string, admissible or not, including runs longer than m-1
         run = hand_run(m, bits)
-        assert_within_fsum(empirical_local_dimension(run, q), loop_increments(run, q))
+        assert_within_fsum(markov.strided_series(run, q, 1)[2], loop_increments(run, q))
 
     @pytest.mark.parametrize("m,p,q", [(3, 0.2, 0.2), (12, 0.85, 0.6)])
     def test_error_model_at_a_million(self, m, p, q):
@@ -348,7 +356,7 @@ class TestLocalDimension:
         final = markov.final_local_dimension(run, q)
         want = math.fsum(inc) / (run.n * math.log(2.0))
         assert abs(final - want) <= 1e-15 * want
-        series = empirical_local_dimension(run, q)
+        series = markov.strided_series(run, q, 1)[2]
         assert_within_fsum(series, inc, (1, 999, 65_537, 500_001, run.n))
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -379,11 +387,35 @@ class TestLocalDimension:
     def test_final_value_matches_series_bit_for_bit(self, m, p, n, q, seed):
         run = sample(build_chain(m, p), n, seed)
         final = markov.final_local_dimension(run, q)
-        assert final.hex() == float(empirical_local_dimension(run, q)[-1]).hex()
+        assert final.hex() == float(markov.strided_series(run, q, 1)[2][-1]).hex()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(3, 12),
+        st.floats(0.01, 0.99),
+        st.integers(1, 20_000),
+        st.integers(1, 25_000),
+        st.floats(0.01, 0.99),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_strided_series_bit_for_bit(self, m, p, n, stride, q, seed):
+        # every stride-th value of the full running series, the same bits
+        run = sample(build_chain(m, p), n, seed)
+        at, freq, local = markov.strided_series(run, q, stride)
+        want_freq, want_local = cumsum_series(run, q)
+        assert at.tolist() == list(range(stride, n + 1, stride))
+        assert freq.tobytes() == want_freq[stride - 1::stride].tobytes()
+        assert local.tobytes() == want_local[stride - 1::stride].tobytes()
+
+    def test_strided_series_rejects_stride_below_one(self):
+        run = sample(build_chain(3, 0.5), 10, seed=0)
+        for stride in (0, -3):
+            with pytest.raises(ValueError):
+                markov.strided_series(run, 0.5, stride)
 
     def test_bad_q_rejected(self):
         run = sample(build_chain(3, 0.5), 10, seed=0)
         with pytest.raises(ValueError):
-            empirical_local_dimension(run, 1.0)
+            markov.strided_series(run, 1.0, 1)
         with pytest.raises(ValueError):
             markov.final_local_dimension(run, 0.0)

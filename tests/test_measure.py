@@ -42,6 +42,43 @@ def loop_cesaro(meas, s, n):
     return total / n
 
 
+def loop_quasi_bernoulli(meas, L):
+    """Reference: the per-split loop that quasi_bernoulli_check does in array passes."""
+    a, _, b = weights = meas.weights
+    holds = measure._quasi_bernoulli_bounds(a, b)
+    tree = words.word_tree(meas.m, L)
+    mu = dict(zip(tree.words, tree.numerators(*weights)))
+    return [(u[:i], u[i:]) for u, mu_u in mu.items() for i in range(len(u) + 1)
+            if not holds(mu[u[:i]] * mu[u[i:]], mu_u)]
+
+
+def loop_pullback_bounds(meas, L, kmax):
+    """Reference: one emission and one _dot per (w, k), as pullback_bounds_check was."""
+    m = meas.m
+    a, _, b = weights = meas.weights
+    holds = measure._pullback_bounds(a, b)
+    masses = list(itertools.islice(words._masses(m, *weights), kmax))
+    tree = words.word_tree(m, L)
+    emissions = {"": words._emission(m, *weights, "")}  # shortest first, so s[1:] is in
+    violations = []
+    for s, mu_w in zip(tree.words[1:], tree.numerators(*weights)[1:]):
+        e = emissions[s] = words._prepend(m, *weights, s[0], emissions[s[1:]])
+        for k, (z, o) in enumerate(masses, start=1):
+            if not holds(mu_w * b**k, words._dot(z, o, e)):
+                violations.append((s, k))
+    return violations
+
+
+def reject_all(a, b):
+    """A bound that rejects every comparison, scalar or array."""
+    return lambda x, _: np.zeros(np.shape(x), dtype=bool)
+
+
+def reject_by_parity(a, b):
+    """A bound that rejects the comparisons whose numerators sum to an even number."""
+    return lambda x, y: (x + y) % 2 != 0
+
+
 def examples(cases):
     """Stack one hypothesis @example per case on a @given test."""
     def apply(test):
@@ -567,7 +604,7 @@ class TestInequalitySuites:
     def test_quasi_bernoulli_reports_every_split(self, monkeypatch, m):
         # a bound that rejects every pair: the check must list them all,
         # by wv in tree order, then by split point
-        monkeypatch.setattr(measure, "_quasi_bernoulli_bounds", lambda a, b: lambda *_: False)
+        monkeypatch.setattr(measure, "_quasi_bernoulli_bounds", reject_all)
         tree = words.word_tree(m, 6)
         every = [(u[:i], u[i:]) for u in tree.words for i in range(len(u) + 1)]
         assert measure.quasi_bernoulli_check(bernoulli(m, P13), 6) == every
@@ -575,11 +612,36 @@ class TestInequalitySuites:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_pullback_bounds_reports_every_pair(self, monkeypatch, m):
         # as above: every non-empty w, shortest first, then every k
-        monkeypatch.setattr(measure, "_pullback_bounds", lambda a, b: lambda *_: False)
+        monkeypatch.setattr(measure, "_pullback_bounds", reject_all)
         L, kmax = 5, 4
         tree = words.word_tree(m, L)
         every = [(w, k) for w in tree.words[1:] for k in range(1, kmax + 1)]
         assert measure.pullback_bounds_check(bernoulli(m, P13), L, kmax) == every
+
+    # p = a/b with b up to 10**12: the numerators pass 2**63 at small sizes
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(3, 6),
+        st.integers(2, 8),
+        st.integers(1, 8),
+        st.integers(2, 10**12).flatmap(
+            lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
+        ),
+    )
+    @example(6, 8, 8, Fraction(10**12 - 1, 10**12))
+    @example(3, 8, 8, Fraction(1, 10**12))
+    def test_array_passes_match_loops(self, m, L, kmax, p):
+        # the same violations in the same order: under the true bounds, a
+        # bound that rejects everything, and one that rejects by parity
+        meas = bernoulli(m, p)
+        for bound in (None, reject_all, reject_by_parity):
+            with pytest.MonkeyPatch.context() as mp:
+                if bound is not None:
+                    mp.setattr(measure, "_quasi_bernoulli_bounds", bound)
+                    mp.setattr(measure, "_pullback_bounds", bound)
+                assert measure.quasi_bernoulli_check(meas, L) == loop_quasi_bernoulli(meas, L)
+                got = measure.pullback_bounds_check(meas, L, kmax)
+                assert got == loop_pullback_bounds(meas, L, kmax)
 
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))

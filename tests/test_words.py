@@ -165,7 +165,34 @@ class TestWordTable:
     @given(st.integers(3, 7), st.integers(0, 10))
     def test_tree_counts_match_occurrence_counts(self, m, L):
         tree = words.word_tree(m, L)
-        assert tree.counts() == [words.occurrence_counts(m, s) for s in tree.words]
+        counts = zip(tree.arrays.n0.tolist(), tree.arrays.n1.tolist())
+        assert list(counts) == [words.occurrence_counts(m, s) for s in tree.words]
+
+    @PROPERTY
+    @given(st.integers(3, 7), st.integers(0, 10))
+    def test_tree_arrays_match_strings(self, m, L):
+        tree = words.word_tree(m, L)
+        a = tree.arrays
+        symbol = {"0": 0, "1": 1}
+        assert len(a.suffix) == len(tree.words)
+        for i, s in enumerate(tree.words):
+            assert tree.words[a.suffix[i]] == s[1:]
+            assert a.depth[i] == len(s)
+            assert a.zeros[i] == s.count("0")
+            assert a.first[i] == symbol.get(s[:1], -1)
+            assert tree.last[i] == symbol.get(s[-1:], -1)
+
+    @PROPERTY
+    @given(st.integers(3, 7), st.integers(0, 10))
+    def test_splits_are_the_factorizations(self, m, L):
+        # the (u[:i], u[i:], u) triples of test_pairs_match_brute_force, each
+        # once, by u in tree order and then by i
+        tree = words.word_tree(m, L)
+        got = [
+            (tree.words[p], tree.words[s], tree.words[u])
+            for u, p, s in zip(*(x.tolist() for x in tree.splits()))
+        ]
+        assert got == [(u[:i], u[i:], u) for u in tree.words for i in range(len(u) + 1)]
 
     @PROPERTY
     @given(st.integers(3, 7), st.integers(0, 10), KERNEL_WEIGHTS)
@@ -173,7 +200,7 @@ class TestWordTable:
         w0, w1, wf = weights
         tree = words.word_tree(m, L)
         # the same products in the same order, so float values agree exactly
-        assert tree.numerators(w0, w1, wf) == [
+        assert tree.numerators(w0, w1, wf).tolist() == [
             measure._mu_symbols(m, w0, w1, wf, s) for s in tree.words
         ]
 
