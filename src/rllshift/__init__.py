@@ -38,6 +38,7 @@ from .dimension import (
     g_m,
     lower_bound,
     profile,
+    profiles,
     solve_qm,
     topo_dim,
 )

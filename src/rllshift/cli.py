@@ -154,12 +154,11 @@ def cmd_dims(args) -> int:
     ps = [float(_parse_p(x)) for x in args.p.split(",")]
     lines = ["m,p,q,bound,entropy,topo_dim"]
     for m in ms:
-        for p in ps:
-            prof = dimension.profile(m, p)
+        for prof in dimension.profiles(m, ps):
             q = "" if prof.q is None else repr(prof.q)
             bound = "" if prof.lower_bound is None else repr(prof.lower_bound)
             lines.append(
-                f"{m},{p!r},{q},{bound},{prof.entropy!r},{prof.topo_dim!r}"
+                f"{m},{prof.p!r},{q},{bound},{prof.entropy!r},{prof.topo_dim!r}"
             )
     _emit(args, "\n".join(lines))
     return 0

@@ -16,6 +16,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .words import (
+    WordTree,
     _check_order,
     _check_symbols,
     _dot,
@@ -285,14 +286,27 @@ def _pullback_bounds(a: int, b: int):
     return holds
 
 
-def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str, str]]:
+def _tree_for(m: int, L: int, tree: WordTree | None) -> WordTree:
+    """`tree` if it is `word_tree(m, L)`'s shape, a new one if it is None."""
+    if tree is None:
+        return word_tree(m, L)
+    depth = len(tree.starts) - 2
+    if (tree.m, depth) != (m, L):
+        raise ValueError(f"tree has m={tree.m}, L={depth}; the check needs m={m}, L={L}")
+    return tree
+
+
+def quasi_bernoulli_check(
+    meas: BernoulliTypeMeasure, L: int, *, tree: WordTree | None = None
+) -> list[tuple[str, str]]:
     """Violations of mu[w]mu[v] <= mu[wv] <= (p(1-p))^{-1} mu[w]mu[v].
 
     Exhaustive over admissible pairs with wv admissible and |w|+|v| <= L,
     the empty word included: the split points of the words of the word
     tree (`WordTree.splits`), each pair once, compared in one pass over
     object arrays of exact numerators.  Expected empty; violations are
-    listed by wv in tree order, then by split point.
+    listed by wv in tree order, then by split point.  `tree`, if given,
+    is `word_tree(meas.m, L)` shared with the checks of other measures.
     """
     if meas.mode != EXACT:
         raise ValueError("quasi_bernoulli_check requires exact mode")
@@ -300,9 +314,9 @@ def quasi_bernoulli_check(meas: BernoulliTypeMeasure, L: int) -> list[tuple[str,
         raise ValueError(f"L must be >= 2, got {L}")
     a, _, b = weights = meas.weights
     holds = _quasi_bernoulli_bounds(a, b)
-    tree = word_tree(meas.m, L)
+    tree = _tree_for(meas.m, L, tree)
     mu = tree.numerators(*weights)  # Python ints, never int64
-    u, w, v = tree.splits()
+    u, w, v = tree.splits
     bad = np.flatnonzero(~holds(mu[w] * mu[v], mu[u]))
     return [(tree.words[i], tree.words[j]) for i, j in zip(w[bad].tolist(), v[bad].tolist())]
 
@@ -329,7 +343,7 @@ def _tree_emissions(m: int, w0, w1, wf, tree) -> np.ndarray:
 
 
 def pullback_bounds_check(
-    meas: BernoulliTypeMeasure, L: int, kmax: int
+    meas: BernoulliTypeMeasure, L: int, kmax: int, *, tree: WordTree | None = None
 ) -> list[tuple[str, int]]:
     """Violations of c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w].
 
@@ -337,6 +351,8 @@ def pullback_bounds_check(
     1 <= k <= kmax.  Every pullback is one object-array product of the
     masses after k symbols with the emissions of `_tree_emissions`.
     Expected empty; violations are listed by w, shortest first, then k.
+    `tree`, if given, is `word_tree(meas.m, L)` shared with the checks of
+    other measures.
     """
     if meas.mode != EXACT:
         raise ValueError("pullback_bounds_check requires exact mode")
@@ -345,7 +361,7 @@ def pullback_bounds_check(
     holds = _pullback_bounds(a, b)
     masses = np.array([z + o for z, o in islice(_masses(m, *weights), kmax)], dtype=object)
     scales = np.array([b**k for k in range(1, kmax + 1)], dtype=object)
-    tree = word_tree(m, L)
+    tree = _tree_for(m, L, tree)
     emissions = _tree_emissions(m, *weights, tree)[:, 1:]  # non-empty words
     mu = tree.numerators(*weights)[1:]
     # rows are words, columns k = 1..kmax: violations in (w, k) order

@@ -35,7 +35,7 @@ def check_subadditivity(quick: bool = False) -> CheckResult:
     pairs = 0
     for m in (3, 4):
         tree = words.word_tree(m, max_total)
-        u, w, v = tree.splits()
+        u, w, v = tree.splits
         inner = (w != 0) & (v != 0)  # the split points into non-empty w, v
         u, w, v = u[inner], w[inner], v[inner]
         pairs += len(u)
@@ -116,8 +116,10 @@ def check_quasi_bernoulli(quick: bool = False) -> CheckResult:
     L = 7 if quick else 10
     bad = 0
     for m in (3, 4, 5):
+        tree = words.word_tree(m, L)  # one per order, shared by the three p
         for p in P_GRID:
-            bad += len(measure.quasi_bernoulli_check(measure.bernoulli(m, p), L))
+            meas = measure.bernoulli(m, p)
+            bad += len(measure.quasi_bernoulli_check(meas, L, tree=tree))
     return CheckResult(
         "quasi-bernoulli",
         bad == 0,
@@ -129,10 +131,10 @@ def check_pullback_bounds(quick: bool = False) -> CheckResult:
     L = kmax = 5 if quick else 8
     bad = 0
     for m in (3, 4, 5):
+        tree = words.word_tree(m, L)  # one per order, shared by the three p
         for p in P_GRID:
-            bad += len(
-                measure.pullback_bounds_check(measure.bernoulli(m, p), L, kmax)
-            )
+            meas = measure.bernoulli(m, p)
+            bad += len(measure.pullback_bounds_check(meas, L, kmax, tree=tree))
     return CheckResult(
         "pullback-bounds",
         bad == 0,

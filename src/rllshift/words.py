@@ -262,10 +262,12 @@ class WordTree:
     nodes of length n are starts[n]:starts[n+1], in lexicographic order.
     An exhaustive table shares its prefixes, so a quantity that grows
     symbol by symbol takes one step per node instead of one walk per word,
-    and one array step per level.  The strings (`words`) and the
-    `arrays` are built on first use.
+    and one array step per level.  The strings (`words`), the `arrays`
+    and the `splits` are built on first use and kept with the tree, so
+    the checks of several measures of one order can share it.
     """
 
+    m: int
     parent: np.ndarray
     kind: np.ndarray
     last: np.ndarray
@@ -313,9 +315,10 @@ class WordTree:
         first[0] = -1
         return TreeArrays(first, depth, n0, n1, zeros, suffix)
 
+    @cached_property
     def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(word, prefix, suffix): the index triples of every split point
-        u = u[:i] u[i:] of the tree's words u, 0 <= i <= |u|.
+        u = u[:i] u[i:] of the tree's words u, 0 <= i <= |u|, read-only.
 
         Ordered by u in tree order, then by i.  u[:i] is an ancestor by
         `parent`, u[i:] is i suffix links from u; each takes one array step
@@ -342,6 +345,8 @@ class WordTree:
             if i < L:
                 head = np.concatenate((np.arange(lo, starts[i + 1]), self.parent[head]))
             prefix[group[lo:] + i] = head
+        for x in (word, prefix, suffix):
+            x.flags.writeable = False
         return word, prefix, suffix
 
     def numerators(self, w0, w1, wf) -> np.ndarray:
@@ -393,7 +398,7 @@ def word_tree(m: int, L: int) -> WordTree:
     last = (state % 2).astype(np.int8)
     kind = np.where(np.append(maximal, False)[state[parent]], FORCED, last).astype(np.int8)
     last[0] = kind[0] = -1
-    return WordTree(parent, kind, last, starts)
+    return WordTree(m, parent, kind, last, starts)
 
 
 def enumerate_words(m: int, n: int) -> list[str]:

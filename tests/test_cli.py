@@ -285,6 +285,22 @@ class TestDims:
             f"error: --m must be an integer, a comma list or lo:hi, got {text!r}\n"
         )
 
+    @pytest.mark.parametrize("text, m", [("0", 0), ("0:4", 0), ("3,2", 2)])
+    def test_order_below_three_exit_two(self, capsys, text, m):
+        # 1 is kept for a failed verification
+        code, out, err = run_cli(capsys, "dims", "--m", text, "--p", "0.5")
+        assert (code, out) == (2, "")
+        assert err == f"error: constraint order must be >= 3, got {m}\n"
+
+    def test_grid_matches_golden(self, capsys):
+        # every digit of q, the bound, the entropy and topo_dim, and the
+        # empty q and bound outside 1/m < p < 1-1/m
+        code, out, _ = run_cli(
+            capsys, "dims", "--m", "3:60", "--p", "0.05,0.3,0.5,0.7,0.95"
+        )
+        assert code == 0
+        assert out == (DATA / "dims_grid.csv").read_text()
+
     def test_orders_past_float_powers(self, capsys):
         # x**(m-1) near the growth root overflows binary64 from m = 1026 on
         code, out, _ = run_cli(capsys, "dims", "--m", "1026:1030", "--p", "0.5")

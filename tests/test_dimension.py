@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rllshift import cli, dimension, words
 from rllshift.dimension import (
@@ -12,6 +14,7 @@ from rllshift.dimension import (
     growth_root,
     lower_bound,
     profile,
+    profiles,
     solve_qm,
     topo_dim,
 )
@@ -21,6 +24,54 @@ BOUND_3_04_02 = 0.36096404744368117
 H_03 = 0.88129089923069262
 TOPO_3 = 0.69424191363061730
 TOPO_4 = 0.87914642160663817
+
+
+def bisect_f_m(m, p, tol=1e-12):
+    """Reference: solve_qm as it was, one call of the public f_m per step."""
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 1.0 / m < p < 1.0 - 1.0 / m:
+        raise ValueError(f"p must lie in (1/{m}, 1-1/{m}), got {p}")
+    lo, hi = 0.0, 1.0
+    flo, fhi = 1.0 / m - p, 1.0 - 1.0 / m - p
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fmid = f_m(m, mid) - p
+        if fmid == 0.0:
+            return mid
+        if fmid > 0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+    q, res = (hi, fhi) if lo == 0.0 or (hi < 1.0 and fhi < -flo) else (lo, flo)
+    if abs(res) > tol:
+        raise ValueError(f"no root within tol={tol} for m={m}, p={p}")
+    return q
+
+
+def outcome(solve, *args):
+    """('q', the float's hex digits) or ('error', the ValueError's message)."""
+    try:
+        return "q", solve(*args).hex()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def targets(draw):
+    """(m, p): m from 3 to past the float-power limit m = 1026, p anywhere
+    in [1/m, 1-1/m], or a few ulps inside either end (the end itself too)."""
+    m = draw(st.integers(3, 1100))
+    lo, hi = 1.0 / m, 1.0 - 1.0 / m
+    where = draw(st.sampled_from(["inside", "low", "high"]))
+    if where == "inside":
+        return m, draw(st.floats(lo, hi))
+    p, toward = (lo, 1.0) if where == "low" else (hi, 0.0)
+    for _ in range(draw(st.integers(0, 8))):
+        p = math.nextafter(p, toward)
+    return m, p
 
 
 class TestFrequencyFunction:
@@ -155,6 +206,32 @@ class TestRoot:
         with pytest.raises(ValueError):
             solve_qm(7, 0.45, tol=1e-300)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(targets(), st.sampled_from([1e-12, 1e-15, 1e-17, 1e-300, 5e-324, 0.0]))
+    @example((1026, math.nextafter(1.0 / 1026, 1.0)), 1e-12)
+    @example((1100, math.nextafter(1.0 - 1.0 / 1100, 0.0)), 5e-324)
+    @example((3, 0.5), 1e-300)
+    def test_same_root_as_bisecting_f_m(self, target, tol):
+        # the kernel changes the cost of a step, not a bit of its result
+        m, p = target
+        assert outcome(solve_qm, m, p, tol) == outcome(bisect_f_m, m, p, tol)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: solve_qm(m, 0.5),
+            lambda m: lower_bound(m, 0.5, 0.5),
+            lambda m: profile(m, 0.5),
+            lambda m: profiles(m, [0.5]),
+        ],
+        ids=["solve_qm", "lower_bound", "profile", "profiles"],
+    )
+    def test_order_checked_before_division(self, m, call):
+        # the order is checked before any 1/m: m = 0 is no ZeroDivisionError
+        with pytest.raises(ValueError, match=f"constraint order must be >= 3, got {m}"):
+            call(m)
+
     def test_consistency_with_invariant_mass(self):
         # lambda_q[0] with q = q_m(p) recovers p: same formula as f_m
         from rllshift.dimension import f_m
@@ -251,3 +328,12 @@ class TestProfile:
     def test_large_m(self):
         prof = profile(100, 0.3)
         assert abs(prof.lower_bound - H_03) < 0.05
+
+    @pytest.mark.parametrize("m", [3, 7, 40, 1026])
+    def test_profiles_are_the_profiles_at_each_p(self, m):
+        ps = [0.0, 1 / m, 0.3, 0.5, 0.7, 1 - 1 / m, 1.0]
+        assert profiles(m, ps) == [profile(m, p) for p in ps]
+
+    def test_profiles_reject_the_first_bad_p(self):
+        with pytest.raises(ValueError, match=r"p must lie in \[0,1\], got 1.5"):
+            profiles(3, [0.5, 1.5, -1.0])

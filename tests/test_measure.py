@@ -643,6 +643,28 @@ class TestInequalitySuites:
                 got = measure.pullback_bounds_check(meas, L, kmax)
                 assert got == loop_pullback_bounds(meas, L, kmax)
 
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_shared_tree_gives_the_same_violations(self, monkeypatch, m):
+        # one tree per order serves every p, as checks 5 and 6 use it
+        monkeypatch.setattr(measure, "_quasi_bernoulli_bounds", reject_by_parity)
+        monkeypatch.setattr(measure, "_pullback_bounds", reject_by_parity)
+        L, kmax = 6, 4
+        tree = words.word_tree(m, L)
+        for p in (P13, Fraction(1, 2), Fraction(2, 3), Fraction(7, 10**12)):
+            meas = bernoulli(m, p)
+            shared = measure.quasi_bernoulli_check(meas, L, tree=tree)
+            assert shared == loop_quasi_bernoulli(meas, L) != []
+            shared = measure.pullback_bounds_check(meas, L, kmax, tree=tree)
+            assert shared == loop_pullback_bounds(meas, L, kmax) != []
+
+    @pytest.mark.parametrize("m, L", [(4, 6), (3, 5), (3, 7)])
+    def test_tree_of_another_shape_rejected(self, m, L):
+        tree = words.word_tree(m, L)
+        with pytest.raises(ValueError, match=f"tree has m={m}, L={L}"):
+            measure.quasi_bernoulli_check(bernoulli(3, P13), 6, tree=tree)
+        with pytest.raises(ValueError, match=f"tree has m={m}, L={L}"):
+            measure.pullback_bounds_check(bernoulli(3, P13), 6, 3, tree=tree)
+
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))
         mu00 = mu_recursive(meas, "00")

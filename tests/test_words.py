@@ -190,9 +190,17 @@ class TestWordTable:
         tree = words.word_tree(m, L)
         got = [
             (tree.words[p], tree.words[s], tree.words[u])
-            for u, p, s in zip(*(x.tolist() for x in tree.splits()))
+            for u, p, s in zip(*(x.tolist() for x in tree.splits))
         ]
         assert got == [(u[:i], u[i:], u) for u in tree.words for i in range(len(u) + 1)]
+
+    def test_splits_are_kept_read_only(self):
+        # measures of one order share them, so no caller may write into them
+        tree = words.word_tree(4, 6)
+        assert tree.splits is tree.splits
+        for x in tree.splits:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
 
     @PROPERTY
     @given(st.integers(3, 7), st.integers(0, 10), KERNEL_WEIGHTS)
