@@ -28,7 +28,6 @@ from .words import (
     _step,
     _walk,
     occurrence_counts,
-    word_tree,
 )
 
 EXACT = "exact"
@@ -286,55 +285,42 @@ def _pullback_bounds(a: int, b: int):
     return holds
 
 
-def _tree_for(m: int, L: int, tree: WordTree | None) -> WordTree:
-    """`tree` if it is `word_tree(m, L)`'s shape, a new one if it is None."""
-    if tree is None:
-        return word_tree(m, L)
-    depth = len(tree.starts) - 2
-    if (tree.m, depth) != (m, L):
-        raise ValueError(f"tree has m={tree.m}, L={depth}; the check needs m={m}, L={L}")
-    return tree
-
-
-def quasi_bernoulli_check(
-    meas: BernoulliTypeMeasure, L: int, *, tree: WordTree | None = None
-) -> list[tuple[str, str]]:
+def quasi_bernoulli_check(tree: WordTree, p) -> list[tuple[str, str]]:
     """Violations of mu[w]mu[v] <= mu[wv] <= (p(1-p))^{-1} mu[w]mu[v].
 
-    Exhaustive over admissible pairs with wv admissible and |w|+|v| <= L,
-    the empty word included: the split points of the words of the word
-    tree (`WordTree.splits`), each pair once, compared in one pass over
-    object arrays of exact numerators.  Expected empty; violations are
-    listed by wv in tree order, then by split point.  `tree`, if given,
-    is `word_tree(meas.m, L)` shared with the checks of other measures.
+    mu is bernoulli(tree.m, p), p exact; exhaustive over pairs with wv
+    admissible and |w|+|v| <= L, the tree's depth, the empty word
+    included: the split points of the tree's words (`WordTree.splits`),
+    each pair once, compared in one pass over object arrays of exact
+    numerators.  Expected empty; violations are listed by wv in tree
+    order, then by split point.
     """
+    meas = bernoulli(tree.m, p)
     if meas.mode != EXACT:
         raise ValueError("quasi_bernoulli_check requires exact mode")
-    if L < 2:
-        raise ValueError(f"L must be >= 2, got {L}")
     a, _, b = weights = meas.weights
     holds = _quasi_bernoulli_bounds(a, b)
-    tree = _tree_for(meas.m, L, tree)
     mu = tree.numerators(*weights)  # Python ints, never int64
     u, w, v = tree.splits
     bad = np.flatnonzero(~holds(mu[w] * mu[v], mu[u]))
     return [(tree.words[i], tree.words[j]) for i, j in zip(w[bad].tolist(), v[bad].tolist())]
 
 
-def _tree_emissions(m: int, w0, w1, wf, tree) -> np.ndarray:
+def _tree_emissions(tree: WordTree, w0, w1, wf) -> np.ndarray:
     """`_emission` of every word of the tree: an object array (2(m-1), words).
 
     Level by level: the emission of s is `_prepend` of s[0] to that of
-    s[1:], the suffix link, on columns of Python ints.  A level is sorted,
-    so its words that start with 0 come first: one call for them and one
-    for the rest.
+    s[1:], the suffix link, on columns of Python ints.  A level is sorted
+    and, read backwards, its own complement: its first half starts with 0,
+    the second with 1, one call for each.
     """
+    m = tree.m
     ones = [w0**0] * (m - 1)
     e = np.empty((2 * (m - 1), len(tree.parent)), dtype=object)
     e[:, 0] = ones + ones
-    first, suffix = tree.arrays.first, tree.arrays.suffix
+    suffix = tree.arrays.suffix
     for lo, hi in zip(tree.starts[1:], tree.starts[2:]):
-        mid = lo + int(np.count_nonzero(first[lo:hi] == 0))
+        mid = (lo + hi) // 2
         for c, start, stop in (("0", lo, mid), ("1", mid, hi)):
             tail = e[:, suffix[start:stop]]
             ez, eo = _prepend(m, w0, w1, wf, c, (tail[:m - 1], tail[m - 1:]))
@@ -342,27 +328,25 @@ def _tree_emissions(m: int, w0, w1, wf, tree) -> np.ndarray:
     return e
 
 
-def pullback_bounds_check(
-    meas: BernoulliTypeMeasure, L: int, kmax: int, *, tree: WordTree | None = None
-) -> list[tuple[str, int]]:
+def pullback_bounds_check(tree: WordTree, p, kmax: int) -> list[tuple[str, int]]:
     """Violations of c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w].
 
-    c = p^{-2}(1-p)^{-2}; exhaustive over admissible 1 <= |w| <= L and
-    1 <= k <= kmax.  Every pullback is one object-array product of the
-    masses after k symbols with the emissions of `_tree_emissions`.
-    Expected empty; violations are listed by w, shortest first, then k.
-    `tree`, if given, is `word_tree(meas.m, L)` shared with the checks of
-    other measures.
+    mu is bernoulli(tree.m, p), p exact, and c = p^{-2}(1-p)^{-2};
+    exhaustive over the tree's words, 1 <= |w| <= L, and 1 <= k <= kmax.
+    Every pullback is one object-array product of the masses after k
+    symbols with the emissions of `_tree_emissions`.  Expected empty;
+    violations are listed by w, shortest first, then k.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    meas = bernoulli(tree.m, p)
     if meas.mode != EXACT:
         raise ValueError("pullback_bounds_check requires exact mode")
-    m = meas.m
     a, _, b = weights = meas.weights
     holds = _pullback_bounds(a, b)
-    masses = np.array([z + o for z, o in islice(_masses(m, *weights), kmax)], dtype=object)
+    masses = np.array([z + o for z, o in islice(_masses(tree.m, *weights), kmax)], dtype=object)
     scales = np.array([b**k for k in range(1, kmax + 1)], dtype=object)
-    tree = _tree_for(m, L, tree)
-    emissions = _tree_emissions(m, *weights, tree)[:, 1:]  # non-empty words
+    emissions = _tree_emissions(tree, *weights)[:, 1:]  # non-empty words
     mu = tree.numerators(*weights)[1:]
     # rows are words, columns k = 1..kmax: violations in (w, k) order
     ok = holds(np.outer(mu, scales), (masses @ emissions).T)

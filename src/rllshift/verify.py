@@ -118,8 +118,7 @@ def check_quasi_bernoulli(quick: bool = False) -> CheckResult:
     for m in (3, 4, 5):
         tree = words.word_tree(m, L)  # one per order, shared by the three p
         for p in P_GRID:
-            meas = measure.bernoulli(m, p)
-            bad += len(measure.quasi_bernoulli_check(meas, L, tree=tree))
+            bad += len(measure.quasi_bernoulli_check(tree, p))
     return CheckResult(
         "quasi-bernoulli",
         bad == 0,
@@ -133,8 +132,7 @@ def check_pullback_bounds(quick: bool = False) -> CheckResult:
     for m in (3, 4, 5):
         tree = words.word_tree(m, L)  # one per order, shared by the three p
         for p in P_GRID:
-            meas = measure.bernoulli(m, p)
-            bad += len(measure.pullback_bounds_check(meas, L, kmax, tree=tree))
+            bad += len(measure.pullback_bounds_check(tree, p, kmax))
     return CheckResult(
         "pullback-bounds",
         bad == 0,

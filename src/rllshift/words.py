@@ -239,12 +239,11 @@ FREE0, FREE1, FORCED = 0, 1, 2  # classes of a symbol: indices into (w0, w1, wf)
 class TreeArrays:
     """Per-node int arrays of a `WordTree`, indexed like its words.
 
-    first is the first symbol (-1 at the root), depth the length, n0 and
-    n1 the free 0's and free 1's (`occurrence_counts`), zeros the number of
-    0's, and suffix the index of words[i][1:] (the root is its own suffix).
+    depth is the length, n0 and n1 the free 0's and free 1's
+    (`occurrence_counts`), zeros the number of 0's, and suffix the index of
+    words[i][1:] (the root is its own suffix).
     """
 
-    first: np.ndarray
     depth: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
@@ -300,8 +299,8 @@ class WordTree:
         parent, kind, last, starts = self.parent, self.kind, self.last, self.starts
         size = len(parent)
         depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-        # per-node increments of n0, n1, zeros and first, summed down each path
-        steps = (kind == FREE0, kind == FREE1, last == 0, last * (depth == 1))
+        # per-node increments of n0, n1 and zeros, summed down each path
+        steps = (kind == FREE0, kind == FREE1, last == 0)
         acc = np.stack(steps, axis=1).astype(np.int64)
         child = np.zeros((size, 2), dtype=np.intp)
         child[parent[1:], last[1:]] = np.arange(1, size)
@@ -311,9 +310,8 @@ class WordTree:
             acc[lo:hi] += acc[p]
             if n > 1:
                 suffix[lo:hi] = child[suffix[p], last[lo:hi]]
-        n0, n1, zeros, first = acc.T
-        first[0] = -1
-        return TreeArrays(first, depth, n0, n1, zeros, suffix)
+        n0, n1, zeros = acc.T
+        return TreeArrays(depth, n0, n1, zeros, suffix)
 
     @cached_property
     def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

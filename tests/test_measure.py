@@ -591,14 +591,23 @@ class TestCesaroAndClosedForm:
 
 class TestInequalitySuites:
     def test_quasi_bernoulli_empty(self):
-        assert measure.quasi_bernoulli_check(bernoulli(3, P13), 6) == []
+        assert measure.quasi_bernoulli_check(words.word_tree(3, 6), P13) == []
 
     def test_quasi_bernoulli_requires_exact(self):
-        with pytest.raises(ValueError):
-            measure.quasi_bernoulli_check(bernoulli(3, 0.3), 6)
+        with pytest.raises(ValueError, match="exact mode"):
+            measure.quasi_bernoulli_check(words.word_tree(3, 6), 0.3)
 
     def test_pullback_bounds_empty(self):
-        assert measure.pullback_bounds_check(bernoulli(3, P13), 5, 5) == []
+        assert measure.pullback_bounds_check(words.word_tree(3, 5), P13, 5) == []
+
+    def test_pullback_bounds_requires_exact(self):
+        with pytest.raises(ValueError, match="exact mode"):
+            measure.pullback_bounds_check(words.word_tree(3, 5), 0.3, 5)
+
+    @pytest.mark.parametrize("kmax", [0, -1])
+    def test_pullback_bounds_rejects_kmax_below_one(self, kmax):
+        with pytest.raises(ValueError, match=f"kmax must be >= 1, got {kmax}"):
+            measure.pullback_bounds_check(words.word_tree(3, 5), P13, kmax)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_quasi_bernoulli_reports_every_split(self, monkeypatch, m):
@@ -607,7 +616,7 @@ class TestInequalitySuites:
         monkeypatch.setattr(measure, "_quasi_bernoulli_bounds", reject_all)
         tree = words.word_tree(m, 6)
         every = [(u[:i], u[i:]) for u in tree.words for i in range(len(u) + 1)]
-        assert measure.quasi_bernoulli_check(bernoulli(m, P13), 6) == every
+        assert measure.quasi_bernoulli_check(tree, P13) == every
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_pullback_bounds_reports_every_pair(self, monkeypatch, m):
@@ -616,13 +625,13 @@ class TestInequalitySuites:
         L, kmax = 5, 4
         tree = words.word_tree(m, L)
         every = [(w, k) for w in tree.words[1:] for k in range(1, kmax + 1)]
-        assert measure.pullback_bounds_check(bernoulli(m, P13), L, kmax) == every
+        assert measure.pullback_bounds_check(tree, P13, kmax) == every
 
     # p = a/b with b up to 10**12: the numerators pass 2**63 at small sizes
     @settings(max_examples=40, deadline=None, database=None)
     @given(
         st.integers(3, 6),
-        st.integers(2, 8),
+        st.integers(0, 8),
         st.integers(1, 8),
         st.integers(2, 10**12).flatmap(
             lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
@@ -630,17 +639,20 @@ class TestInequalitySuites:
     )
     @example(6, 8, 8, Fraction(10**12 - 1, 10**12))
     @example(3, 8, 8, Fraction(1, 10**12))
+    @example(4, 0, 3, P13)
+    @example(5, 1, 8, Fraction(1, 2))
     def test_array_passes_match_loops(self, m, L, kmax, p):
         # the same violations in the same order: under the true bounds, a
         # bound that rejects everything, and one that rejects by parity
         meas = bernoulli(m, p)
+        tree = words.word_tree(m, L)
         for bound in (None, reject_all, reject_by_parity):
             with pytest.MonkeyPatch.context() as mp:
                 if bound is not None:
                     mp.setattr(measure, "_quasi_bernoulli_bounds", bound)
                     mp.setattr(measure, "_pullback_bounds", bound)
-                assert measure.quasi_bernoulli_check(meas, L) == loop_quasi_bernoulli(meas, L)
-                got = measure.pullback_bounds_check(meas, L, kmax)
+                assert measure.quasi_bernoulli_check(tree, p) == loop_quasi_bernoulli(meas, L)
+                got = measure.pullback_bounds_check(tree, p, kmax)
                 assert got == loop_pullback_bounds(meas, L, kmax)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -652,18 +664,10 @@ class TestInequalitySuites:
         tree = words.word_tree(m, L)
         for p in (P13, Fraction(1, 2), Fraction(2, 3), Fraction(7, 10**12)):
             meas = bernoulli(m, p)
-            shared = measure.quasi_bernoulli_check(meas, L, tree=tree)
+            shared = measure.quasi_bernoulli_check(tree, p)
             assert shared == loop_quasi_bernoulli(meas, L) != []
-            shared = measure.pullback_bounds_check(meas, L, kmax, tree=tree)
+            shared = measure.pullback_bounds_check(tree, p, kmax)
             assert shared == loop_pullback_bounds(meas, L, kmax) != []
-
-    @pytest.mark.parametrize("m, L", [(4, 6), (3, 5), (3, 7)])
-    def test_tree_of_another_shape_rejected(self, m, L):
-        tree = words.word_tree(m, L)
-        with pytest.raises(ValueError, match=f"tree has m={m}, L={L}"):
-            measure.quasi_bernoulli_check(bernoulli(3, P13), 6, tree=tree)
-        with pytest.raises(ValueError, match=f"tree has m={m}, L={L}"):
-            measure.pullback_bounds_check(bernoulli(3, P13), 6, 3, tree=tree)
 
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))

@@ -179,8 +179,14 @@ class TestWordTable:
             assert tree.words[a.suffix[i]] == s[1:]
             assert a.depth[i] == len(s)
             assert a.zeros[i] == s.count("0")
-            assert a.first[i] == symbol.get(s[:1], -1)
             assert tree.last[i] == symbol.get(s[-1:], -1)
+        # what _tree_emissions splits each level by: read backwards, a level
+        # is its own complement, so its first half is the words starting with 0
+        for n in range(1, L + 1):
+            level = tree.words[tree.starts[n]:tree.starts[n + 1]]
+            assert level[::-1] == [complement(w) for w in level]
+            half = len(level) // 2
+            assert {w[0] for w in level[:half]} == {"0"} and {w[0] for w in level[half:]} == {"1"}
 
     @PROPERTY
     @given(st.integers(3, 7), st.integers(0, 10))
