@@ -37,7 +37,6 @@ from .dimension import (
     f_m,
     g_m,
     lower_bound,
-    profile,
     profiles,
     solve_qm,
     topo_dim,

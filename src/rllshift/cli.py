@@ -30,12 +30,8 @@ def _parse_p(text: str, flag: str = "--p"):
         raise ValueError(f"{flag}: zero denominator in {text!r}") from None
     except ValueError:
         raise ValueError(malformed) from None
-    if isinstance(value, Fraction):
-        return value
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(malformed)
-    if value == Fraction(text) and "." not in text and "e" not in text.lower():
-        return Fraction(text)
     return value
 
 

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import _check_order
+from .words import _check_open_unit, _check_order
 
 LOG2 = math.log(2.0)
+TOL = 1e-12  # the largest |f_m(q) - p| that `solve_qm` accepts at its root
 
 
 @dataclass(frozen=True)
@@ -25,11 +26,6 @@ class DimensionProfile:
     lower_bound: float | None
     entropy: float
     topo_dim: float
-
-
-def _check_open_unit(x: float, name: str) -> None:
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"{name} must lie in (0,1), got {x}")
 
 
 def _f_float(m: int, x: float) -> float:
@@ -54,8 +50,9 @@ def f_m(m: int, x):
     """
     _check_order(m)
     if isinstance(x, np.ndarray):
-        for end in (x.min(), x.max()):
-            _check_open_unit(end, "x")  # a nan element makes both ends nan
+        if x.size:  # an empty x has no ends to check
+            for end in (x.min(), x.max()):
+                _check_open_unit(end, "x")  # a nan element makes both ends nan
         low = np.minimum(x, 1.0 - x)  # x, or the exact 1-x where x > 1/2
         f = (low - low**m) / (-np.expm1(m * np.log1p(-low)) - low**m)
         return np.where(x > 0.5, 1.0 - f, f)
@@ -81,16 +78,16 @@ def _check_p(m: int, p: float) -> None:
         raise ValueError(f"p must lie in (1/{m}, 1-1/{m}), got {p}")
 
 
-def solve_qm(m: int, p: float, tol: float = 1e-12) -> float:
+def solve_qm(m: int, p: float) -> float:
     """Root of f_m(q) = p by bisection on (0, 1).
 
     Requires the standing assumption 1/m < p < 1 - 1/m.  The ends of the
     bracket take the limits 1/m and 1-1/m of f_m, which lie below/above p,
     and are never returned.  Raises ValueError when no float q inside
-    (0, 1) brings |f_m(q) - p| to tol, as happens within a few ulps of the
+    (0, 1) brings |f_m(q) - p| to TOL, as happens within a few ulps of the
     ends, where f_m loses accuracy in binary64.
 
-    m, p and tol are checked once; each step then calls `_f_float`, the
+    m and p are checked once; each step then calls `_f_float`, the
     kernel that `f_m` runs after its own checks, so every midpoint, every
     comparison and the returned q are those of bisecting `f_m` itself.
     The bracket halves until it is one ulp wide: about 53 steps for a
@@ -98,8 +95,6 @@ def solve_qm(m: int, p: float, tol: float = 1e-12) -> float:
     0.4-0.5 us against 0.9-1.3 us through `f_m` (2-core x86-64 VM,
     Python 3.11).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     _check_order(m)
     _check_p(m, p)
     lo, hi = 0.0, 1.0
@@ -117,8 +112,8 @@ def solve_qm(m: int, p: float, tol: float = 1e-12) -> float:
             lo, flo = mid, fmid
     # the end of the last bracket nearer the root; 0 and 1 are never roots
     q, res = (hi, fhi) if lo == 0.0 or (hi < 1.0 and fhi < -flo) else (lo, flo)
-    if abs(res) > tol:
-        raise ValueError(f"no root within tol={tol} for m={m}, p={p}")
+    if abs(res) > TOL:
+        raise ValueError(f"no root within tol={TOL} for m={m}, p={p}")
     return q
 
 
@@ -164,7 +159,8 @@ def topo_dim(m: int) -> float:
 
 
 def profiles(m: int, ps) -> list[DimensionProfile]:
-    """The profile at each p of ps, in order, with one topo_dim(m)."""
+    """The profile at each p of ps, in order, with one topo_dim(m); q and
+    the bound exist only for 1/m < p < 1-1/m."""
     _check_order(m)
     topo = topo_dim(m)
     out = []
@@ -177,8 +173,3 @@ def profiles(m: int, ps) -> list[DimensionProfile]:
             bound = lower_bound(m, p, q)
         out.append(DimensionProfile(m, p, q, bound, entropy_binary(p), topo))
     return out
-
-
-def profile(m: int, p: float) -> DimensionProfile:
-    """Assembled profile; q and the bound exist only for 1/m < p < 1-1/m."""
-    return profiles(m, [p])[0]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .words import _check_order
+from .words import _check_open_unit, _check_order
 
 
 class RunState(NamedTuple):
@@ -37,8 +37,7 @@ class ChainSpec:
 def build_chain(m: int, p) -> ChainSpec:
     """Kernel: free states split p/(1-p); a maximal run forces the flip."""
     _check_order(m)
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+    _check_open_unit(p, "p")
     q = 1 - p
     states = tuple(RunState(d, r) for d in (0, 1) for r in range(1, m))
     kernel: dict[RunState, tuple] = {}
@@ -70,20 +69,26 @@ def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
     without the edges into r the order is topological, so one forward pass
     adding v(x) * prob along each edge x -> y, y != r, gives v.  Any other
     backward edge closes a cycle that avoids r and raises RuntimeError.
+    A state that no edge from a reached state enters keeps v = None: r
+    does not reach it, and the chain is rejected as reducible.  (A reached
+    v may underflow to 0.0 in floats, so the test is for None, not 0.)
     """
-    if not is_irreducible(chain):
-        raise RuntimeError("chain is not irreducible")
     first = chain.states[0]
     index = {st: i for i, st in enumerate(chain.states)}
-    visits = {st: chain.p * 0 for st in chain.states}
+    visits = dict.fromkeys(chain.states)
     visits[first] = chain.p**0
     for i, st in enumerate(chain.states):
+        if visits[st] is None:
+            continue
         for _, nxt, prob in chain.kernel[st]:
             if nxt == first:
                 continue
             if index[nxt] <= i:
                 raise RuntimeError(f"edge {st} -> {nxt} makes a cycle avoiding {first}")
-            visits[nxt] += visits[st] * prob
+            flow = visits[st] * prob
+            visits[nxt] = flow if visits[nxt] is None else visits[nxt] + flow
+    if None in visits.values():
+        raise RuntimeError("chain is not irreducible")
     total = sum(visits.values())
     return {st: v / total for st, v in visits.items()}
 
@@ -91,18 +96,6 @@ def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
 def digit_mass(dist: dict[RunState, Fraction | float], digit: int):
     """Total stationary mass on states carrying the given last digit."""
     return sum(v for st, v in dist.items() if st.digit == digit)
-
-
-def is_irreducible(chain: ChainSpec) -> bool:
-    reach = {chain.states[0]}
-    frontier = [chain.states[0]]
-    while frontier:
-        st = frontier.pop()
-        for _, nxt, _prob in chain.kernel[st]:
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    return reach == set(chain.states)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +236,7 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
 
 def _local_dimension(n0, n1, n, q: float):
     """-log(q**n0 (1-q)**n1) / (n log 2), the same bits for scalars and arrays."""
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie in (0,1), got {q}")
+    _check_open_unit(q, "q")
     return (n0 * -math.log(q) + n1 * -math.log(1.0 - q)) / (n * math.log(2.0))
 
 

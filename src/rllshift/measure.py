@@ -17,6 +17,7 @@ import numpy as np
 
 from .words import (
     WordTree,
+    _check_open_unit,
     _check_order,
     _check_symbols,
     _dot,
@@ -48,8 +49,7 @@ class BernoulliTypeMeasure:
 
     def __post_init__(self):
         _check_order(self.m)
-        if not 0 < self.p < 1:
-            raise ValueError(f"p must lie in (0,1), got {self.p}")
+        _check_open_unit(self.p, "p")
 
     @property
     def mode(self) -> str:
@@ -76,9 +76,7 @@ class BernoulliTypeMeasure:
 
 
 def bernoulli(m: int, p) -> BernoulliTypeMeasure:
-    """Build a measure: exact for a rational p (Fraction, int or 'a/b'), else float."""
-    if isinstance(p, (str, int)):
-        p = Fraction(p)
+    """Build a measure: exact for a Fraction p, else float(p)."""
     return BernoulliTypeMeasure(m, p if isinstance(p, Fraction) else float(p))
 
 
@@ -140,17 +138,17 @@ def mu_closed(meas: BernoulliTypeMeasure, w: str):
 def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     """mu_p(sigma^{-k}[w]) on the run-state kernel, never by enumeration.
 
-    k = 0 reads w alone.  Exact mode is one `words._walk`, O(S^2 log k) for
-    S = 2(m-1) and equal to the step loop bit for bit; float mode is the
+    k = 0 is `mu_recursive`.  Exact mode is one `words._walk`, O(S^2 log k)
+    for S = 2(m-1) and equal to the step loop bit for bit; float mode is the
     first entry of `_float_doubling`, O(S^3 log k), shared with Cesaro.
     Inadmissible words map to 0 at every k, as in mu_recursive.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if k == 0:
+        return mu_recursive(meas, w)
     _check_symbols(w)
     m, weights = meas.m, meas.weights
-    if k == 0:
-        return meas._value(_mu_symbols(m, *weights, w), len(w))
     if meas.mode == FLOAT:
         with np.errstate(over="ignore", invalid="ignore"):  # unused sum: inf past 2**1024
             return _float_doubling(m, meas.p, w, k)[0]

@@ -41,6 +41,12 @@ def _check_order(m: int) -> None:
         raise ValueError(f"constraint order must be >= {MIN_ORDER}, got {m}")
 
 
+def _check_open_unit(x, name: str) -> None:
+    # nan fails both comparisons, so it is rejected too
+    if not 0 < x < 1:
+        raise ValueError(f"{name} must lie in (0,1), got {x}")
+
+
 @dataclass(frozen=True)
 class OccurrenceReport:
     """Positions whose digit can be flipped keeping the prefix admissible."""

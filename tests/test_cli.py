@@ -450,7 +450,8 @@ class TestErrors:
             capsys, "measure", "--m", "3", "--p", "2", "--w", "01"
         )
         assert code == 2
-        assert "error:" in err
+        # an integer p is a decimal like any other: float mode
+        assert err == "error: p must lie in (0,1), got 2.0\n"
 
     def test_bad_word_symbols(self, capsys):
         code, _, err = run_cli(

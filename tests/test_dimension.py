@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rllshift.dimension import (
     g_m,
     growth_root,
     lower_bound,
-    profile,
     profiles,
     solve_qm,
     topo_dim,
@@ -28,8 +28,6 @@ TOPO_4 = 0.87914642160663817
 
 def bisect_f_m(m, p, tol=1e-12):
     """Reference: solve_qm as it was, one call of the public f_m per step."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if not 1.0 / m < p < 1.0 - 1.0 / m:
         raise ValueError(f"p must lie in (1/{m}, 1-1/{m}), got {p}")
     lo, hi = 0.0, 1.0
@@ -159,6 +157,12 @@ class TestGFunction:
         with pytest.raises(ValueError, match=r"x must lie in \(0,1\)"):
             g_m(3, xs)
 
+    def test_empty_array_gives_empty_array(self):
+        # an empty x has no ends to check, and no reduction over it is taken
+        for fn in (f_m, g_m):
+            values = fn(4, np.array([]))
+            assert values.shape == (0,) and values.dtype == np.float64
+
     @pytest.mark.parametrize("m", range(3, 21))
     def test_bounded_by_reciprocal(self, m):
         for i in range(1, 200):
@@ -203,18 +207,20 @@ class TestRoot:
                 assert abs(f_m(m, q) - p) <= 1e-12
 
     def test_unreachable_tol_is_value_error(self):
-        with pytest.raises(ValueError):
-            solve_qm(7, 0.45, tol=1e-300)
+        with mock.patch.object(dimension, "TOL", 1e-300):
+            with pytest.raises(ValueError, match="no root within tol=1e-300"):
+                solve_qm(7, 0.45)
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(targets(), st.sampled_from([1e-12, 1e-15, 1e-17, 1e-300, 5e-324, 0.0]))
+    @given(targets(), st.sampled_from([1e-12, 1e-15, 1e-17, 1e-300, 5e-324]))
     @example((1026, math.nextafter(1.0 / 1026, 1.0)), 1e-12)
     @example((1100, math.nextafter(1.0 - 1.0 / 1100, 0.0)), 5e-324)
     @example((3, 0.5), 1e-300)
     def test_same_root_as_bisecting_f_m(self, target, tol):
         # the kernel changes the cost of a step, not a bit of its result
         m, p = target
-        assert outcome(solve_qm, m, p, tol) == outcome(bisect_f_m, m, p, tol)
+        with mock.patch.object(dimension, "TOL", tol):
+            assert outcome(solve_qm, m, p) == outcome(bisect_f_m, m, p, tol)
 
     @pytest.mark.parametrize("m", [0, 1, 2, -1])
     @pytest.mark.parametrize(
@@ -222,7 +228,7 @@ class TestRoot:
         [
             lambda m: solve_qm(m, 0.5),
             lambda m: lower_bound(m, 0.5, 0.5),
-            lambda m: profile(m, 0.5),
+            lambda m: profiles(m, [0.5])[0],
             lambda m: profiles(m, [0.5]),
         ],
         ids=["solve_qm", "lower_bound", "profile", "profiles"],
@@ -270,6 +276,11 @@ class TestEntropy:
         alt = -0.3 * math.log2(0.3) - 0.7 * math.log2(0.7)
         assert entropy_binary(0.3) == pytest.approx(alt, abs=1e-13)
 
+    def test_outside_unit_interval_rejected(self):
+        for bad in (1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"p must lie in \[0,1\], got"):
+                entropy_binary(bad)
+
     def test_symmetry(self):
         for i in range(1, 50):
             p = i / 50
@@ -313,26 +324,26 @@ class TestTopologicalDimension:
 
 class TestProfile:
     def test_interior_point(self):
-        prof = profile(3, 0.5)
+        prof = profiles(3, [0.5])[0]
         assert prof.q == pytest.approx(0.5, abs=1e-12)
         assert prof.lower_bound == pytest.approx(0.5, abs=1e-12)
         assert prof.entropy == 1.0
         assert prof.topo_dim == pytest.approx(TOPO_3, abs=1e-12)
 
     def test_boundary_point(self):
-        prof = profile(3, 0.0)
+        prof = profiles(3, [0.0])[0]
         assert prof.q is None
         assert prof.lower_bound is None
         assert prof.entropy == 0.0
 
     def test_large_m(self):
-        prof = profile(100, 0.3)
+        prof = profiles(100, [0.3])[0]
         assert abs(prof.lower_bound - H_03) < 0.05
 
     @pytest.mark.parametrize("m", [3, 7, 40, 1026])
     def test_profiles_are_the_profiles_at_each_p(self, m):
         ps = [0.0, 1 / m, 0.3, 0.5, 0.7, 1 - 1 / m, 1.0]
-        assert profiles(m, ps) == [profile(m, p) for p in ps]
+        assert profiles(m, ps) == [profiles(m, [p])[0] for p in ps]
 
     def test_profiles_reject_the_first_bad_p(self):
         with pytest.raises(ValueError, match=r"p must lie in \[0,1\], got 1.5"):

@@ -14,7 +14,6 @@ from rllshift.markov import (
     RunState,
     build_chain,
     digit_mass,
-    is_irreducible,
     sample,
     stationary,
 )
@@ -135,6 +134,15 @@ class TestChain:
         assert step[0] == (RunState(0, 3), P13)
         assert step[1] == (RunState(1, 1), 1 - P13)
 
+    @pytest.mark.parametrize("p", [0, 1, 1.5, float("nan")])
+    def test_p_outside_open_interval_rejected(self, p):
+        # the chain and the measure share one check and one message
+        with pytest.raises(ValueError, match=r"p must lie in \(0,1\)") as chain_exc:
+            build_chain(3, p)
+        with pytest.raises(ValueError) as measure_exc:
+            measure.BernoulliTypeMeasure(3, p)
+        assert str(chain_exc.value) == str(measure_exc.value)
+
     def test_rows_sum_to_one(self):
         for m in (3, 4, 5):
             chain = build_chain(m, Fraction(2, 5))
@@ -143,7 +151,6 @@ class TestChain:
 
     def test_irreducible_aperiodic(self):
         for m in range(3, 13):
-            assert is_irreducible(build_chain(m, P13))
             # Wielandt: an S x S nonnegative matrix has a strictly positive
             # power (S-1)^2 + 1 exactly when it is irreducible and aperiodic
             matrix = measure._transfer_matrix(m, float(P13), float(1 - P13))
@@ -213,9 +220,14 @@ class TestStationary:
         # irreducible, but b -> c -> b never visits a
         kernel = {a: ((0, b, 1),), b: ((1, c, 1),), c: ((0, b, half), (0, a, half))}
         chain = ChainSpec(3, P13, (a, b, c), kernel)
-        assert is_irreducible(chain)
         with pytest.raises(RuntimeError, match="cycle"):
             stationary(chain)
+
+    def test_underflowing_float_visits_accepted(self):
+        # p**2 underflows to 0.0, but the state is reached: the chain is
+        # irreducible, and pi[0] is 1/4 as in `lambda --m 4 --p 1e-320`
+        pi = stationary(build_chain(4, 1e-320))
+        assert digit_mass(pi, 0) == 0.25
 
     def test_unreachable_state_raises(self):
         a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
@@ -244,6 +256,12 @@ class TestSampling:
         assert np.array_equal(a.bits, b.bits)
         c = sample(chain, 5000, seed=8)
         assert not np.array_equal(a.bits, c.bits)
+
+    def test_length_below_one_rejected(self):
+        chain = build_chain(3, 0.3)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                sample(chain, n, seed=7)
 
     def test_samples_are_admissible(self):
         for m in (3, 4):

@@ -256,6 +256,8 @@ class TestMu:
     def test_mode_follows_type_of_p(self):
         assert bernoulli(3, P13).mode == measure.EXACT
         assert bernoulli(3, 0.25).mode == measure.FLOAT
+        # the CLI parses text; any p that is not a Fraction goes through float
+        assert bernoulli(3, "0.3") == bernoulli(3, 0.3)
         with pytest.raises(AttributeError):
             bernoulli(3, P13).mode = measure.FLOAT
 
@@ -270,6 +272,11 @@ class TestPullback:
     def test_single_digit(self):
         meas = bernoulli(3, P13)
         assert pullback_cylinder(meas, "0", 1) == P13
+
+    def test_negative_k_rejected(self):
+        for p in (P13, 0.3):
+            with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+                pullback_cylinder(bernoulli(3, p), "0", -1)
 
     def test_non_invariance_example(self):
         p = P13

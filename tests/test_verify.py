@@ -1,12 +1,13 @@
 """The gate's own predicates, and checks that are shown to fail."""
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllshift import markov, univoque, verify
+from rllshift import dimension, markov, measure, univoque, verify, words
 
 
 def groupby_run_bound_broken(s):
@@ -38,6 +39,81 @@ class TestRunBound:
         # only the last run may be longer than the leading one
         monkeypatch.setattr(univoque, "clean_windows", lambda L: iter([window]))
         assert verify.check_gamma_construction(quick=True).passed
+
+
+def assert_fails(num, result, *details):
+    assert verify.format_report([(num, result)]).startswith(f"FAIL  {num:>2}")
+    for detail in details:
+        assert detail in result.detail
+
+
+class TestPlantedFailures:
+    """Each check's FAIL branch, reached by breaking the one call it reads."""
+
+    def test_normalization(self, monkeypatch):
+        numerators = words.WordTree.numerators
+
+        def heavy_root(tree, *weights):
+            nums = numerators(tree, *weights)
+            nums[0] += 1  # the empty word's mass is 2, not 1
+            return nums
+
+        monkeypatch.setattr(words.WordTree, "numerators", heavy_root)
+        result = verify.check_normalization(quick=True)
+        assert_fails("4", result, "9 (m,p) combos: 9 non-unit sums")
+
+    def test_non_invariance(self, monkeypatch):
+        # an invariant measure: the pullback is the cylinder itself
+        invariant = lambda meas, w, k: measure.mu_recursive(meas, w)
+        monkeypatch.setattr(measure, "pullback_cylinder", invariant)
+        result = verify.check_non_invariance(quick=True)
+        assert_fails("7", result, "p in (1/3,2/3): 6 failures")
+
+    def test_lambda_stationary(self, monkeypatch):
+        # the uniform law has digit mass 1/2, the closed form only at p = 1/2
+        uniform = lambda chain: dict.fromkeys(chain.states, Fraction(1, len(chain.states)))
+        monkeypatch.setattr(markov, "stationary", uniform)
+        result = verify.check_lambda_triple(quick=True)
+        assert_fails(
+            "8", result, "stationary m=3 p=1/3; stationary m=3 p=2/5; stationary m=3 p=2/3"
+        )
+        assert result.detail.count("stationary m=") == 9 and "p=1/2" not in result.detail
+
+    def test_lambda_cesaro(self, monkeypatch):
+        monkeypatch.setattr(measure, "cesaro_lambda", lambda meas, w, n: 0.0)
+        result = verify.check_lambda_triple(quick=True)
+        assert_fails("8", result, "12 (m,p) combos, cesaro n=2000: cesaro m=3 p=1/3;")
+        assert result.detail.count("cesaro m=") == 12
+
+    def test_lambda_recurrence(self, monkeypatch):
+        def broken(meas, kmax):
+            raise measure.PullbackRecurrenceError("planted")
+
+        monkeypatch.setattr(measure, "pullback_series", broken)
+        result = verify.check_lambda_triple(quick=True)
+        assert_fails("8", result, "recurrence m=3 p=1/3", "recurrence m=5 p=2/3")
+
+    def test_root_quality(self, monkeypatch):
+        # q = 1/2 misses every root: a residual everywhere, |q-p| > 1/m from
+        # m = 6 at p = 0.3, and q(3, 0.4) = 0.5
+        monkeypatch.setattr(dimension, "solve_qm", lambda m, p: 0.5)
+        result = verify.check_root_quality(quick=True)
+        assert_fails(
+            "10", result, "residual m=5 p=0.3; residual m=6 p=0.3; |q-p| m=6 p=0.3;",
+            "q(3, 0.4) != 0.2",
+        )
+        assert "|q-p| m=5 p=0.3" not in result.detail
+
+    def test_gamma_samples(self, monkeypatch):
+        verdict = univoque.GammaVerdict(univoque.VIOLATED, k=5, position=2)
+        monkeypatch.setattr(univoque, "gamma_check_prefix", lambda win, depth: verdict)
+        result = verify.check_gamma_construction(quick=True)
+        assert_fails(
+            "14", result,
+            "runs bounded by the leading run; seed 0 violated at k=5; seed 1 violated at k=5; "
+            "seed 2 violated at k=5",
+        )
+        assert "seed 3" not in result.detail  # the detail lists three problems
 
 
 class TestErgodicPath:

@@ -328,6 +328,7 @@ class TestMetricAndProjection:
         assert pi2("1") == Fraction(1, 2)
         assert pi2("011") == Fraction(3, 8)
         assert pi2("000") == 0
+        assert pi2("") == 0
 
     def test_projection_lipschitz(self):
         # |pi2(w) - pi2(v)| <= d2(w, v) whenever d2 is exact
