@@ -169,23 +169,33 @@ def _check_series_recurrences(m, w0, w1, wf, a, c, d, exact: bool) -> None:
                 )
 
 
-def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
-    """a,b,c,d up to kmax, validated against the proof recurrences."""
+_SERIES_CYLINDERS = ("0", "1", "01", "10")  # the cylinders of a, b, c, d
+
+
+def pullback_numerators(meas: BernoulliTypeMeasure, kmax: int) -> list[list]:
+    """Numerators of a, b, c, d up to kmax, over wf**(k+|w|), validated
+    against the proof recurrences; `pullback_series` makes them values."""
     if kmax < meas.m:
         raise ValueError(f"kmax must be >= m={meas.m}, got {kmax}")
     m, weights = meas.m, meas.weights
-    cylinders = ("0", "1", "01", "10")
-    emissions = [_emission(m, *weights, s) for s in cylinders]
-    a, b, c, d = series = [[_mu_symbols(m, *weights, s)] for s in cylinders]
+    emissions = [_emission(m, *weights, s) for s in _SERIES_CYLINDERS]
+    a, b, c, d = series = [[_mu_symbols(m, *weights, s)] for s in _SERIES_CYLINDERS]
     for z, o in islice(_masses(m, *weights), kmax):
         for seq, e in zip(series, emissions):
             seq.append(_dot(z, o, e))
     _check_series_recurrences(m, *weights, a, c, d, exact=meas.mode == EXACT)
-    sums = accumulate(a, lambda t, x: t * weights[2] + x)  # sum_{k<n} a_k, over wf**n
+    return series
+
+
+def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
+    """a,b,c,d up to kmax, validated against the proof recurrences."""
+    series = pullback_numerators(meas, kmax)
+    wf = meas.weights[2]
+    sums = accumulate(series[0], lambda t, x: t * wf + x)  # sum_{k<n} a_k, over wf**n
     cesaro = [meas._value(t, n) / n for n, t in enumerate(sums, start=1)]
     values = [tuple(meas._value(x, k + len(s)) for k, x in enumerate(seq))
-              for s, seq in zip(cylinders, series)]
-    return PullbackSeries(m, meas.p, *values, tuple(cesaro))
+              for s, seq in zip(_SERIES_CYLINDERS, series)]
+    return PullbackSeries(meas.m, meas.p, *values, tuple(cesaro))
 
 
 def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:

@@ -3,11 +3,21 @@
 Each check returns a deterministic pass/fail record; the report contains
 no timing or other run-to-run noise, so identical configurations produce
 byte-identical output.
+
+The full suite runs checks 3, 8 and 14 (`FORKED_CHECKS`) in one forked
+child process while the calling process runs the other twelve, where
+`os.fork` exists and at least 2 CPUs are usable. The results come back in
+`CHECKS` order, so the report is the same byte for byte as in one process,
+where the quick suite and every other case run.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
@@ -174,7 +184,7 @@ def check_lambda_triple(quick: bool = False) -> CheckResult:
             if abs(ces - float(closed)) > 1e-3:
                 problems.append(f"cesaro m={m} p={p}")
             try:
-                measure.pullback_series(measure.bernoulli(m, p), 20)
+                measure.pullback_numerators(measure.bernoulli(m, p), 20)
             except measure.PullbackRecurrenceError:
                 problems.append(f"recurrence m={m} p={p}")
     return CheckResult(
@@ -370,12 +380,80 @@ CHECKS = (
 ERGODIC_CHECKS = ("12", "13", "15")
 
 
-def run_suite(quick: bool = False) -> list[tuple[str, CheckResult]]:
-    path: list = []  # dropped on return, so no call sees another's draw
+# the checks that the full suite runs in one forked child while the caller
+# runs the other twelve; in process on a 2-core x86-64 VM (medians of 5) they
+# take 39, 10 and 81 ms of a 290 ms suite, so each side gets about half.
+# Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
+FORKED_CHECKS = ("3", "8", "14")
+
+
+def _run_checks(nums, quick: bool, path: list) -> list[tuple[str, CheckResult]]:
     return [
         (num, fn(quick, path) if num in ERGODIC_CHECKS else fn(quick))
         for num, fn in CHECKS
+        if num in nums
     ]
+
+
+def _fork_pays(quick: bool) -> bool:
+    """Fork for the full suite only, where os.fork exists and 2 CPUs are usable;
+    a fork costs 4-15 ms, about what the quick suite's forked checks take."""
+    if quick or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+def _send_and_exit(read_fd: int, write_fd: int, quick: bool) -> NoReturn:
+    """The child's side: run FORKED_CHECKS, pickle (True, results) or
+    (False, exception) down the pipe, and end without unwinding the caller."""
+    try:
+        os.close(read_fd)
+        try:
+            sent = pickle.dumps((True, _run_checks(FORKED_CHECKS, quick, [])))
+        except BaseException as exc:  # the caller re-raises it
+            sent = pickle.dumps((False, exc))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(sent)
+    finally:
+        os._exit(0)
+
+
+def run_suite(quick: bool = False) -> list[tuple[str, CheckResult]]:
+    """Every check in CHECKS order; the full suite runs FORKED_CHECKS in a
+    forked child when `_fork_pays`, with the same results."""
+    path: list = []  # dropped on return, so no call sees another's draw
+    every = [num for num, _ in CHECKS]
+    if not _fork_pays(quick):
+        return _run_checks(every, quick, path)
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on forking with threads alive (numpy's BLAS
+            # pool, which OpenBLAS shuts down around a fork)
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: run every check here
+        os.close(read_fd)
+        os.close(write_fd)
+        return _run_checks(every, quick, path)
+    if pid == 0:
+        _send_and_exit(read_fd, write_fd, quick)
+    os.close(write_fd)
+    try:
+        results = _run_checks([n for n in every if n not in FORKED_CHECKS], quick, path)
+    finally:  # reap the child also when a check here raised
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                sent = pipe.read()
+        finally:
+            os.waitpid(pid, 0)
+    if not sent:
+        raise RuntimeError(f"checks {', '.join(FORKED_CHECKS)} sent no result")
+    ok, payload = pickle.loads(sent)
+    if not ok:
+        raise payload
+    return sorted(results + payload, key=lambda item: every.index(item[0]))
 
 
 def format_report(results: list[tuple[str, CheckResult]]) -> str:

@@ -1,6 +1,8 @@
 """The gate's own predicates, and checks that are shown to fail."""
 import dataclasses
+import errno
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -89,7 +91,7 @@ class TestPlantedFailures:
         def broken(meas, kmax):
             raise measure.PullbackRecurrenceError("planted")
 
-        monkeypatch.setattr(measure, "pullback_series", broken)
+        monkeypatch.setattr(measure, "pullback_numerators", broken)
         result = verify.check_lambda_triple(quick=True)
         assert_fails("8", result, "recurrence m=3 p=1/3", "recurrence m=5 p=2/3")
 
@@ -147,3 +149,86 @@ class TestErgodicPath:
         bits[-1] ^= 1
         changed = dataclasses.replace(run, bits=bits)
         assert not verify.check_determinism(True, [changed]).passed
+
+
+@pytest.fixture(scope="module")
+def serial_suite():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        return verify.run_suite(False)
+
+
+class TestForkedSuite:
+    """The full suite runs FORKED_CHECKS in a child; the report is the same."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs, and a list that grows by one per os.fork call."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        calls = []
+        fork = os.fork
+
+        def counting():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_equals_serial_in_order(self, forks, serial_suite):
+        assert [num for num, _ in serial_suite] == [num for num, _ in verify.CHECKS]
+        assert verify.run_suite(False) == serial_suite
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    def test_one_cpu_and_quick_stay_serial(self, monkeypatch, forks, serial_suite):
+        verify.run_suite(True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify.run_suite(False) == serial_suite
+        assert not forks
+
+    def test_failed_fork_runs_every_check_here(self, monkeypatch, serial_suite):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert verify.run_suite(False) == serial_suite
+
+    def test_child_exception_is_raised_here(self, monkeypatch, forks):
+        def planted(L):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(univoque, "clean_windows", planted)
+        with pytest.raises(ValueError, match="^planted$"):
+            verify.run_suite(False)
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    def test_unpicklable_child_exception(self, monkeypatch, forks):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def planted(L):
+            raise Local("planted")
+
+        monkeypatch.setattr(univoque, "clean_windows", planted)
+        with pytest.raises(RuntimeError, match="checks 3, 8, 14 sent no result"):
+            verify.run_suite(False)
+        self.assert_no_child()
+
+    def test_caller_exception_reaps_the_child(self, monkeypatch, forks):
+        def planted(m, p):
+            raise ArithmeticError("planted")
+
+        monkeypatch.setattr(dimension, "solve_qm", planted)
+        with pytest.raises(ArithmeticError, match="^planted$"):
+            verify.run_suite(False)
+        assert len(forks) == 1
+        self.assert_no_child()
