@@ -7,10 +7,9 @@ lower bound approaches the binary entropy h(p) as m grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .words import _check_open_unit, _check_order
 
@@ -49,7 +48,8 @@ def f_m(m: int, x):
     accurate.
     """
     _check_order(m)
-    if isinstance(x, np.ndarray):
+    np = sys.modules.get("numpy")  # x cannot be an ndarray if numpy is not loaded
+    if np is not None and isinstance(x, np.ndarray):
         if x.size:  # an empty x has no ends to check
             for end in (x.min(), x.max()):
                 _check_open_unit(end, "x")  # a nan element makes both ends nan

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .words import _check_open_unit, _check_order
 
 
@@ -124,11 +122,11 @@ class SampleRun:
         return (self.bits + 48).tobytes().decode("ascii")
 
     def freq0(self) -> float:
+        import numpy as np
         return float(np.count_nonzero(self.bits == 0)) / self.n
 
 
 BLOCK = 8  # symbols per table lookup in `sample`
-_POW3 = 3 ** np.arange(BLOCK)
 _SLICE = 4096 * BLOCK  # symbols per batch of block work, to bound the temporaries
 
 
@@ -155,6 +153,7 @@ def _block_table(
     forced marks as one byte), the last three indexed by row offset + code;
     both bytes hold the block's first symbol in their high bit.
     """
+    import numpy as np
     cap = m - 1
     low = max(1, cap - BLOCK)
     per_digit = cap - low + 1
@@ -204,6 +203,7 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     `_block_table` and yields the same bits as the per-symbol walk; the
     same lookups give the forced marks.
     """
+    import numpy as np
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m = chain.m
@@ -218,13 +218,14 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     row, nxt, emitted, marks = _block_table(m, 0 if p > 0.5 else 1)
     x = 2 + int(bits[0])
     jump = 2 * BLOCK
+    pow3 = 3 ** np.arange(BLOCK)
     for start in range(1, n, _SLICE):
         size = min(_SLICE, n - start)
         # whole blocks: the last one may draw past symbol n-1; those bits are cut off
         u = rng.random(-(-size // BLOCK) * BLOCK)
         cls = (u < p).astype(np.uint8) + (u < q)
         ks = []
-        for code in (cls.reshape(-1, BLOCK) @ _POW3).tolist():
+        for code in (cls.reshape(-1, BLOCK) @ pow3).tolist():
             k = row[x] + code
             ks.append(k)
             x = nxt[k] or x + jump
@@ -242,6 +243,7 @@ def _local_dimension(n0, n1, n, q: float):
 
 def _running_counts(flags: np.ndarray, stride: int) -> np.ndarray:
     """The running count of True in flags after stride, 2 stride, ... symbols."""
+    import numpy as np
     k = len(flags) // stride
     return np.count_nonzero(flags[: k * stride].reshape(k, stride), axis=1).cumsum()
 
@@ -260,6 +262,7 @@ def strided_series(
     under 1e-15 relative at any n, of the exactly rounded per-symbol sum
     over n log 2.
     """
+    import numpy as np
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n = np.arange(stride, run.n + 1, stride)
@@ -272,6 +275,7 @@ def strided_series(
 def final_local_dimension(run: SampleRun, q: float) -> float:
     """The last value of the `strided_series` local dimension, bit for bit,
     from two counts."""
+    import numpy as np
     # a free 1 is a 1 that is not forced: bits > forced holds exactly there
     n1 = np.count_nonzero(run.bits > run.forced)
     return _local_dimension(run.n - np.count_nonzero(run.forced) - n1, n1, run.n, q)

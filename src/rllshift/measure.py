@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 
-import numpy as np
-
 from .words import (
     WordTree,
     _check_open_unit,
@@ -150,6 +148,7 @@ def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     _check_symbols(w)
     m, weights = meas.m, meas.weights
     if meas.mode == FLOAT:
+        import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):  # unused sum: inf past 2**1024
             return _float_doubling(m, meas.p, w, k)[0]
     return meas._value(_walk(m, *weights, _emission(m, *weights, w), k), k + len(w))
@@ -200,6 +199,7 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
 
 def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
     """The kernel's float transfer matrix: row i is `_step` of unit state i."""
+    import numpy as np
     size = m - 1
     rows = []
     for i in range(2 * size):
@@ -227,6 +227,7 @@ def _float_doubling(m: int, p: float, w: str, k: int):
     (m <= 40, k <= 5000) and to 1e-14 against the exact stationary value at
     k = 10**12.
     """
+    import numpy as np
     q = 1.0 - p
     power = _transfer_matrix(m, p, q)
     g = e = np.concatenate(_emission(m, p, q, 1, w))
@@ -303,6 +304,7 @@ def quasi_bernoulli_check(tree: WordTree, p) -> list[tuple[str, str]]:
     numerators.  Expected empty; violations are listed by wv in tree
     order, then by split point.
     """
+    import numpy as np
     meas = bernoulli(tree.m, p)
     if meas.mode != EXACT:
         raise ValueError("quasi_bernoulli_check requires exact mode")
@@ -322,6 +324,7 @@ def _tree_emissions(tree: WordTree, w0, w1, wf) -> np.ndarray:
     and, read backwards, its own complement: its first half starts with 0,
     the second with 1, one call for each.
     """
+    import numpy as np
     m = tree.m
     ones = [w0**0] * (m - 1)
     e = np.empty((2 * (m - 1), len(tree.parent)), dtype=object)
@@ -345,6 +348,7 @@ def pullback_bounds_check(tree: WordTree, p, kmax: int) -> list[tuple[str, int]]
     symbols with the emissions of `_tree_emissions`.  Expected empty;
     violations are listed by w, shortest first, then k.
     """
+    import numpy as np
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     meas = bernoulli(tree.m, p)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
 
-import numpy as np
-
 from . import dimension, markov, measure, univoque, words
 
 # frozen seed for the ergodic-frequency and local-dimension checks; the
@@ -40,6 +38,7 @@ class CheckResult:
 
 def check_subadditivity(quick: bool = False) -> CheckResult:
     """N0(w)+N0(v)-1 <= N0(wv) <= N0(w)+N0(v), same for N1; exhaustive."""
+    import numpy as np
     max_total = 8 if quick else 12
     bad = 0
     pairs = 0
@@ -61,6 +60,7 @@ def check_subadditivity(quick: bool = False) -> CheckResult:
 
 def check_counting_bound(quick: bool = False) -> CheckResult:
     """m|w|_0 <= (m-1)N0(w) + |w| and the digit-1 symmetric bound."""
+    import numpy as np
     max_len = 10 if quick else 14
     bad = 0
     total = 0
@@ -196,6 +196,7 @@ def check_lambda_triple(quick: bool = False) -> CheckResult:
 
 
 def check_g_bound(quick: bool = False) -> CheckResult:
+    import numpy as np
     points = 1000 if quick else 10_000
     worst = 0.0
     bad = 0
@@ -340,6 +341,7 @@ def check_determinism(quick: bool = False, path: list | None = None) -> CheckRes
     One fresh draw of the seeded path is compared with the draw kept in
     `path`, or with a second fresh draw when there is none.
     """
+    import numpy as np
     run1 = _ergodic_run(quick, path)
     run2 = _ergodic_run(quick)
     same_bits = bool(np.array_equal(run1.bits, run2.bits))

@@ -13,8 +13,6 @@ from functools import cached_property
 from itertools import islice
 from operator import mul
 
-import numpy as np
-
 MIN_ORDER = 3
 WORD_CAP = 1 << 21  # bound on the longest level one enumeration materializes
 
@@ -280,6 +278,7 @@ class WordTree:
 
     def _levels(self):
         """The words of each length, 0 to L, one list per level."""
+        import numpy as np
         symbols = (self.last + ord("0")).astype(np.uint8).tobytes().decode("ascii")
         level = [""]
         yield level
@@ -302,6 +301,7 @@ class WordTree:
         words[parent[i]][1:] plus that symbol, and it is admissible, a
         factor of an admissible word, so it is in the tree.
         """
+        import numpy as np
         parent, kind, last, starts = self.parent, self.kind, self.last, self.starts
         size = len(parent)
         depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
@@ -328,6 +328,7 @@ class WordTree:
         `parent`, u[i:] is i suffix links from u; each takes one array step
         per length.
         """
+        import numpy as np
         starts = self.starts
         end, L = starts[-1], len(starts) - 2
         size = self.arrays.depth + 1  # i = 0, ..., |u|
@@ -356,6 +357,7 @@ class WordTree:
     def numerators(self, w0, w1, wf) -> np.ndarray:
         """Every word's numerator by the branching rule, one multiply per
         node: an object array of Python ints, never a fixed-width int."""
+        import numpy as np
         weight = np.array([w0, w1, wf], dtype=object)
         out = np.empty(len(self.parent), dtype=object)
         out[0] = w0**0
@@ -374,6 +376,7 @@ def word_tree(m: int, L: int) -> WordTree:
     Raises CapacityError before building any level when length L, the
     largest level, holds more than WORD_CAP words.
     """
+    import numpy as np
     total = count_words(m, L)  # checks m and L
     if total > WORD_CAP:
         raise CapacityError(

@@ -117,6 +117,37 @@ class TestFrequencyFunction:
             f_m(3, 1.0)
 
 
+class TestFrequencyDispatch:
+    """f_m picks its route by the type of x: ndarray, Fraction, or scalar.
+
+    The Fraction route and the empty array are held by
+    `TestFrequencyFunction.test_exact_for_fraction` and
+    `TestGFunction.test_empty_array_gives_empty_array`.
+    """
+
+    @pytest.mark.parametrize("m", [3, 7, 12])
+    def test_float_array_elementwise(self, m):
+        xs = np.array([1e-9, 0.3, 0.5, 0.75, 1 - 1e-9])
+        values = f_m(m, xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        for x, v in zip(xs.tolist(), values.tolist()):
+            assert abs(v - f_m(m, x)) <= 2e-16
+
+    # np.float64 is no ndarray: the scalar kernel runs on it and keeps its type
+    @pytest.mark.parametrize(
+        "m, x, want",
+        [
+            (3, 0.3, 0.43333333333333346),
+            (7, 0.75, 0.7115384615384616),
+            (12, 1e-9, 0.08333333379166666),
+        ],
+    )
+    def test_numpy_scalar_takes_scalar_path(self, m, x, want):
+        value = f_m(m, np.float64(x))
+        assert type(value) is np.float64
+        assert value == want == f_m(m, x)
+
+
 class TestGFunction:
     def test_vanishes_at_half(self):
         assert g_m(5, 0.5) == pytest.approx(0.0, abs=1e-14)
