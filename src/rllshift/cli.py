@@ -8,6 +8,7 @@ affected computations to float mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -194,7 +195,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for _, r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: callers must not add to it."""
     parser = argparse.ArgumentParser(prog="rllshift")
     sub = parser.add_subparsers(dest="command", required=True)
 

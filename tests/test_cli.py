@@ -504,3 +504,47 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:")
         assert not target.parent.exists()
+
+
+class TestSharedParser:
+    """Every cli.main call in a process parses with the same parser."""
+
+    SAMPLE = ("sample", "--m", "3", "--p", "0.4", "--n", "200", "--seed", "1",
+              "--format", "json")
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_errors_leave_no_trace(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sample", "--m", "5", "--p", "0.3", "--n", "20000"])
+        assert err.value.code == 2
+        code, out, _ = run_cli(
+            capsys, "sample", "--m", "5", "--p", "0.3", "--n", "20000",
+            "--seed", "7", "--stride", "0",
+        )
+        assert (code, out) == (2, "")
+        code, out, _ = run_cli(
+            capsys, "sample", "--m", "5", "--p", "0.3", "--n", "20000",
+            "--seed", "7", "--stride", "1000",
+        )
+        assert code == 0
+        assert out == (DATA / "sample_m5.csv").read_text()
+
+    def test_q_does_not_carry_over(self, capsys):
+        _, out, _ = run_cli(capsys, *self.SAMPLE, "--q", "0.6")
+        assert json.loads(out)["q"] == 0.6
+        _, out, _ = run_cli(capsys, *self.SAMPLE)
+        record = json.loads(out)
+        assert record["q"] == record["p"] == 0.4
+
+    def test_out_does_not_carry_over(self, capsys, tmp_path):
+        target = tmp_path / "words.txt"
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--m", "3", "--n", "2", "--out", str(target)
+        )
+        assert (code, out) == (0, "")
+        code, out, _ = run_cli(capsys, "enumerate", "--m", "3", "--n", "3")
+        assert code == 0
+        assert len(out.split()) == 6  # all but 000 and 111 at m = 3
+        assert target.read_text().split() == ["00", "01", "10", "11"]

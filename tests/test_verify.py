@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import itertools
 import os
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,25 @@ class TestForkedSuite:
 
     def test_equals_serial_in_order(self, forks, serial_suite):
         assert [num for num, _ in serial_suite] == [num for num, _ in verify.CHECKS]
+        assert verify.run_suite(False) == serial_suite
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    def test_fork_with_threads_warning(self, monkeypatch, forks, serial_suite):
+        """Python 3.12+ warns on os.fork while numpy's BLAS threads are alive;
+        under pyproject's `filterwarnings = error` that warning would raise."""
+        counting = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                "This process is multi-threaded, use of fork() may lead to "
+                "deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return counting()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
         assert verify.run_suite(False) == serial_suite
         assert len(forks) == 1
         self.assert_no_child()
