@@ -3,7 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage error
 (including an --out file that cannot be written).
 Rational p ("num/den") keeps computations exact; decimal p switches the
-affected computations to float mode.
+affected computations to float mode.  Each command imports the modules it
+runs, so building the parser loads none of them.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-from . import dimension, markov, measure, univoque, verify, words
 
 SCHEMA = 1
 
@@ -51,6 +50,8 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    from . import words
+
     if args.count_only:
         record = {
             "schema": SCHEMA,
@@ -65,6 +66,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from . import measure
+
     meas = measure.bernoulli(args.m, _parse_p(args.p))
     value = measure.pullback_cylinder(meas, args.w, args.k)
     record = {
@@ -81,6 +84,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from . import dimension, markov, measure
+
     p = _parse_p(args.p)
     chain = markov.build_chain(args.m, p)
     closed = dimension.f_m(args.m, p)
@@ -101,6 +106,8 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import markov
+
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
     if not 0 <= args.seed < 2**128:
@@ -147,6 +154,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_dims(args) -> int:
+    from . import dimension
+
     ms = _parse_range(args.m)
     ps = [float(_parse_p(x)) for x in args.p.split(",")]
     lines = ["m,p,q,bound,entropy,topo_dim"]
@@ -162,6 +171,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    from . import univoque
+
     if args.periodic is not None:
         if args.depth is not None:
             raise ValueError("--depth applies to --w, not to --periodic")
@@ -190,6 +201,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_suite(quick=args.quick)
     _emit(args, verify.format_report(results))
     return 0 if all(r.passed for _, r in results) else 1
@@ -249,6 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """What main reports as a usage error, with exit 2."""
+    from .words import CapacityError
+
+    return ValueError, OSError, CapacityError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -258,7 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except (ValueError, OSError, words.CapacityError) as exc:
+    # evaluated only when an exception gets here, by which time the
+    # command has loaded words (every module imports it)
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

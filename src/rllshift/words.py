@@ -6,9 +6,7 @@ m as its first argument.  Everything here is pure.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import mul
@@ -43,24 +41,6 @@ def _check_open_unit(x, name: str) -> None:
     # nan fails both comparisons, so it is rejected too
     if not 0 < x < 1:
         raise ValueError(f"{name} must lie in (0,1), got {x}")
-
-
-@dataclass(frozen=True)
-class OccurrenceReport:
-    """Positions whose digit can be flipped keeping the prefix admissible."""
-
-    set0: tuple[int, ...]
-    set1: tuple[int, ...]
-    n0: int
-    n1: int
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """A d2 value: exact, or an upper bound when the windows never differ."""
-
-    value: Fraction
-    exact: bool
 
 
 def is_admissible_symbols(m: int, s: str) -> bool:
@@ -421,61 +401,15 @@ def enumerate_words(m: int, n: int) -> list[str]:
 
 
 def occurrence_counts(m: int, s: str) -> tuple[int, int]:
-    """(n0, n1) of the occurrence report, for any '0'/'1' string s.
+    """(n0, n1): how many 0's and 1's of s are free, for any '0'/'1' string s.
 
-    A 0 is forced, and left out of n0, exactly when a run of at least m-1
-    ones ends right before it: when it closes an occurrence of 1^{m-1}0.
-    Such occurrences cannot overlap, so str.count counts them; n1 likewise.
+    A symbol is free when the prefix ending in it stays admissible with
+    that symbol flipped.  A 0 is forced, and left out of n0, exactly when a
+    run of at least m-1 ones ends right before it: when it closes an
+    occurrence of 1^{m-1}0.  Such occurrences cannot overlap, so str.count
+    counts them; n1 likewise.
     """
     return (
         s.count("0") - s.count("1" * (m - 1) + "0"),
         s.count("1") - s.count("0" * (m - 1) + "1"),
     )
-
-
-def occurrence_report(m: int, s: str) -> OccurrenceReport:
-    """Flip-admissible positions of s (1-based), for an admissible word.
-
-    The forced positions close the occurrences of 1^{m-1}0 and 0^{m-1}1
-    that `occurrence_counts` counts; every other position is free.
-    """
-    _require_admissible(m, s)
-    # the end of a match, 0-based and exclusive, is the 1-based closing position
-    forced = {hit.end() for pattern in ("1" * (m - 1) + "0", "0" * (m - 1) + "1")
-              for hit in re.finditer(pattern, s)}
-    free = [(k, c) for k, c in enumerate(s, start=1) if k not in forced]
-    set0 = tuple(k for k, c in free if c == "0")
-    set1 = tuple(k for k, c in free if c == "1")
-    return OccurrenceReport(set0, set1, len(set0), len(set1))
-
-
-def complement(s: str) -> str:
-    """Symbolwise flip; an involution that preserves admissibility."""
-    _check_symbols(s)
-    return s.translate(str.maketrans("01", "10"))
-
-
-def pi2(s: str) -> Fraction:
-    """Projection to [0,1]: sum of w_n / 2^n over the finite word."""
-    _check_symbols(s)
-    if not s:
-        return Fraction(0)
-    return Fraction(int(s, 2), 2 ** len(s))
-
-
-def d2(w: str, v: str) -> MetricValue:
-    """Metric 2^{-inf{k>=0: w_{k+1} != v_{k+1}}} on finite windows.
-
-    Exact when the windows differ within the common length L; otherwise an
-    upper-bound sentinel (value 2^{-L}, exact=False).  Callers must branch
-    on `exact`.
-    """
-    _check_symbols(w)
-    _check_symbols(v)
-    if not w or not v:
-        raise ValueError("d2 requires non-empty windows")
-    common = min(len(w), len(v))
-    for i in range(common):
-        if w[i] != v[i]:
-            return MetricValue(Fraction(1, 2**i), True)
-    return MetricValue(Fraction(1, 2**common), False)

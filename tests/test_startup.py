@@ -1,7 +1,10 @@
-"""Start-up of the package: numpy loads only in the calls that build arrays.
+"""Start-up of the package: a module, numpy included, loads only when used.
 
-Each test runs a fresh interpreter on `src/`, so nothing imported by this
-test process (numpy included) is loaded there before the code under test.
+`import rllshift` and building the CLI parser load no module of the
+package beyond `rllshift.cli`; each command loads the modules it runs, and
+numpy loads only in the calls that build arrays.  Each test runs a fresh
+interpreter on `src/`, so nothing imported by this test process is loaded
+there before the code under test.
 """
 import json
 import os
@@ -18,7 +21,8 @@ DATA = ROOT / "tests" / "data"
 
 # Runs each argv of the JSON list in sys.argv[1] through cli.main, in one
 # process, and prints a JSON list with, per argv, the exit code, the
-# stdout, and whether numpy was loaded before and after the call.
+# stdout, whether numpy was loaded before and after the call, and the
+# package's modules loaded after it.
 DRIVER = """
 import contextlib, io, json, sys
 import rllshift, rllshift.cli
@@ -29,7 +33,8 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = rllshift.cli.main(argv)
-    rows.append([code, out.getvalue(), before, "numpy" in sys.modules])
+    loaded = sorted(m for m in sys.modules if m.startswith("rllshift."))
+    rows.append([code, out.getvalue(), before, "numpy" in sys.modules, loaded])
 print(json.dumps(rows))
 """
 
@@ -65,7 +70,7 @@ NUMPY_FREE = [
 
 def test_numpy_free_commands_leave_numpy_unloaded(capsys):
     rows = run_fresh(*NUMPY_FREE)
-    for argv, (code, out, before, after) in zip(NUMPY_FREE, rows):
+    for argv, (code, out, before, after, _) in zip(NUMPY_FREE, rows):
         assert code == 0, argv
         assert not before and not after, argv
         assert out == in_process(capsys, argv), argv
@@ -82,7 +87,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(capsys):
     ],
 )
 def test_numpy_commands_load_numpy_in_the_call(capsys, argv, golden):
-    [(code, out, before, after)] = run_fresh(argv)
+    [(code, out, before, after, _)] = run_fresh(argv)
     assert code == 0
     assert not before and after  # numpy first loads inside the call
     want = (DATA / golden).read_text() if golden else in_process(capsys, argv)
@@ -100,3 +105,107 @@ def test_f_m_on_scalars_leaves_numpy_unloaded():
     assert value == repr(dimension.f_m(5, 0.3))
     assert exact == "8/21"  # (1/3 - 1/243) / (1 - 1/243 - 32/243)
     assert loaded == "False"
+
+
+def test_import_and_parser_load_only_init_and_cli():
+    code = (
+        "import json, sys\n"
+        "import rllshift, rllshift.cli\n"
+        "rllshift.cli.build_parser()\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('rllshift')),\n"
+        "                  'numpy' in sys.modules]))\n"
+    )
+    assert json.loads(fresh(code)) == [["rllshift", "rllshift.cli"], False]
+
+
+ALL_MODULES = ["cli", "dimension", "markov", "measure", "univoque", "verify", "words"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["dims", "--m", "3:30", "--p", "0.3"], ["cli", "dimension", "words"]),
+        (["gamma-check", "--periodic", "1:10"], ["cli", "univoque", "words"]),
+        (["enumerate", "--m", "5", "--n", "2000", "--count-only"], ["cli", "words"]),
+        (["measure", "--m", "5", "--p", "1/3", "--w", "0110", "--k", "40"],
+         ["cli", "measure", "words"]),
+        (["verify", "--quick"], ALL_MODULES),
+    ],
+    ids=["dims", "gamma-check", "enumerate-count", "measure-exact", "verify-quick"],
+)
+def test_each_command_loads_only_its_modules(argv, modules):
+    [(code, _, _, _, loaded)] = run_fresh(argv)
+    assert code == 0
+    assert loaded == [f"rllshift.{m}" for m in modules]
+
+
+def test_listing_over_the_cap_exits_2_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rllshift.cli", "enumerate", "--m", "3", "--n", "60"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: 5009461563922 words of length 60 exceed the cap 2097152; use count_words\n"
+    )
+
+
+# the package's exports, by the module that defines them; each module is
+# exported under its own name too
+EXPORTS = {
+    "words": ["CapacityError", "InadmissibleWordError", "count_words",
+              "enumerate_words", "is_admissible_symbols"],
+    "measure": ["BernoulliTypeMeasure", "PullbackSeries", "bernoulli", "cesaro_lambda",
+                "mu_closed", "mu_recursive", "pullback_cylinder", "pullback_series"],
+    "markov": ["ChainSpec", "RunState", "SampleRun", "build_chain",
+               "final_local_dimension", "sample", "stationary"],
+    "dimension": ["DimensionProfile", "entropy_binary", "f_m", "g_m", "lower_bound",
+                  "profiles", "solve_qm", "topo_dim"],
+    "univoque": ["EventuallyPeriodicSequence", "GammaVerdict", "clean_windows",
+                 "gamma_check_periodic", "gamma_check_prefix", "theta_embed"],
+}
+
+# In a fresh interpreter: the exports after a bare `import rllshift`, each
+# name's object against the attribute of its defining module, an unknown
+# name, and a star import.
+SURFACE = """
+import importlib, json, sys
+import rllshift
+loaded = sorted(m for m in sys.modules if m.startswith("rllshift"))
+exports = json.loads(sys.argv[1])
+same = {}
+for module, names in exports.items():
+    defining = importlib.import_module(f"rllshift.{module}")
+    same[module] = getattr(rllshift, module) is defining
+    for name in names:
+        same[name] = getattr(rllshift, name) is getattr(defining, name)
+try:
+    rllshift.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+star = {}
+exec("from rllshift import *", star)
+print(json.dumps({
+    "all": rllshift.__all__,
+    "loaded": loaded,
+    "same": same,
+    "unknown": unknown,
+    "star": sorted(k for k in star if k != "__builtins__"),
+    "dir": sorted(set(rllshift.__all__) - set(dir(rllshift))),
+}))
+"""
+
+
+def test_package_surface():
+    got = json.loads(fresh(SURFACE, json.dumps(EXPORTS)))
+    names = sorted(n for module, names in EXPORTS.items() for n in (module, *names))
+    assert len(names) == 39
+    assert got["all"] == names
+    assert got["loaded"] == ["rllshift"]
+    assert got["same"] == dict.fromkeys(got["same"], True)
+    assert got["unknown"] == "module 'rllshift' has no attribute 'no_such_name'"
+    assert got["star"] == names
+    assert got["dir"] == []

@@ -1,6 +1,5 @@
 import itertools
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,13 +8,9 @@ from hypothesis import strategies as st
 from rllshift import measure, words
 from rllshift.words import (
     CapacityError,
-    complement,
     count_words,
-    d2,
     enumerate_words,
     is_admissible_symbols,
-    occurrence_report,
-    pi2,
 )
 
 
@@ -36,6 +31,11 @@ binary = st.text(alphabet="01", max_size=24)
 def longest_run(s):
     """Length of the longest run of equal symbols, 0 for the empty word."""
     return max((len(run) for run in re.findall("0+|1+", s)), default=0)
+
+
+def flip(s):
+    """The word with every symbol flipped."""
+    return s.translate(str.maketrans("01", "10"))
 
 
 def brute_occurrence(m, s):
@@ -184,7 +184,7 @@ class TestWordTable:
         # is its own complement, so its first half is the words starting with 0
         for n in range(1, L + 1):
             level = tree.words[tree.starts[n]:tree.starts[n + 1]]
-            assert level[::-1] == [complement(w) for w in level]
+            assert level[::-1] == [flip(w) for w in level]
             half = len(level) // 2
             assert {w[0] for w in level[:half]} == {"0"} and {w[0] for w in level[half:]} == {"1"}
 
@@ -245,35 +245,16 @@ class TestWordTable:
 
 class TestOccurrence:
     def test_examples(self):
-        r = occurrence_report(3, "010")
-        assert (r.n0, r.n1) == (2, 1)
-        r = occurrence_report(3, "001")
-        assert (r.n0, r.n1) == (2, 0)
-        assert 3 not in r.set1  # 000 is forbidden, so position 3 is stuck
-        r = occurrence_report(5, "0101")
-        assert (r.n0, r.n1) == (2, 2)
-
-    def test_inadmissible_rejected(self):
-        with pytest.raises(words.InadmissibleWordError):
-            occurrence_report(3, "000")
+        assert words.occurrence_counts(3, "010") == (2, 1)
+        assert words.occurrence_counts(3, "001") == (2, 0)  # 000 is forbidden
+        assert words.occurrence_counts(5, "0101") == (2, 2)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_local_rule_matches_definition(self, m):
         for n in range(1, 11):
             for w in enumerate_words(m, n):
-                r = occurrence_report(m, w)
-                assert (r.set0, r.set1) == brute_occurrence(m, w)
-
-    @PROPERTY
-    @given(st.integers(3, 6), binary)
-    def test_report_matches_definition(self, m, s):
-        if not words.is_admissible_symbols(m, s):
-            with pytest.raises(words.InadmissibleWordError):
-                occurrence_report(m, s)
-            return
-        r = occurrence_report(m, s)
-        assert (r.set0, r.set1) == brute_occurrence(m, s)
-        assert (r.n0, r.n1) == words.occurrence_counts(m, s)
+                set0, set1 = brute_occurrence(m, w)
+                assert words.occurrence_counts(m, w) == (len(set0), len(set1))
 
     @PROPERTY
     @given(st.integers(3, 12), st.text(alphabet="01", max_size=60))
@@ -281,14 +262,6 @@ class TestOccurrence:
         # inadmissible strings too: the substring counts need no run check
         set0, set1 = loop_flip_positions(m, s)
         assert words.occurrence_counts(m, s) == (len(set0), len(set1))
-
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_complement_swaps_report(self, m):
-        for w in enumerate_words(m, 7):
-            r = occurrence_report(m, w)
-            rc = occurrence_report(m, complement(w))
-            assert (rc.set0, rc.n0) == (r.set1, r.n1)
-            assert (rc.set1, rc.n1) == (r.set0, r.n0)
 
     def test_subadditivity_small(self):
         m = 3
@@ -302,40 +275,3 @@ class TestOccurrence:
                 c0, c1 = words.occurrence_counts(m, w + v)
                 assert w0 + v0 - 1 <= c0 <= w0 + v0
                 assert w1 + v1 - 1 <= c1 <= w1 + v1
-
-
-class TestComplement:
-    def test_flip(self):
-        assert complement("010") == "101"
-
-    def test_involution_and_admissibility(self):
-        for w in enumerate_words(3, 6):
-            assert complement(complement(w)) == w
-            assert is_admissible_symbols(3, complement(w))
-
-
-class TestMetricAndProjection:
-    def test_d2_examples(self):
-        assert d2("01", "11") == words.MetricValue(Fraction(1), True)
-        assert d2("0101", "0111") == words.MetricValue(Fraction(1, 4), True)
-        assert d2("0101", "0101") == words.MetricValue(Fraction(1, 16), False)
-
-    def test_d2_empty_rejected(self):
-        with pytest.raises(ValueError):
-            d2("", "0")
-
-    def test_pi2_examples(self):
-        assert pi2("1") == Fraction(1, 2)
-        assert pi2("011") == Fraction(3, 8)
-        assert pi2("000") == 0
-        assert pi2("") == 0
-
-    def test_projection_lipschitz(self):
-        # |pi2(w) - pi2(v)| <= d2(w, v) whenever d2 is exact
-        n = 6
-        for a in itertools.product("01", repeat=n):
-            for b in itertools.product("01", repeat=n):
-                w, v = "".join(a), "".join(b)
-                metric = d2(w, v)
-                if metric.exact:
-                    assert abs(pi2(w) - pi2(v)) <= metric.value
