@@ -37,17 +37,18 @@ def build_chain(m: int, p) -> ChainSpec:
     _check_order(m)
     _check_open_unit(p, "p")
     q = 1 - p
+    one = p**0
     states = tuple(RunState(d, r) for d in (0, 1) for r in range(1, m))
     kernel: dict[RunState, tuple] = {}
     for st in states:
         d, r = st
         if r == m - 1:
-            kernel[st] = ((1 - d, RunState(1 - d, 1), p**0),)
+            kernel[st] = ((1 - d, RunState(1 - d, 1), one),)
         else:
-            stay = p if d == 0 else q
+            stay, flip = (p, q) if d == 0 else (q, p)
             kernel[st] = (
                 (d, RunState(d, r + 1), stay),
-                (1 - d, RunState(1 - d, 1), 1 - stay),
+                (1 - d, RunState(1 - d, 1), flip),
             )
     return ChainSpec(m, p, states, kernel)
 
@@ -70,25 +71,45 @@ def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
     A state that no edge from a reached state enters keeps v = None: r
     does not reach it, and the chain is rejected as reducible.  (A reached
     v may underflow to 0.0 in floats, so the test is for None, not 0.)
+
+    With rational probabilities and b the lcm of their denominators, the
+    pass holds v of the i-th state as an integer numerator over b**i: an
+    edge from the i-th to the j-th state with probability w/b adds the
+    numerator times w * b**(j-i-1).  The numerators are put over b**(S-1),
+    S states, and summed, and each pi(x) is one Fraction.  Float
+    probabilities take the same pass with b = 1 and w = prob, where every
+    factor b**k is an exact 1.
     """
-    first = chain.states[0]
-    index = {st: i for i, st in enumerate(chain.states)}
-    visits = dict.fromkeys(chain.states)
-    visits[first] = chain.p**0
-    for i, st in enumerate(chain.states):
-        if visits[st] is None:
+    states = chain.states
+    first = states[0]
+    index = {st: i for i, st in enumerate(states)}
+    # keyed by identity: hashing a Fraction costs about 1 us, an id 30 ns
+    probs = {id(prob): prob for edges in chain.kernel.values() for _, _, prob in edges}
+    exact = all(isinstance(prob, (int, Fraction)) for prob in probs.values())
+    b = math.lcm(*(prob.denominator for prob in probs.values())) if exact else 1
+    weight = {key: prob.numerator * (b // prob.denominator) if exact else prob
+              for key, prob in probs.items()}
+    visits = [None] * len(states)
+    visits[0] = 1
+    for i, st in enumerate(states):
+        if visits[i] is None:
             continue
         for _, nxt, prob in chain.kernel[st]:
             if nxt == first:
                 continue
-            if index[nxt] <= i:
+            j = index[nxt]
+            if j <= i:
                 raise RuntimeError(f"edge {st} -> {nxt} makes a cycle avoiding {first}")
-            flow = visits[st] * prob
-            visits[nxt] = flow if visits[nxt] is None else visits[nxt] + flow
-    if None in visits.values():
+            flow = visits[i] * weight[id(prob)] * b ** (j - i - 1)
+            visits[j] = flow if visits[j] is None else visits[j] + flow
+    if None in visits:
         raise RuntimeError("chain is not irreducible")
-    total = sum(visits.values())
-    return {st: v / total for st, v in visits.items()}
+    top = len(states) - 1
+    visits = [v * b ** (top - i) for i, v in enumerate(visits)]
+    total = sum(visits)
+    if exact:
+        return {st: Fraction(v, total) for st, v in zip(states, visits)}
+    return {st: v / total for st, v in zip(states, visits)}
 
 
 def digit_mass(dist: dict[RunState, Fraction | float], digit: int):

@@ -198,16 +198,16 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
 
 
 def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
-    """The kernel's float transfer matrix: row i is `_step` of unit state i."""
+    """The kernel's float transfer matrix: row i is `_step` of unit state i.
+
+    One `_step` on the columns of the identity, held as lists of vectors,
+    steps every unit state at once with the scalar step's operations in its
+    order; entry j of its state r is the mass of r after unit state j.
+    """
     import numpy as np
-    size = m - 1
-    rows = []
-    for i in range(2 * size):
-        unit = [0.0] * (2 * size)
-        unit[i] = 1.0
-        z, o = _step(unit[:size], unit[size:], p, q, 1)
-        rows.append(z + o)
-    return np.array(rows)
+    unit = np.eye(2 * (m - 1))
+    z, o = _step(list(unit[: m - 1]), list(unit[m - 1 :]), p, q, 1)
+    return np.ascontiguousarray(np.array(z + o).T)
 
 
 def _float_doubling(m: int, p: float, w: str, k: int):
@@ -218,14 +218,14 @@ def _float_doubling(m: int, p: float, w: str, k: int):
     Cesaro sum past mu[w].  Doubling over the bits of k-1 keeps A = P^(2^i)
     and g = (sum_{j<2^i} P^j) e; a set bit adds x g to the sum and moves x
     on by A.  O(S^3 log k) at any k, slower than k kernel steps at large m
-    and small k (median of 7, 2-core x86-64 VM: m = 300, k = 5 take 80 ms
-    against 0.3 ms; m = 150, k = 100 23 ms against 3 ms; k = 10**12 at
-    m = 300 0.33 s).  All terms are nonnegative: no cancellation.  Each
-    squaring rescales the rows of A to sum 1, else the rounding of p + (1-p)
-    would double at every squaring, an error growing like k * 1e-16.  The
-    tests hold the pullback's relative error to 1e-12 against the step loop
-    (m <= 40, k <= 5000) and to 1e-14 against the exact stationary value at
-    k = 10**12.
+    and small k (medians of 5 rounds of 7-21 calls, 2-core x86-64 VM:
+    m = 300, k = 5 take 22 ms against 0.18 ms; m = 150, k = 100 7 ms
+    against 1.3 ms; k = 10**12 at m = 300 0.22 s).  All terms are
+    nonnegative: no cancellation.  Each squaring rescales the rows of A to
+    sum 1, else the rounding of p + (1-p) would double at every squaring,
+    an error growing like k * 1e-16.  The tests hold the pullback's
+    relative error to 1e-12 against the step loop (m <= 40, k <= 5000) and
+    to 1e-14 against the exact stationary value at k = 10**12.
     """
     import numpy as np
     q = 1.0 - p

@@ -139,6 +139,8 @@ class TestLambda:
         [
             ("lambda_m12.json", "--m 12 --p 3/10 --n 1000000000000"),
             ("lambda_m35.json", "--m 35 --p 0.3 --n 1000"),
+            # the exact closed form and stationary law at exact-deep's largest m
+            ("lambda_m35_exact.json", "--m 35 --p 2/7 --n 1000"),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, argv):

@@ -92,6 +92,28 @@ def gauss_stationary(chain):
     return {st: aug[index[st]][n] for st in states}
 
 
+def fraction_stationary(chain):
+    """Reference: the regeneration pass on values in p's number type, one
+    multiplication and addition per edge, that `stationary` runs on integer
+    numerators."""
+    first = chain.states[0]
+    index = {st: i for i, st in enumerate(chain.states)}
+    visits = dict.fromkeys(chain.states)
+    visits[first] = chain.p**0
+    for i, st in enumerate(chain.states):
+        if visits[st] is None:
+            continue
+        for _, nxt, prob in chain.kernel[st]:
+            if nxt == first:
+                continue
+            assert index[nxt] > i
+            flow = visits[st] * prob
+            visits[nxt] = flow if visits[nxt] is None else visits[nxt] + flow
+    assert None not in visits.values()
+    total = sum(visits.values())
+    return {st: v / total for st, v in visits.items()}
+
+
 def loop_increments(run, q):
     """Reference: -log of each symbol's measure factor; forced positions add 0."""
     log_q, log_1q = -math.log(q), -math.log(1.0 - q)
@@ -201,6 +223,41 @@ class TestStationary:
     def test_matches_gauss_jordan_exactly(self, m, p):
         chain = build_chain(m, p)
         assert stationary(chain) == gauss_stationary(chain)
+
+    @pytest.mark.parametrize(
+        "p", [P13, Fraction(2, 5), Fraction(1, 2), Fraction(9, 10), Fraction(1, 1000)]
+    )
+    def test_integer_pass_equals_fraction_pass(self, p):
+        for m in range(3, 61):
+            chain = build_chain(m, p)
+            got = stationary(chain)
+            assert got == fraction_stationary(chain), m
+            assert all(type(v) is Fraction for v in got.values())
+
+    @pytest.mark.parametrize("p", [0.3, 1e-320, 1 - 1e-16])
+    def test_float_pass_equals_fraction_pass_bit_for_bit(self, p):
+        # the same pass with b = 1: every scaling is an exact multiplication by 1
+        for m in range(3, 61):
+            chain = build_chain(m, p)
+            got, want = stationary(chain), fraction_stationary(chain)
+            assert list(got) == list(want)
+            for st, v in got.items():
+                assert type(v) is float and v == want[st], (m, st)
+
+    def test_hand_built_chain_takes_lcm_of_denominators(self):
+        # probabilities 1/3, 2/3, 1/2 and 1 put every value over 6**k, not
+        # over p's 3**k: int(prob * 3) would truncate 1/2 to 1
+        a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        kernel = {
+            a: ((0, b, third), (1, c, 1 - third)),
+            b: ((1, c, half), (0, a, half)),
+            c: ((0, a, 1),),
+        }
+        chain = ChainSpec(3, P13, (a, b, c), kernel)
+        pi = stationary(chain)
+        assert pi == {a: Fraction(6, 13), b: Fraction(2, 13), c: Fraction(5, 13)}
+        assert pi == fraction_stationary(chain)
 
     def test_float_within_1e14_of_exact(self):
         # entries of p**k underflow near the ends of (0, 1); the pass only

@@ -42,6 +42,18 @@ def loop_cesaro(meas, s, n):
     return total / n
 
 
+def unit_rows_transfer_matrix(m, p, q):
+    """Reference: the float transfer matrix one `_step` of a unit state per row."""
+    size = m - 1
+    rows = []
+    for i in range(2 * size):
+        unit = [0.0] * (2 * size)
+        unit[i] = 1.0
+        z, o = words._step(unit[:size], unit[size:], p, q, 1)
+        rows.append(z + o)
+    return np.array(rows)
+
+
 def loop_quasi_bernoulli(meas, L):
     """Reference: the per-split loop that quasi_bernoulli_check does in array passes."""
     a, _, b = weights = meas.weights
@@ -346,6 +358,15 @@ class TestWalk:
         assert got == loop_walk(m, *weights, e, k)
         if not words.is_admissible_symbols(m, w):
             assert got == 0
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 2 / 7, 1e-12, 1 - 1e-12])
+    def test_transfer_matrix_equals_unit_rows(self, p):
+        # one vector step of the identity: the same floats as a step per row
+        for m in [*range(3, 41), 300]:
+            got = measure._transfer_matrix(m, p, 1.0 - p)
+            want = unit_rows_transfer_matrix(m, p, 1.0 - p)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want), m
 
     @pytest.mark.parametrize("m", range(3, 13))
     @pytest.mark.parametrize("p", [Fraction(1, 1000), P13, Fraction(1, 2), Fraction(9, 10)])
