@@ -89,7 +89,7 @@ def cmd_lambda(args) -> int:
     p = _parse_p(args.p)
     chain = markov.build_chain(args.m, p)
     closed = dimension.f_m(args.m, p)
-    pi0 = markov.digit_mass(markov.stationary(chain), 0)
+    pi0 = markov.digit_mass(chain, 0)
     meas = measure.bernoulli(args.m, p)
     ces = measure.cesaro_lambda(meas, "0", args.n)
     record = {

@@ -33,23 +33,22 @@ class ChainSpec:
 
 
 def build_chain(m: int, p) -> ChainSpec:
-    """Kernel: free states split p/(1-p); a maximal run forces the flip."""
+    """Kernel: free states split p/(1-p); a maximal run forces the flip.
+
+    The kernel's next states are the elements of `states`, not copies.
+    """
     _check_order(m)
     _check_open_unit(p, "p")
     q = 1 - p
     one = p**0
     states = tuple(RunState(d, r) for d in (0, 1) for r in range(1, m))
     kernel: dict[RunState, tuple] = {}
-    for st in states:
-        d, r = st
-        if r == m - 1:
-            kernel[st] = ((1 - d, RunState(1 - d, 1), one),)
-        else:
-            stay, flip = (p, q) if d == 0 else (q, p)
-            kernel[st] = (
-                (d, RunState(d, r + 1), stay),
-                (1 - d, RunState(1 - d, 1), flip),
-            )
+    for d, stay, flip in ((0, p, q), (1, q, p)):
+        runs = states[d * (m - 1) : (d + 1) * (m - 1)]
+        restart = states[(1 - d) * (m - 1)]  # (1-d, 1)
+        for st, nxt in zip(runs, runs[1:]):
+            kernel[st] = ((d, nxt, stay), (1 - d, restart, flip))
+        kernel[runs[-1]] = ((1 - d, restart, one),)
     return ChainSpec(m, p, states, kernel)
 
 
@@ -73,13 +72,23 @@ def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
     v may underflow to 0.0 in floats, so the test is for None, not 0.)
 
     With rational probabilities and b the lcm of their denominators, the
-    pass holds v of the i-th state as an integer numerator over b**i: an
-    edge from the i-th to the j-th state with probability w/b adds the
-    numerator times w * b**(j-i-1).  The numerators are put over b**(S-1),
-    S states, and summed, and each pi(x) is one Fraction.  Float
+    pass (`_visit_numerators`) holds v of the i-th state as an integer
+    numerator over b**i: an edge from the i-th to the j-th state with
+    probability w/b adds the numerator times w * b**(j-i-1).  The
+    numerators are put over b**(S-1), S states, and summed, and each pi(x)
+    is one Fraction; `digit_mass` divides once instead.  Float
     probabilities take the same pass with b = 1 and w = prob, where every
     factor b**k is an exact 1.
     """
+    visits, total = _visit_numerators(chain)
+    if isinstance(total, int):
+        return {st: Fraction(v, total) for st, v in zip(chain.states, visits)}
+    return {st: v / total for st, v in zip(chain.states, visits)}
+
+
+def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
+    """`stationary`'s pass: the visit numerators and their total, ints for
+    rational probabilities and floats (b = 1) otherwise."""
     states = chain.states
     first = states[0]
     index = {st: i for i, st in enumerate(states)}
@@ -90,7 +99,7 @@ def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
     weight = {key: prob.numerator * (b // prob.denominator) if exact else prob
               for key, prob in probs.items()}
     visits = [None] * len(states)
-    visits[0] = 1
+    visits[0] = 1 if exact else 1.0  # the total's type tells the callers which
     for i, st in enumerate(states):
         if visits[i] is None:
             continue
@@ -106,15 +115,21 @@ def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
         raise RuntimeError("chain is not irreducible")
     top = len(states) - 1
     visits = [v * b ** (top - i) for i, v in enumerate(visits)]
-    total = sum(visits)
-    if exact:
-        return {st: Fraction(v, total) for st, v in zip(states, visits)}
-    return {st: v / total for st, v in zip(states, visits)}
+    return visits, sum(visits)
 
 
-def digit_mass(dist: dict[RunState, Fraction | float], digit: int):
-    """Total stationary mass on states carrying the given last digit."""
-    return sum(v for st, v in dist.items() if st.digit == digit)
+def digit_mass(chain: ChainSpec, digit: int) -> Fraction | float:
+    """Total stationary mass on states carrying the given last digit.
+
+    The sum of `stationary(chain)` over them, in value and type: one
+    Fraction of their summed numerators, or their float quotients added in
+    state order.
+    """
+    visits, total = _visit_numerators(chain)
+    mine = [v for st, v in zip(chain.states, visits) if st.digit == digit]
+    if isinstance(total, int):
+        return Fraction(sum(mine), total)
+    return sum(v / total for v in mine)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .words import (
     _prepend,
     _require_admissible,
     _start,
-    _step,
     _walk,
     occurrence_counts,
 )
@@ -198,16 +197,23 @@ def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
 
 
 def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
-    """The kernel's float transfer matrix: row i is `_step` of unit state i.
+    """The kernel's float transfer matrix: row i is `words._step` of unit state i.
 
-    One `_step` on the columns of the identity, held as lists of vectors,
-    steps every unit state at once with the scalar step's operations in its
-    order; entry j of its state r is the mass of r after unit state j.
+    States are ordered (0, 1..m-1) then (1, 1..m-1).  Filled from the
+    kernel's edges: the superdiagonal holds p on (0, r) -> (0, r+1), the
+    forced flip (0, m-1) -> (1, 1) and q on (1, r) -> (1, r+1); column
+    (1, 1) holds q from the free (0, r), and column (0, 1) p from the free
+    (1, r) and 1.0 from the forced (1, m-1).  A unit mass times a weight is
+    that weight exactly, so the entries are `_step`'s bit for bit.
     """
     import numpy as np
-    unit = np.eye(2 * (m - 1))
-    z, o = _step(list(unit[: m - 1]), list(unit[m - 1 :]), p, q, 1)
-    return np.ascontiguousarray(np.array(z + o).T)
+    n = 2 * (m - 1)
+    matrix = np.zeros((n, n))
+    matrix.flat[1 :: n + 1] = [p] * (m - 2) + [1.0] + [q] * (m - 2)
+    matrix[: m - 2, m - 1] = q
+    matrix[m - 1 :, 0] = p
+    matrix[-1, 0] = 1.0
+    return matrix
 
 
 def _float_doubling(m: int, p: float, w: str, k: int):

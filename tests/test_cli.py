@@ -141,6 +141,8 @@ class TestLambda:
             ("lambda_m35.json", "--m 35 --p 0.3 --n 1000"),
             # the exact closed form and stationary law at exact-deep's largest m
             ("lambda_m35_exact.json", "--m 35 --p 2/7 --n 1000"),
+            # a second denominator at an m and n that exact-deep draws
+            ("lambda_m34.json", "--m 34 --p 3/4 --n 305"),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, argv):

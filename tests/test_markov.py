@@ -66,6 +66,26 @@ def hand_run(m, bits):
     return markov.SampleRun(m, 0.5, 0, len(bits), bits, forced_mask(m, bits))
 
 
+def loop_build_chain(m, p):
+    """Reference: the per-state construction that `build_chain` makes from
+    shared states, with new next states on every edge."""
+    q = 1 - p
+    one = p**0
+    states = tuple(RunState(d, r) for d in (0, 1) for r in range(1, m))
+    kernel = {}
+    for st in states:
+        d, r = st
+        if r == m - 1:
+            kernel[st] = ((1 - d, RunState(1 - d, 1), one),)
+        else:
+            stay, flip = (p, q) if d == 0 else (q, p)
+            kernel[st] = (
+                (d, RunState(d, r + 1), stay),
+                (1 - d, RunState(1 - d, 1), flip),
+            )
+    return ChainSpec(m, p, states, kernel)
+
+
 def gauss_stationary(chain):
     """Reference: solve pi (P - I) = 0, sum(pi) = 1 by Gauss-Jordan elimination."""
     states = chain.states
@@ -180,6 +200,25 @@ class TestChain:
             power = np.linalg.matrix_power(matrix, (size - 1) ** 2 + 1)
             assert (power > 0).all()
 
+    @pytest.mark.parametrize(
+        "p", [P13, Fraction(2, 5), Fraction(9, 10), 0.3, 1e-320, 1 - 1e-16]
+    )
+    def test_matches_per_state_construction(self, p):
+        for m in range(3, 61):
+            chain, want = build_chain(m, p), loop_build_chain(m, p)
+            assert chain.states == want.states
+            # equal entries under equal keys, in the same key order
+            assert list(chain.kernel.items()) == list(want.kernel.items()), m
+
+    @pytest.mark.parametrize("p", [P13, 0.3])
+    def test_next_states_are_the_chain_states(self, p):
+        for m in range(3, 61):
+            chain = build_chain(m, p)
+            own = {id(st) for st in chain.states}  # `is` an element of states
+            assert all(
+                id(nxt) in own for edges in chain.kernel.values() for _, nxt, _ in edges
+            ), m
+
 
 class TestKernelMatchesMeasure:
     @pytest.mark.parametrize("m", range(3, 13))
@@ -202,19 +241,19 @@ class TestStationary:
     @pytest.mark.parametrize("m", range(3, 61))
     @pytest.mark.parametrize("p", [P13, Fraction(1, 2), Fraction(2, 3)])
     def test_matches_closed_form_exactly(self, m, p):
-        pi = stationary(build_chain(m, p))
-        assert digit_mass(pi, 0) == f_m(m, p)
-        assert digit_mass(pi, 0) + digit_mass(pi, 1) == 1
+        chain = build_chain(m, p)
+        assert digit_mass(chain, 0) == f_m(m, p)
+        assert digit_mass(chain, 0) + digit_mass(chain, 1) == 1
 
     def test_symmetric_case(self):
-        pi = stationary(build_chain(4, Fraction(1, 2)))
-        assert digit_mass(pi, 0) == Fraction(1, 2)
+        chain = build_chain(4, Fraction(1, 2))
+        assert digit_mass(chain, 0) == Fraction(1, 2)
 
     def test_m3_hand_solution(self):
         # balance equations for the four-state chain solved by hand
         p = P13
-        pi = stationary(build_chain(3, p))
-        assert digit_mass(pi, 0) == (1 + p) / 3
+        chain = build_chain(3, p)
+        assert digit_mass(chain, 0) == (1 + p) / 3
 
     @pytest.mark.parametrize("m", range(3, 13))
     @pytest.mark.parametrize(
@@ -266,7 +305,7 @@ class TestStationary:
         ps += [1 - x for x in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)]
         for m in range(3, 61, 3):
             for p in ps:
-                got = digit_mass(stationary(build_chain(m, p)), 0)
+                got = digit_mass(build_chain(m, p), 0)
                 exact = f_m(m, Fraction(p))
                 assert math.isfinite(got)
                 assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact, (m, p)
@@ -283,8 +322,8 @@ class TestStationary:
     def test_underflowing_float_visits_accepted(self):
         # p**2 underflows to 0.0, but the state is reached: the chain is
         # irreducible, and pi[0] is 1/4 as in `lambda --m 4 --p 1e-320`
-        pi = stationary(build_chain(4, 1e-320))
-        assert digit_mass(pi, 0) == 0.25
+        chain = build_chain(4, 1e-320)
+        assert digit_mass(chain, 0) == 0.25
 
     def test_unreachable_state_raises(self):
         a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
@@ -303,6 +342,42 @@ class TestStationary:
             for _, nxt, prob in chain.kernel[st]:
                 pushed[nxt] += mass * Fraction(prob)
         assert pushed == pi
+
+
+class TestDigitMass:
+    @pytest.mark.parametrize(
+        "p", [P13, Fraction(2, 5), Fraction(1, 2), Fraction(9, 10), Fraction(1, 1000)]
+    )
+    def test_fraction_equals_sum_of_stationary(self, p):
+        for m in range(3, 61):
+            chain = build_chain(m, p)
+            pi = stationary(chain)
+            masses = [digit_mass(chain, d) for d in (0, 1)]
+            for d, got in enumerate(masses):
+                want = sum(v for st, v in pi.items() if st.digit == d)
+                assert type(got) is type(want) is Fraction and got == want, (m, d)
+            assert masses[0] + masses[1] == 1
+
+    @pytest.mark.parametrize("p", [0.3, 1e-320, 1 - 1e-16])
+    def test_float_equals_sum_of_stationary(self, p):
+        # the per-state quotients added in state order, as the sum over the dict
+        for m in range(3, 61):
+            chain = build_chain(m, p)
+            pi = stationary(chain)
+            for d in (0, 1):
+                got = digit_mass(chain, d)
+                want = sum(v for st, v in pi.items() if st.digit == d)
+                assert type(got) is type(want) is float and got == want, (m, d)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.integers(3, 60),
+        st.integers(2, 60).flatmap(
+            lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
+        ),
+    )
+    def test_matches_closed_form(self, m, p):
+        assert digit_mass(build_chain(m, p), 0) == f_m(m, p)
 
 
 class TestSampling:
