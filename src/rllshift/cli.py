@@ -113,7 +113,7 @@ def cmd_sample(args) -> int:
     if not 0 <= args.seed < 2**128:
         raise ValueError(f"--seed must lie in [0, 2**128), got {args.seed}")
     chain = markov.build_chain(args.m, float(_parse_p(args.p)))
-    q = float(_parse_p(args.q, "--q")) if args.q else float(chain.p)
+    q = float(chain.p) if args.q is None else float(_parse_p(args.q, "--q"))
     run = markov.sample(chain, args.n, args.seed)
     summary = {
         "schema": SCHEMA,

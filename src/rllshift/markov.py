@@ -169,7 +169,7 @@ _SLICE = 4096 * BLOCK  # symbols per batch of block work, to bound the temporari
 @functools.lru_cache(maxsize=1)
 def _block_table(
     m: int, favoured: int
-) -> tuple[tuple[int, ...], bytes, np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], tuple[bytes, ...], np.ndarray, np.ndarray]:
     """One block of BLOCK steps of the chain, for every run state and block code.
 
     A state (digit, run) is the integer x = 2*run + digit.  Symbol j of a
@@ -185,9 +185,10 @@ def _block_table(
     the block no longer depends on the run.  So there are at most
     2*(BLOCK+1) rows whatever m is.  A block that flips ends on a run of at
     most BLOCK, so the next state fits in a byte, with 0 for "x + 2*BLOCK".
-    Returns (row offset of each x, next state, emitted bits as one byte,
-    forced marks as one byte), the last three indexed by row offset + code;
-    both bytes hold the block's first symbol in their high bit.
+    Returns (the row of each x; per row, the next state of each code as
+    bytes; emitted bits as one byte; forced marks as one byte), the last
+    two indexed by row * 3**BLOCK + code; both bytes hold the block's first
+    symbol in their high bit.
     """
     import numpy as np
     cap = m - 1
@@ -219,53 +220,88 @@ def _block_table(
         d, left, run, emitted, forced = (
             a.reshape(rows, -1) for a in (d, left, run, emitted, forced)
         )
-    nxt = np.where(run > BLOCK, 0, 2 * run + d)
+    nxt = np.where(run > BLOCK, 0, 2 * run + d).astype(np.uint8)
     x = np.arange(2 * m)
-    row = ((x & 1) * per_digit + np.maximum(x >> 1, low) - low) * 3**BLOCK
+    row = (x & 1) * per_digit + np.maximum(x >> 1, low) - low
     emitted, forced = emitted.ravel(), forced.ravel()
     emitted.setflags(write=False)
     forced.setflags(write=False)
-    return tuple(row.tolist()), nxt.tobytes(), emitted, forced
+    return tuple(row.tolist()), tuple(map(bytes, nxt)), emitted, forced
+
+
+@functools.cache
+def _byte_codes() -> np.ndarray:
+    """The block code sum_j b_j 3**j of each byte b = sum_j b_j 2**j, as uint16."""
+    import numpy as np
+    bits = np.arange(256)[:, None] >> np.arange(BLOCK) & 1
+    return (bits @ 3 ** np.arange(BLOCK)).astype(np.uint16)
+
+
+def _class_bounds(p: float) -> tuple[np.uint64, np.uint64]:
+    """(L, H): for u = (w >> 11) * 2**-53 from a 64-bit word w, u < lo
+    exactly when w < L, and u < hi exactly when w <= H, where lo <= hi are
+    p and 1.0 - p.
+
+    u < x exactly when w >> 11 < K = ceil(x * 2**53), since x * 2**53 is
+    exact and w >> 11 is an integer; that is when w < K << 11, or
+    w <= (K << 11) - 1.  lo <= 0.5 <= hi, so the first form fits a uint64
+    for lo and the second for hi, also at lo = 0.0 and hi = 1.0 (K = 2**53).
+    """
+    import numpy as np
+    lo, hi = sorted((p, 1.0 - p))
+    return (np.uint64(math.ceil(lo * 2**53) << 11),
+            np.uint64((math.ceil(hi * 2**53) << 11) - 1))
 
 
 def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     """Draw a length-n admissible word from the path law, deterministically.
 
-    With u = rng.random(n), drawn a slice at a time, symbol 0 is 0 exactly
-    when u[0] < p.  Each later symbol i extends the current run when the run
-    is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p (run of 1's);
-    otherwise it flips the digit, and the flip out of a run of m-1 is
-    forced.  The walk applies this law BLOCK symbols per lookup in
+    With u = rng.random(n), rng = Generator(Philox(key=seed)), symbol 0 is
+    0 exactly when u[0] < p.  Each later symbol i extends the current run
+    when the run is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p
+    (run of 1's); otherwise it flips the digit, and the flip out of a run of
+    m-1 is forced.  The walk applies this law BLOCK symbols per lookup in
     `_block_table` and yields the same bits as the per-symbol walk; the
     same lookups give the forced marks.
+
+    The words are drawn raw, a slice at a time: rng.random() is
+    (w >> 11) * 2**-53 for the bit generator's next 64-bit word w, so the
+    two tests of u are integer tests of w (`_class_bounds`).  A block's
+    code sum_j c_j 3**j, c_j = [u_j < p] + [u_j < 1.0 - p], is linear in
+    the two tests, so it is the sum of the codes (`_byte_codes`) of two
+    bytes, each packing one test over the block's 8 symbols.  The walk
+    keeps the state x and records one byte per block, the row of x; the
+    rows and codes then look up every block's bits and marks at once.
     """
     import numpy as np
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m = chain.m
     p = float(chain.p)
-    q = 1.0 - p
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    below_lo, upto_hi = _class_bounds(p)
+    draw = np.random.Philox(key=seed).random_raw
     bits = np.empty(n, dtype=np.uint8)
     forced = np.empty(n, dtype=bool)
-    bits[0] = 0 if rng.random() < p else 1
+    bits[0] = 0 if (draw() >> 11) * 2.0**-53 < p else 1
     forced[0] = False  # the first symbol ends no run
     # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
     row, nxt, emitted, marks = _block_table(m, 0 if p > 0.5 else 1)
+    byte_codes = _byte_codes()
     x = 2 + int(bits[0])
     jump = 2 * BLOCK
-    pow3 = 3 ** np.arange(BLOCK)
     for start in range(1, n, _SLICE):
         size = min(_SLICE, n - start)
         # whole blocks: the last one may draw past symbol n-1; those bits are cut off
-        u = rng.random(-(-size // BLOCK) * BLOCK)
-        cls = (u < p).astype(np.uint8) + (u < q)
-        ks = []
-        for code in (cls.reshape(-1, BLOCK) @ pow3).tolist():
-            k = row[x] + code
-            ks.append(k)
-            x = nxt[k] or x + jump
-        ks = np.fromiter(ks, np.intp, len(ks))
+        w = draw(-(-size // BLOCK) * BLOCK)
+        codes = byte_codes[np.packbits(w < below_lo, bitorder="little")]
+        codes += byte_codes[np.packbits(w <= upto_hi, bitorder="little")]
+        trace = bytearray()
+        put = trace.append
+        for code in memoryview(codes):
+            r = row[x]
+            put(r)
+            x = nxt[r][code] or x + jump
+        ks = np.frombuffer(trace, np.uint8) * np.intp(3**BLOCK) + codes
         bits[start : start + size] = np.unpackbits(emitted[ks])[:size]
         forced[start : start + size] = np.unpackbits(marks[ks])[:size]
     return SampleRun(m, p, seed, n, bits, forced)

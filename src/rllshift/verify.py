@@ -383,8 +383,10 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 
 # the checks that the full suite runs in one forked child while the caller
-# runs the other twelve; in process on a 2-core x86-64 VM (medians of 5) they
-# take 39, 10 and 81 ms of a 290 ms suite, so each side gets about half.
+# runs the other twelve.  On a 2-core x86-64 VM, in one process (medians of 14)
+# they take 29, 5 and 44 ms of a 275 ms suite; run alone, as in the child,
+# they take 150-225 ms against 150-255 ms for the other twelve, since check 3
+# then builds the word tree that checks 1-6 share, so each side gets about half.
 # Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
 FORKED_CHECKS = ("3", "8", "14")
 

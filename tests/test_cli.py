@@ -241,6 +241,8 @@ class TestSample:
             ("sample_m12.json",
              "--m 12 --p 0.85 --q 0.6 --n 1000000 --seed 1 --format json"),
             ("sample_m5.csv", "--m 5 --p 0.3 --n 20000 --seed 7 --stride 1000"),
+            # a large order: 2m = 400 run-state codes x = 2*run + digit, past a byte
+            ("sample_m200.json", "--m 200 --p 0.37 --n 300000 --seed 5 --format json"),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, argv):
@@ -478,7 +480,8 @@ class TestErrors:
         assert out == ""
         assert "zero denominator" in err
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "abc", "1/2/3"])
+    # empty text is malformed too, not a missing flag
+    @pytest.mark.parametrize("text", ["nan", "inf", "abc", "1/2/3", ""])
     @pytest.mark.parametrize(
         "argv, flag",
         [

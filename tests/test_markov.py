@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rllshift import markov, measure, words
@@ -427,6 +427,20 @@ class TestSampling:
         ),
         st.integers(0, 2**32 - 1),
     )
+    # p at the edges of the integer class tests: 1.0 - p rounds to 1.0 below
+    # 2**-54, and p or 1.0 - p lands on, or one float off, a multiple of 2**-53
+    @example(3, 4e-85, markov._SLICE + 9, 1)
+    @example(4, 2.0**-60, markov._SLICE + 9, 2)
+    @example(5, 1 - 2.0**-53, markov._SLICE + 9, 3)
+    @example(6, 12345 * 2.0**-53, markov._SLICE + 9, 4)
+    @example(7, 0.25, markov._SLICE + 9, 5)
+    @example(12, 0.75, markov._SLICE + 9, 6)
+    @example(3, math.nextafter(4e-85, 1), 5000, 7)
+    @example(4, math.nextafter(2.0**-60, 1), 5000, 8)
+    @example(5, math.nextafter(1 - 2.0**-53, 0), 5000, 9)
+    @example(6, math.nextafter(12345 * 2.0**-53, 1), 5000, 10)
+    @example(7, math.nextafter(0.25, 0), 5000, 11)
+    @example(12, math.nextafter(0.75, 1), 5000, 12)
     def test_bits_match_loop(self, m, p, n, seed):
         chain = build_chain(m, p)
         run = sample(chain, n, seed)
@@ -434,6 +448,51 @@ class TestSampling:
         assert run.bits.tobytes() == loop_sample(chain, n, seed).tobytes()
         assert run.forced.dtype == bool
         assert np.array_equal(run.forced, forced_mask(m, run.bits))
+
+    # m >= 128: at p = 1e-9 and 1 - 1e-9 the runs reach m-1, so the run
+    # states x = 2*run + digit go past a byte
+    @pytest.mark.parametrize("m", [128, 129, 130, 300])
+    @pytest.mark.parametrize("p", [0.5, 1e-9, 0.3, 1 - 1e-9])
+    def test_bits_match_loop_past_a_byte(self, m, p):
+        n = markov._SLICE + 2 * markov.BLOCK + 3  # a second slice
+        chain = build_chain(m, p)
+        run = sample(chain, n, seed=m)
+        assert run.bits.tobytes() == loop_sample(chain, n, m).tobytes()
+        assert np.array_equal(run.forced, forced_mask(m, run.bits))
+
+    @pytest.mark.parametrize("p", [Fraction(1, 10**400), 1 - Fraction(1, 10**400)])
+    def test_float_p_at_zero_or_one(self, p):
+        # float(p) is 0.0 or 1.0, where one of the tests never or always holds
+        chain = build_chain(5, p)
+        run = sample(chain, 3000, seed=4)
+        assert run.bits.tobytes() == loop_sample(chain, 3000, 4).tobytes()
+        assert np.array_equal(run.forced, forced_mask(5, run.bits))
+
+    def test_random_is_shifted_raw_word(self):
+        # sample reads the uniforms off the raw words; a numpy change fails here first
+        for key in (0, 1, 2**64 + 5, 2**128 - 1):
+            rng = np.random.Generator(np.random.Philox(key=key))
+            u = np.append(rng.random(), rng.random(5000))
+            w = np.random.Philox(key=key).random_raw(5001)
+            assert u.tobytes() == ((w >> 11) * 2.0**-53).tobytes()
+
+    @pytest.mark.parametrize(
+        "p",
+        [x for base in (4e-85, 2.0**-60, 1 - 2.0**-53, 12345 * 2.0**-53, 0.25, 0.5,
+                        0.3, 5e-324)
+         for x in (base, math.nextafter(base, 0), math.nextafter(base, 1))],
+    )
+    def test_class_bounds_exact(self, p):
+        below_lo, upto_hi = markov._class_bounds(p)
+        assert below_lo.dtype == upto_hi.dtype == np.uint64
+        lo, hi = sorted((p, 1.0 - p))
+        words = {0, 2**64 - 1, 2**63}
+        for edge in (int(below_lo), int(upto_hi)):
+            words.update(w for w in range(edge - 2049, edge + 2050) if 0 <= w < 2**64)
+        for w in sorted(words):
+            u = (w >> 11) * 2.0**-53
+            assert (np.uint64(w) < below_lo) == (u < lo), w
+            assert (np.uint64(w) <= upto_hi) == (u < hi), w
 
     def test_bits_pinned(self):
         # check 12's band was calibrated on this path; check 14 samples these
