@@ -16,13 +16,11 @@ _EXPORTS = {
     ),
     "measure": (
         "BernoulliTypeMeasure",
-        "PullbackSeries",
         "bernoulli",
         "cesaro_lambda",
         "mu_closed",
         "mu_recursive",
         "pullback_cylinder",
-        "pullback_series",
     ),
     "markov": (
         "ChainSpec",

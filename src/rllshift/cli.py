@@ -266,7 +266,7 @@ def _usage_errors() -> tuple[type[Exception], ...]:
     """What main reports as a usage error, with exit 2."""
     from .words import CapacityError
 
-    return ValueError, OSError, CapacityError
+    return ValueError, OSError, MemoryError, CapacityError
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 
 from .words import (
     WordTree,
@@ -30,9 +30,6 @@ from .words import (
 
 EXACT = "exact"
 FLOAT = "float"
-
-# comparison tolerance where float mode makes exactness impossible
-FLOAT_TOL = 1e-9
 
 
 class PullbackRecurrenceError(RuntimeError):
@@ -75,19 +72,6 @@ class BernoulliTypeMeasure:
 def bernoulli(m: int, p) -> BernoulliTypeMeasure:
     """Build a measure: exact for a Fraction p, else float(p)."""
     return BernoulliTypeMeasure(m, p if isinstance(p, Fraction) else float(p))
-
-
-@dataclass(frozen=True)
-class PullbackSeries:
-    """Shifted-cylinder measures a_k, b_k, c_k, d_k and Cesaro averages of a."""
-
-    m: int
-    p: Fraction | float
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-    cesaro_a: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +137,7 @@ def pullback_cylinder(meas: BernoulliTypeMeasure, w: str, k: int):
     return meas._value(_walk(m, *weights, _emission(m, *weights, w), k), k + len(w))
 
 
-def _check_series_recurrences(m, w0, w1, wf, a, c, d, exact: bool) -> None:
+def _check_series_recurrences(m, w0, w1, wf, a, c, d) -> None:
     """The proof recurrences on numerators over wf**(k+|w|): a_k = sum_{i<m-1}
     w0^i d_{k-1-i}, and c_k the same with w1 on the free terms, wf on the last."""
     a_coeffs = [w0**i for i in range(m - 1)]
@@ -161,7 +145,7 @@ def _check_series_recurrences(m, w0, w1, wf, a, c, d, exact: bool) -> None:
     for k in range(m, len(a)):
         for seq, coeffs, name in ((a, a_coeffs, "a"), (c, c_coeffs, "c")):
             got, want = seq[k], sum(x * d[k - 1 - i] for i, x in enumerate(coeffs))
-            if got != want if exact else abs(got - want) > FLOAT_TOL:
+            if got != want:
                 raise PullbackRecurrenceError(
                     f"{name}_{k} = {got} but recurrence gives {want} (m={m})"
                 )
@@ -171,8 +155,10 @@ _SERIES_CYLINDERS = ("0", "1", "01", "10")  # the cylinders of a, b, c, d
 
 
 def pullback_numerators(meas: BernoulliTypeMeasure, kmax: int) -> list[list]:
-    """Numerators of a, b, c, d up to kmax, over wf**(k+|w|), validated
-    against the proof recurrences; `pullback_series` makes them values."""
+    """Numerators of a, b, c, d up to kmax for an exact p = a/b, over
+    b**(k+|w|), validated against the proof recurrences."""
+    if meas.mode != EXACT:
+        raise ValueError("pullback_numerators requires exact mode")
     if kmax < meas.m:
         raise ValueError(f"kmax must be >= m={meas.m}, got {kmax}")
     m, weights = meas.m, meas.weights
@@ -181,19 +167,8 @@ def pullback_numerators(meas: BernoulliTypeMeasure, kmax: int) -> list[list]:
     for z, o in islice(_masses(m, *weights), kmax):
         for seq, e in zip(series, emissions):
             seq.append(_dot(z, o, e))
-    _check_series_recurrences(m, *weights, a, c, d, exact=meas.mode == EXACT)
+    _check_series_recurrences(m, *weights, a, c, d)
     return series
-
-
-def pullback_series(meas: BernoulliTypeMeasure, kmax: int) -> PullbackSeries:
-    """a,b,c,d up to kmax, validated against the proof recurrences."""
-    series = pullback_numerators(meas, kmax)
-    wf = meas.weights[2]
-    sums = accumulate(series[0], lambda t, x: t * wf + x)  # sum_{k<n} a_k, over wf**n
-    cesaro = [meas._value(t, n) / n for n, t in enumerate(sums, start=1)]
-    values = [tuple(meas._value(x, k + len(s)) for k, x in enumerate(seq))
-              for s, seq in zip(_SERIES_CYLINDERS, series)]
-    return PullbackSeries(meas.m, meas.p, *values, tuple(cesaro))
 
 
 def _transfer_matrix(m: int, p: float, q: float) -> np.ndarray:
@@ -258,7 +233,7 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
     mu[w] plus the sum from `_float_doubling` at k = n, O(S^3 log n) at any
     n; always float, also for a Fraction p.  The tests hold the relative
     error to 1e-12 against the step-by-step sum (n <= 3000, p down to
-    1e-12), to 1e-13 against the exact `pullback_series` Cesaro averages
+    1e-12), to 1e-13 against exact averages of `pullback_numerators`
     (n <= 200), and the absolute error to 1e-9 against the closed form at
     n = 10**12.  n = 1 gives mu[w], an inadmissible w 0.0; n must lie
     below 2**1024, past which n and the sum overflow binary64.

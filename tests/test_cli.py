@@ -220,6 +220,20 @@ class TestSample:
         assert out == ""
         assert err == f"error: --seed must lie in [0, 2**128), got {seed}\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_too_large_to_allocate_exit_two(self, capsys, fmt):
+        # 4 EiB exceeds the address space: the allocation fails at once
+        code, out, err = run_cli(
+            capsys,
+            "sample",
+            "--m", "3", "--p", "0.2", "--n", str(2**62),
+            "--seed", "1", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+
     def test_local_dim_final_from_counts(self, capsys):
         # at q = 1/2 every free symbol adds log 2, so the value is (N0+N1)/n
         code, out, _ = run_cli(

@@ -17,7 +17,6 @@ from rllshift.measure import (
     mu_closed,
     mu_recursive,
     pullback_cylinder,
-    pullback_series,
 )
 
 P13 = Fraction(1, 3)
@@ -175,6 +174,15 @@ def ref_pullback(m, p, s, k, dists=None):
     """Fraction reference for mu(sigma^{-k}[s])."""
     dist = (dists or ref_states(m, p, k))[k]
     return sum(mass * ref_mu(m, p, s, prev, run) for (prev, run), mass in dist.items())
+
+
+def series_values(meas, kmax):
+    """a, b, c, d of `pullback_numerators` as Fractions: numerators over
+    b**(k+1) for a_k and b_k, over b**(k+2) for c_k and d_k."""
+    base = meas.p.denominator
+    series = measure.pullback_numerators(meas, kmax)
+    return [[Fraction(x, base ** (k + len(w))) for k, x in enumerate(seq)]
+            for w, seq in zip(measure._SERIES_CYLINDERS, series)]
 
 
 def flip(s):
@@ -430,48 +438,47 @@ class TestWalk:
 
 class TestSeries:
     def test_first_terms(self):
-        s = pullback_series(bernoulli(3, P13), 10)
-        assert s.a[0] == P13
-        assert s.a[1] == P13
-        assert s.a[2] == Fraction(16, 27)
+        a = series_values(bernoulli(3, P13), 10)[0]
+        assert a[:3] == [P13, P13, Fraction(16, 27)]
 
     def test_mass_partition(self):
-        s = pullback_series(bernoulli(4, Fraction(2, 3)), 12)
-        assert all(ak + bk == 1 for ak, bk in zip(s.a, s.b))
-        assert all(0 <= x <= 1 for seq in (s.a, s.b, s.c, s.d) for x in seq)
+        a, b, c, d = series_values(bernoulli(4, Fraction(2, 3)), 12)
+        assert all(ak + bk == 1 for ak, bk in zip(a, b))
+        assert all(0 <= x <= 1 for seq in (a, b, c, d) for x in seq)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_recurrences_validated(self, m):
-        # constructor raises on any recurrence mismatch
-        pullback_series(bernoulli(m, Fraction(2, 5)), 20)
+        # raises on any recurrence mismatch
+        measure.pullback_numerators(bernoulli(m, Fraction(2, 5)), 20)
 
     def test_kmax_below_m_rejected(self):
         with pytest.raises(ValueError):
-            pullback_series(bernoulli(5, P13), 4)
+            measure.pullback_numerators(bernoulli(5, P13), 4)
+
+    def test_float_p_rejected(self):
+        with pytest.raises(ValueError, match="^pullback_numerators requires exact mode$"):
+            measure.pullback_numerators(bernoulli(5, 0.3), 20)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8])
     @pytest.mark.parametrize("p", [0.3, 0.5, 2 / 3, 0.001])
     def test_float_series_matches_exact(self, m, p):
-        # float mode passes the recurrences within FLOAT_TOL and agrees
-        # with the exact series at the same binary64 p
-        got = pullback_series(bernoulli(m, p), 40)
-        want = pullback_series(bernoulli(m, Fraction(p)), 40)
-        for name in ("a", "b", "c", "d", "cesaro_a"):
-            for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
-                assert abs(x - y) <= 1e-12 * y
+        # the float route to the series, pullback_cylinder and cesaro_lambda,
+        # agrees with the exact numerators at the same binary64 p
+        meas = bernoulli(m, p)
+        series = series_values(bernoulli(m, Fraction(p)), 40)
+        for w, seq in zip(measure._SERIES_CYLINDERS, series):
+            for k, want in enumerate(seq):
+                assert abs(pullback_cylinder(meas, w, k) - want) <= 1e-12 * want
+        for n, total in enumerate(itertools.accumulate(series[0]), start=1):
+            assert abs(cesaro_lambda(meas, "0", n) - total / n) <= 1e-12 * total / n
 
     def test_recurrence_error_is_loud(self):
         # sanity: a corrupted d-series trips the validator
         meas = bernoulli(3, P13)
-        s = pullback_series(meas, 8)
-        # numerators over 3**(k+1) for a_k, 3**(k+2) for c_k and d_k
-        a = [x * 3 ** (k + 1) for k, x in enumerate(s.a)]
-        c, d = ([x * 3 ** (k + 2) for k, x in enumerate(seq)] for seq in (s.c, s.d))
-        measure._check_series_recurrences(3, *meas.weights, a, c, d, exact=True)
+        a, _, c, d = measure.pullback_numerators(meas, 8)
+        measure._check_series_recurrences(3, *meas.weights, a, c, d)
         with pytest.raises(PullbackRecurrenceError):
-            measure._check_series_recurrences(
-                3, *meas.weights, a, c, [x + 1 for x in d], exact=True
-            )
+            measure._check_series_recurrences(3, *meas.weights, a, c, [x + 1 for x in d])
 
 
 class TestIntegerScaled:
@@ -491,12 +498,9 @@ class TestIntegerScaled:
     @given(st.integers(3, 6), ratios, st.integers(0, 2))
     def test_series_matches_fraction_reference(self, m, p, extra):
         kmax = min(m + extra, 8)
-        s = pullback_series(bernoulli(m, p), kmax)
         dists = ref_states(m, p, kmax)
-        for seq, w in ((s.a, "0"), (s.b, "1"), (s.c, "01"), (s.d, "10")):
-            assert list(seq) == [ref_pullback(m, p, w, k, dists) for k in range(kmax + 1)]
-        running = itertools.accumulate(s.a)
-        assert list(s.cesaro_a) == [t / n for n, t in enumerate(running, start=1)]
+        for seq, w in zip(series_values(bernoulli(m, p), kmax), measure._SERIES_CYLINDERS):
+            assert seq == [ref_pullback(m, p, w, k, dists) for k in range(kmax + 1)]
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(st.integers(3, 6), ratios, st.integers(2, 7))
@@ -592,10 +596,11 @@ class TestCesaroAndClosedForm:
     @given(st.integers(3, 12), ratios)
     def test_error_against_exact_average(self, m, p):
         meas = bernoulli(m, p)
-        exact = pullback_series(meas, 200).cesaro_a
+        sums = list(itertools.accumulate(series_values(meas, 200)[0]))
         for n in (1, 2, 3, 7, 50, 200):
+            exact = sums[n - 1] / n
             got = Fraction(cesaro_lambda(meas, "0", n))
-            assert abs(got - exact[n - 1]) <= Fraction(1, 10**13) * exact[n - 1]
+            assert abs(got - exact) <= Fraction(1, 10**13) * exact
 
     @pytest.mark.parametrize("m, p", [(3, P13), (7, 0.3), (12, 1e-12)])
     def test_one_term_and_empty_cylinder(self, m, p):
