@@ -144,54 +144,95 @@ class SampleRun:
     the generator is counter-based (Philox) keyed by the seed.  `forced`
     marks the symbols that end a maximal run of m-1, which the chain flips
     with probability 1; `sample` reads the marks off its block table.
+
+    The path is kept packed, 8 symbols a byte, in the layout of `sample`'s
+    blocks: byte 0 holds symbol 0 in its low bit, and byte 1 + j holds
+    symbols 1 + 8j, ..., 8 + 8j, the first in its high bit.  So
+    np.unpackbits(packed)[7 : 7 + n] is the path; every bit before symbol 0
+    and past symbol n-1 is 0.  `bits` and `forced` unpack on first use.
     """
 
     m: int
     p: float
     seed: int
     n: int
-    bits: np.ndarray  # uint8, 0/1 symbols
-    forced: np.ndarray  # bool, True at the symbol right after m-1 equal ones
+    packed_bits: np.ndarray  # uint8, the 0/1 symbols
+    packed_forced: np.ndarray  # uint8, bit 1 at the symbol right after m-1 equal ones
+
+    @functools.cached_property
+    def bits(self) -> np.ndarray:
+        """uint8, the 0/1 symbols."""
+        import numpy as np
+        return np.unpackbits(self.packed_bits)[7 : 7 + self.n]
+
+    @functools.cached_property
+    def forced(self) -> np.ndarray:
+        """bool, True at the symbol right after m-1 equal ones."""
+        import numpy as np
+        return np.unpackbits(self.packed_forced)[7 : 7 + self.n].view(bool)
 
     @property
     def word(self) -> str:
-        return (self.bits + 48).tobytes().decode("ascii")
+        import numpy as np
+        digits = np.unpackbits(self.packed_bits)
+        digits |= 48  # the ASCII codes of '0' and '1'
+        return digits[7 : 7 + self.n].tobytes().decode("ascii")
 
     def freq0(self) -> float:
-        import numpy as np
-        return float(np.count_nonzero(self.bits == 0)) / self.n
+        return float(self.n - _popcount(self.packed_bits)) / self.n
+
+
+def _popcount(packed: np.ndarray) -> int:
+    """The number of 1 bits in a uint8 array."""
+    import numpy as np
+    return int(np.bitwise_count(packed).sum())
 
 
 BLOCK = 8  # symbols per table lookup in `sample`
 _SLICE = 4096 * BLOCK  # symbols per batch of block work, to bound the temporaries
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _block_table(
-    m: int, favoured: int
+    k: int,
 ) -> tuple[tuple[int, ...], tuple[bytes, ...], np.ndarray, np.ndarray]:
-    """One block of BLOCK steps of the chain, for every run state and block code.
+    """One block of BLOCK steps of the order-k chain with favoured digit 0,
+    for every row and block code; `sample` keys it by min(m, BLOCK + 2).
 
     A state (digit, run) is the integer x = 2*run + digit.  Symbol j of a
     block has a class c_j in {0, 1, 2}, the number of the tests u < p and
     u < 1-p that hold, and the block the code sum c_j 3**j; a free state
-    extends its run when c_j = 2, or when c_j = 1 and its digit is
-    `favoured`, and otherwise flips.  A state with no extension left
+    extends its run when c_j = 2, or when c_j = 1 and its digit is 0, the
+    favoured one, and otherwise flips.  A state with no extension left
     flips whatever c_j is: that symbol is forced.
 
-    Only the runs >= m-1-BLOCK get a row, the lowest of them standing for
+    Only the runs >= k-1-BLOCK get a row, the lowest of them standing for
     every shorter run too: such a run cannot reach the cap inside a block,
     so it either extends BLOCK times, to x + 2*BLOCK, or flips, after which
     the block no longer depends on the run.  So there are at most
-    2*(BLOCK+1) rows whatever m is.  A block that flips ends on a run of at
+    2*(BLOCK+1) rows whatever k is.  A block that flips ends on a run of at
     most BLOCK, so the next state fits in a byte, with 0 for "x + 2*BLOCK".
-    Returns (the row of each x; per row, the next state of each code as
-    bytes; emitted bits as one byte; forced marks as one byte), the last
+    Returns (the row of each x < 2*k; per row, the next state of each code
+    as bytes; emitted bits as one byte; forced marks as one byte), the last
     two indexed by row * 3**BLOCK + code; both bytes hold the block's first
-    symbol in their high bit.
+    symbol in their high bit.  The arrays are read-only: every sample in
+    the process shares them.
+
+    Every order m >= BLOCK + 2 gives the tables of k = BLOCK + 2.  A row's
+    block reads its run only through the extensions left before the cap,
+    m-1 minus the run, and the rows' lefts go from BLOCK down to 0 for
+    every such m; a flip leaves min(m-2, BLOCK) = BLOCK; and the next state
+    after a flip, 2*run + digit with run <= BLOCK, does not refer to m.
+    So the order class min(m, BLOCK + 2) keys the table; only the list of
+    rows grows with m, each run below the lowest row taking that row.
+
+    Favoured digit 1 needs no table of its own: the rule reads the digit d
+    only through [d is favoured], so the chain that favours 1 is this one
+    with both digits swapped.  Its walk runs on x ^ 1 and complements the
+    emitted bits; a swap moves no forced mark.
     """
     import numpy as np
-    cap = m - 1
+    cap = k - 1
     low = max(1, cap - BLOCK)
     per_digit = cap - low + 1
     rows = 2 * per_digit
@@ -209,7 +250,7 @@ def _block_table(
         d, left, run, emitted, forced = (
             a[:, None, :] for a in (d, left, run, emitted, forced)
         )
-        stay = (left > 0) & (cls + (d == favoured) >= 2)
+        stay = (left > 0) & (cls + (d == 0) >= 2)
         # a flip with no extension left is forced
         forced = 2 * forced + (~stay & (left == 0))
         # a flip toggles the digit and restarts the run at 1
@@ -221,7 +262,7 @@ def _block_table(
             a.reshape(rows, -1) for a in (d, left, run, emitted, forced)
         )
     nxt = np.where(run > BLOCK, 0, 2 * run + d).astype(np.uint8)
-    x = np.arange(2 * m)
+    x = np.arange(2 * k)
     row = (x & 1) * per_digit + np.maximum(x >> 1, low) - low
     emitted, forced = emitted.ravel(), forced.ravel()
     emitted.setflags(write=False)
@@ -271,7 +312,9 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     the two tests, so it is the sum of the codes (`_byte_codes`) of two
     bytes, each packing one test over the block's 8 symbols.  The walk
     keeps the state x and records one byte per block, the row of x; the
-    rows and codes then look up every block's bits and marks at once.
+    rows and codes then look up every block's bits and marks at once, one
+    byte per block, which is `SampleRun`'s packed layout.  A walk that
+    favours digit 1 runs on digit 0's table with the digits swapped.
     """
     import numpy as np
     if n < 1:
@@ -280,19 +323,25 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     p = float(chain.p)
     below_lo, upto_hi = _class_bounds(p)
     draw = np.random.Philox(key=seed).random_raw
-    bits = np.empty(n, dtype=np.uint8)
-    forced = np.empty(n, dtype=bool)
-    bits[0] = 0 if (draw() >> 11) * 2.0**-53 < p else 1
-    forced[0] = False  # the first symbol ends no run
+    first = 0 if (draw() >> 11) * 2.0**-53 < p else 1
+    size = 1 + -(-(n - 1) // BLOCK)
+    packed_bits = np.empty(size, dtype=np.uint8)
+    packed_forced = np.empty(size, dtype=np.uint8)
+    packed_bits[0] = first
+    packed_forced[0] = 0  # the first symbol ends no run
     # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
-    row, nxt, emitted, marks = _block_table(m, 0 if p > 0.5 else 1)
+    swap = 0 if p > 0.5 else 1
+    k = min(m, BLOCK + 2)
+    row, nxt, emitted, marks = _block_table(k)
+    # an order m > k has m - k more runs below the lowest row, each with run 0's rows
+    row = row[:2] * (m - k) + row
     byte_codes = _byte_codes()
-    x = 2 + int(bits[0])
+    x = (2 + first) ^ swap
     jump = 2 * BLOCK
     for start in range(1, n, _SLICE):
-        size = min(_SLICE, n - start)
-        # whole blocks: the last one may draw past symbol n-1; those bits are cut off
-        w = draw(-(-size // BLOCK) * BLOCK)
+        # whole blocks: the last one may draw past symbol n-1
+        blocks = -(-min(_SLICE, n - start) // BLOCK)
+        w = draw(blocks * BLOCK)
         codes = byte_codes[np.packbits(w < below_lo, bitorder="little")]
         codes += byte_codes[np.packbits(w <= upto_hi, bitorder="little")]
         trace = bytearray()
@@ -302,9 +351,17 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
             put(r)
             x = nxt[r][code] or x + jump
         ks = np.frombuffer(trace, np.uint8) * np.intp(3**BLOCK) + codes
-        bits[start : start + size] = np.unpackbits(emitted[ks])[:size]
-        forced[start : start + size] = np.unpackbits(marks[ks])[:size]
-    return SampleRun(m, p, seed, n, bits, forced)
+        at = 1 + (start - 1) // BLOCK
+        got = emitted[ks]
+        if swap:
+            got ^= 0xFF
+        packed_bits[at : at + blocks] = got
+        packed_forced[at : at + blocks] = marks[ks]
+    # clear the bits that the last block drew past symbol n-1
+    tail = 0xFF << -(n - 1) % BLOCK & 0xFF
+    packed_bits[-1] &= tail
+    packed_forced[-1] &= tail
+    return SampleRun(m, p, seed, n, packed_bits, packed_forced)
 
 
 def _local_dimension(n0, n1, n, q: float):
@@ -346,8 +403,7 @@ def strided_series(
 
 def final_local_dimension(run: SampleRun, q: float) -> float:
     """The last value of the `strided_series` local dimension, bit for bit,
-    from two counts."""
-    import numpy as np
-    # a free 1 is a 1 that is not forced: bits > forced holds exactly there
-    n1 = np.count_nonzero(run.bits > run.forced)
-    return _local_dimension(run.n - np.count_nonzero(run.forced) - n1, n1, run.n, q)
+    from popcounts of the packed path."""
+    # a free 1 is a 1 that is not forced; the padding is 0 in packed_bits
+    n1 = _popcount(run.packed_bits & ~run.packed_forced)
+    return _local_dimension(run.n - _popcount(run.packed_forced) - n1, n1, run.n, q)

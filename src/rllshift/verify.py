@@ -344,7 +344,7 @@ def check_determinism(quick: bool = False, path: list | None = None) -> CheckRes
     import numpy as np
     run1 = _ergodic_run(quick, path)
     run2 = _ergodic_run(quick)
-    same_bits = bool(np.array_equal(run1.bits, run2.bits))
+    same_bits = bool(np.array_equal(run1.packed_bits, run2.packed_bits))
     ces1 = measure.cesaro_lambda(measure.bernoulli(3, Fraction(1, 3)), "0", 500)
     ces2 = measure.cesaro_lambda(measure.bernoulli(3, Fraction(1, 3)), "0", 500)
     ok = same_bits and ces1 == ces2

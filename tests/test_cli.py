@@ -257,6 +257,8 @@ class TestSample:
             ("sample_m5.csv", "--m 5 --p 0.3 --n 20000 --seed 7 --stride 1000"),
             # a large order: 2m = 400 run-state codes x = 2*run + digit, past a byte
             ("sample_m200.json", "--m 200 --p 0.37 --n 300000 --seed 5 --format json"),
+            # favoured digit 0 below the order BLOCK + 2 that every larger m shares
+            ("sample_m7.json", "--m 7 --p 0.6 --n 300000 --seed 11 --format json"),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, argv):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -60,10 +61,16 @@ def cumsum_series(run, q):
     return np.cumsum(run.bits == 0) / n, local
 
 
+def pack(flags):
+    """Reference: `SampleRun`'s packed layout, 7 zero bits and then the
+    flags, 8 a byte, the first in the high bit."""
+    return np.packbits(np.concatenate([np.zeros(7, np.uint8), np.asarray(flags, np.uint8)]))
+
+
 def hand_run(m, bits):
     """A SampleRun over given bits, with the reference forced marks."""
     bits = np.array(bits, dtype=np.uint8)
-    return markov.SampleRun(m, 0.5, 0, len(bits), bits, forced_mask(m, bits))
+    return markov.SampleRun(m, 0.5, 0, len(bits), pack(bits), pack(forced_mask(m, bits)))
 
 
 def loop_build_chain(m, p):
@@ -516,6 +523,69 @@ class TestSampling:
         n = markov._SLICE + 2 * markov.BLOCK + 3
         run = sample(build_chain(m, p), n, seed=m)
         assert np.array_equal(run.forced, forced_mask(m, run.bits))
+
+    def test_one_table_per_order_class(self, monkeypatch):
+        # every m >= BLOCK + 2 shares one table, and favoured digit 1 reads
+        # digit 0's: each class comes back after the others with the other
+        # favoured digit, so a swap that wrote into a shared table would
+        # spoil that path, and a cache of fewer tables would build it again
+        table = markov._block_table
+        table.cache_clear()
+        got = {}
+        monkeypatch.setattr(markov, "_block_table", lambda k: got.setdefault(m, table(k)))
+        for m, p in [(m, p) for p in (0.3, 0.7) for m in range(3, 13)] + [(129, 0.7), (300, 0.3)]:
+            n = 3000 + m
+            run = sample(build_chain(m, p), n, seed=m)
+            assert run.bits.tobytes() == loop_sample(build_chain(m, p), n, m).tobytes()
+            assert np.array_equal(run.forced, forced_mask(m, run.bits))
+        assert table.cache_info().misses <= 8
+        assert got[10] is got[300]
+        for row, nxt, emitted, marks in got.values():
+            assert type(row) is type(nxt) is tuple
+            assert all(type(r) is bytes for r in nxt)
+            assert not emitted.flags.writeable and not marks.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n",
+        sorted({*range(1, 18), *(8 * k + d for k in (3, 64, 4096) for d in (-1, 1)),
+                2 * markov._SLICE + 5}),
+    )
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_packed_layout(self, n, p):
+        chain = build_chain(4, p)
+        run = sample(chain, n, seed=n)
+        bits = loop_sample(chain, n, n)
+        # 7 zero bits, the path, then zero padding to the byte
+        assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
+        assert run.packed_bits.tobytes() == pack(bits).tobytes()
+        assert run.packed_forced.tobytes() == pack(forced_mask(4, bits)).tobytes()
+        assert markov._popcount(run.packed_bits) == np.count_nonzero(run.bits)
+        assert markov._popcount(run.packed_forced) == np.count_nonzero(run.forced)
+        assert run.freq0() == float(np.count_nonzero(run.bits == 0)) / n
+        # the unpacked formula: free 1's and free 0's by count_nonzero
+        n1 = np.count_nonzero(run.bits > run.forced)
+        want = markov._local_dimension(n - np.count_nonzero(run.forced) - n1, n1, n, 0.4)
+        assert markov.final_local_dimension(run, 0.4).hex() == want.hex()
+
+    def test_path_stays_packed(self):
+        # the json summary's reads build no n-byte array
+        n = 10**6
+        chain = build_chain(3, 0.2)
+        sample(chain, 10, 0)  # the block table, built once per process
+        tracemalloc.start()
+        try:
+            run = sample(chain, n, ERGODIC_SEED)
+            run.freq0()
+            markov.final_local_dimension(run, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n
+        assert run.packed_bits.nbytes + run.packed_forced.nbytes <= 2 * 125_001
+        assert run.packed_bits.base is None and run.packed_forced.base is None
+        assert "bits" not in vars(run) and "forced" not in vars(run)
+        assert run.bits.dtype == np.uint8 and run.forced.dtype == bool
+        assert run.bits is run.bits
 
     def test_word_matches_join(self):
         run = sample(build_chain(4, 0.3), 5000, seed=2)

@@ -146,9 +146,11 @@ class TestErgodicPath:
     def test_determinism_compares_a_fresh_draw(self):
         run = verify._ergodic_run(True)
         assert verify.check_determinism(True, [run]).passed
-        bits = run.bits.copy()
-        bits[-1] ^= 1
-        changed = dataclasses.replace(run, bits=bits)
+        # flip the last symbol, at bit n + 6 of the packed layout
+        packed = run.packed_bits.copy()
+        packed[(run.n + 6) // 8] ^= 0x80 >> (run.n + 6) % 8
+        changed = dataclasses.replace(run, packed_bits=packed)
+        assert changed.bits[-1] != run.bits[-1]
         assert not verify.check_determinism(True, [changed]).passed
 
 
