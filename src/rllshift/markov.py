@@ -145,11 +145,10 @@ class SampleRun:
     marks the symbols that end a maximal run of m-1, which the chain flips
     with probability 1; `sample` reads the marks off its block table.
 
-    The path is kept packed, 8 symbols a byte, in the layout of `sample`'s
-    blocks: byte 0 holds symbol 0 in its low bit, and byte 1 + j holds
-    symbols 1 + 8j, ..., 8 + 8j, the first in its high bit.  So
-    np.unpackbits(packed)[7 : 7 + n] is the path; every bit before symbol 0
-    and past symbol n-1 is 0.  `bits` and `forced` unpack on first use.
+    The path is kept packed in np.packbits's layout, one block of `sample`
+    a byte: byte j holds symbols 8j, ..., 8j + 7, the first in its high
+    bit, and every bit past symbol n-1 is 0.  `bits` and `forced` unpack
+    on first use.
     """
 
     m: int
@@ -163,20 +162,20 @@ class SampleRun:
     def bits(self) -> np.ndarray:
         """uint8, the 0/1 symbols."""
         import numpy as np
-        return np.unpackbits(self.packed_bits)[7 : 7 + self.n]
+        return np.unpackbits(self.packed_bits, count=self.n)
 
     @functools.cached_property
     def forced(self) -> np.ndarray:
         """bool, True at the symbol right after m-1 equal ones."""
         import numpy as np
-        return np.unpackbits(self.packed_forced)[7 : 7 + self.n].view(bool)
+        return np.unpackbits(self.packed_forced, count=self.n).view(bool)
 
     @property
     def word(self) -> str:
         import numpy as np
-        digits = np.unpackbits(self.packed_bits)
+        digits = np.unpackbits(self.packed_bits, count=self.n)
         digits |= 48  # the ASCII codes of '0' and '1'
-        return digits[7 : 7 + self.n].tobytes().decode("ascii")
+        return digits.tobytes().decode("ascii")
 
     def freq0(self) -> float:
         return float(self.n - _popcount(self.packed_bits)) / self.n
@@ -199,19 +198,21 @@ def _block_table(
     """One block of BLOCK steps of the order-k chain with favoured digit 0,
     for every row and block code; `sample` keys it by min(m, BLOCK + 2).
 
-    A state (digit, run) is the integer x = 2*run + digit.  Symbol j of a
-    block has a class c_j in {0, 1, 2}, the number of the tests u < p and
-    u < 1-p that hold, and the block the code sum c_j 3**j; a free state
-    extends its run when c_j = 2, or when c_j = 1 and its digit is 0, the
-    favoured one, and otherwise flips.  A state with no extension left
-    flips whatever c_j is: that symbol is forced.
+    A state (digit, run) is the integer x = 2*run + digit; a path starts
+    at x = 0, a free run of no 0's.  Symbol j of a block has a class c_j
+    in {0, 1, 2}, the number of the tests u < p and u < 1-p that hold, and
+    the block the code sum c_j 3**j; a free state extends its run when
+    c_j = 2, or when c_j = 1 and its digit is 0, the favoured one, and
+    otherwise flips.  A state with no extension left flips whatever c_j
+    is: that symbol is forced.
 
-    Only the runs >= k-1-BLOCK get a row, the lowest of them standing for
-    every shorter run too: such a run cannot reach the cap inside a block,
-    so it either extends BLOCK times, to x + 2*BLOCK, or flips, after which
-    the block no longer depends on the run.  So there are at most
-    2*(BLOCK+1) rows whatever k is.  A block that flips ends on a run of at
-    most BLOCK, so the next state fits in a byte, with 0 for "x + 2*BLOCK".
+    Only the runs >= max(0, k-1-BLOCK) get a row, the lowest of them
+    standing for every shorter run too (run 0 at k = BLOCK + 2): such a
+    run cannot reach the cap inside a block, so it either extends BLOCK
+    times, to x + 2*BLOCK, or flips, after which the block no longer
+    depends on the run.  So there are at most 2*(BLOCK+1) rows whatever k
+    is.  A block ends on a run of at least 1 and, if it flips, of at most
+    BLOCK, so the next state fits in a byte, with 0 for "x + 2*BLOCK".
     Returns (the row of each x < 2*k; per row, the next state of each code
     as bytes; emitted bits as one byte; forced marks as one byte), the last
     two indexed by row * 3**BLOCK + code; both bytes hold the block's first
@@ -233,7 +234,7 @@ def _block_table(
     """
     import numpy as np
     cap = k - 1
-    low = max(1, cap - BLOCK)
+    low = max(0, cap - BLOCK)
     per_digit = cap - low + 1
     rows = 2 * per_digit
     d = np.repeat(np.array([0, 1], dtype=np.uint8), per_digit)[:, None]
@@ -297,13 +298,13 @@ def _class_bounds(p: float) -> tuple[np.uint64, np.uint64]:
 def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     """Draw a length-n admissible word from the path law, deterministically.
 
-    With u = rng.random(n), rng = Generator(Philox(key=seed)), symbol 0 is
-    0 exactly when u[0] < p.  Each later symbol i extends the current run
+    With u = rng.random(n), rng = Generator(Philox(key=seed)), the walk
+    starts at run 0 with digit 0, and each symbol i extends the current run
     when the run is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p
     (run of 1's); otherwise it flips the digit, and the flip out of a run of
     m-1 is forced.  The walk applies this law BLOCK symbols per lookup in
-    `_block_table` and yields the same bits as the per-symbol walk; the
-    same lookups give the forced marks.
+    `_block_table`, symbol 0 included, and yields the same bits as the
+    per-symbol walk; the same lookups give the forced marks.
 
     The words are drawn raw, a slice at a time: rng.random() is
     (w >> 11) * 2**-53 for the bit generator's next 64-bit word w, so the
@@ -323,12 +324,9 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     p = float(chain.p)
     below_lo, upto_hi = _class_bounds(p)
     draw = np.random.Philox(key=seed).random_raw
-    first = 0 if (draw() >> 11) * 2.0**-53 < p else 1
-    size = 1 + -(-(n - 1) // BLOCK)
+    size = -(-n // BLOCK)
     packed_bits = np.empty(size, dtype=np.uint8)
     packed_forced = np.empty(size, dtype=np.uint8)
-    packed_bits[0] = first
-    packed_forced[0] = 0  # the first symbol ends no run
     # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
     swap = 0 if p > 0.5 else 1
     k = min(m, BLOCK + 2)
@@ -336,9 +334,9 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     # an order m > k has m - k more runs below the lowest row, each with run 0's rows
     row = row[:2] * (m - k) + row
     byte_codes = _byte_codes()
-    x = (2 + first) ^ swap
+    x = swap  # digit 0 with a run of 0: state 1 on the swapped walk
     jump = 2 * BLOCK
-    for start in range(1, n, _SLICE):
+    for start in range(0, n, _SLICE):
         # whole blocks: the last one may draw past symbol n-1
         blocks = -(-min(_SLICE, n - start) // BLOCK)
         w = draw(blocks * BLOCK)
@@ -351,14 +349,14 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
             put(r)
             x = nxt[r][code] or x + jump
         ks = np.frombuffer(trace, np.uint8) * np.intp(3**BLOCK) + codes
-        at = 1 + (start - 1) // BLOCK
+        at = start // BLOCK
         got = emitted[ks]
         if swap:
             got ^= 0xFF
         packed_bits[at : at + blocks] = got
         packed_forced[at : at + blocks] = marks[ks]
     # clear the bits that the last block drew past symbol n-1
-    tail = 0xFF << -(n - 1) % BLOCK & 0xFF
+    tail = 0xFF << -n % BLOCK & 0xFF
     packed_bits[-1] &= tail
     packed_forced[-1] &= tail
     return SampleRun(m, p, seed, n, packed_bits, packed_forced)

@@ -82,9 +82,9 @@ def _mu_symbols(m: int, w0, w1, wf, s: str):
     """Numerator of [s] by the branching rule on kernel weights; 0 if inadmissible."""
     val = w0**0  # typed one (int or float)
     prev = ""
-    run = 0
+    run = 0  # the start, below the cap: the first symbol is free
     for c in s:
-        if prev and run >= m - 1:
+        if run >= m - 1:
             if c == prev:
                 return val * 0
             val = val * wf  # forced branch: full mass passes through

@@ -384,9 +384,11 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 # the checks that the full suite runs in one forked child while the caller
 # runs the other twelve.  On a 2-core x86-64 VM, in one process (medians of 14)
-# they take 29, 5 and 44 ms of a 275 ms suite; run alone, as in the child,
-# they take 150-225 ms against 150-255 ms for the other twelve, since check 3
-# then builds the word tree that checks 1-6 share, so each side gets about half.
+# they take 27, 5 and 51 ms of a 182 ms suite, so each side gets about half.
+# Run alone in a fresh process (8 processes a side), they take 175-260 ms the
+# first time and 73-131 ms the second, against 178-287 ms and 91-154 ms for
+# the other twelve: every check builds its own word tree, and the gap is the
+# warm-up each side pays once, numpy's import (100-125 ms) among it.
 # Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
 FORKED_CHECKS = ("3", "8", "14")
 

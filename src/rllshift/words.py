@@ -352,7 +352,7 @@ def word_tree(m: int, L: int) -> WordTree:
     A node ending in a run of m-1 has one child, the forced flip; every
     other node has two, a free '0' and then a free '1', so each level stays
     sorted.  Each level is three array steps on the run states of the level
-    above: 2(r-1) + d for a last run of r d's, and 2(m-1) at the root.
+    above: 2r + d for a last run of r d's, and 0, a run of no 0's, at the root.
     Raises CapacityError before building any level when length L, the
     largest level, holds more than WORD_CAP words.
     """
@@ -362,19 +362,17 @@ def word_tree(m: int, L: int) -> WordTree:
         raise CapacityError(
             f"{total} words of length {L} exceed the cap {WORD_CAP}; use count_words"
         )
-    size = 2 * (m - 1)
+    size = 2 * m
     state = np.arange(size)
     digit, maximal = state % 2, state >= size - 2
     # the children of each state, slot 0 then slot 1: symbol j extends a run
-    # of j's (state + 2) or starts one (state j); a maximal run has only
+    # of j's (state + 2) or starts one (state 2 + j); a maximal run has only
     # its flip, in slot 0
-    child = np.empty((size + 1, 2), dtype=np.intp)
-    child[:size] = np.where(digit[:, None] == (0, 1), state[:, None] + 2, 1 - digit[:, None])
-    child[:size][maximal, 0] = 1 - digit[maximal]
-    child[size] = (0, 1)
-    has = np.ones((size + 1, 2), dtype=bool)
-    has[:size, 1] = ~maximal
-    states, parents, starts = [np.array([size])], [np.array([-1])], [0, 1]
+    child = np.where(digit[:, None] == (0, 1), state[:, None] + 2, 3 - digit[:, None])
+    child[maximal, 0] = 3 - digit[maximal]
+    has = np.ones((size, 2), dtype=bool)
+    has[:, 1] = ~maximal
+    states, parents, starts = [np.array([0])], [np.array([-1])], [0, 1]
     for _ in range(L):
         slots = np.flatnonzero(has[states[-1]])  # 2 row + slot, in order
         rows = slots >> 1
@@ -383,7 +381,7 @@ def word_tree(m: int, L: int) -> WordTree:
         starts.append(starts[-1] + len(rows))
     state, parent = np.concatenate(states), np.concatenate(parents)
     last = (state % 2).astype(np.int8)
-    kind = np.where(np.append(maximal, False)[state[parent]], FORCED, last).astype(np.int8)
+    kind = np.where(maximal[state[parent]], FORCED, last).astype(np.int8)
     last[0] = kind[0] = -1
     return WordTree(m, parent, kind, last, starts)
 

@@ -259,6 +259,9 @@ class TestSample:
             ("sample_m200.json", "--m 200 --p 0.37 --n 300000 --seed 5 --format json"),
             # favoured digit 0 below the order BLOCK + 2 that every larger m shares
             ("sample_m7.json", "--m 7 --p 0.6 --n 300000 --seed 11 --format json"),
+            # the largest order whose start state has a row of its own, on the
+            # swapped walk (p < 1/2)
+            ("sample_m9.json", "--m 9 --p 0.45 --n 300000 --seed 9 --format json"),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, argv):

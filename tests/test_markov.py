@@ -61,16 +61,11 @@ def cumsum_series(run, q):
     return np.cumsum(run.bits == 0) / n, local
 
 
-def pack(flags):
-    """Reference: `SampleRun`'s packed layout, 7 zero bits and then the
-    flags, 8 a byte, the first in the high bit."""
-    return np.packbits(np.concatenate([np.zeros(7, np.uint8), np.asarray(flags, np.uint8)]))
-
-
 def hand_run(m, bits):
     """A SampleRun over given bits, with the reference forced marks."""
     bits = np.array(bits, dtype=np.uint8)
-    return markov.SampleRun(m, 0.5, 0, len(bits), pack(bits), pack(forced_mask(m, bits)))
+    packed, forced = np.packbits(bits), np.packbits(forced_mask(m, bits))
+    return markov.SampleRun(m, 0.5, 0, len(bits), packed, forced)
 
 
 def loop_build_chain(m, p):
@@ -524,6 +519,29 @@ class TestSampling:
         run = sample(build_chain(m, p), n, seed=m)
         assert np.array_equal(run.forced, forced_mask(m, run.bits))
 
+    @pytest.mark.parametrize("k", range(3, markov.BLOCK + 3))
+    def test_block_table_rows(self, k):
+        row, nxt, emitted, marks = markov._block_table(k)
+        size = 3**markov.BLOCK
+        assert len(row) == 2 * k
+        assert len(emitted) == len(marks) == len(nxt) * size
+        assert sorted(set(row)) == list(range(len(nxt)))
+        if k <= markov.BLOCK + 1:
+            # k rows per digit, run 0 with its own
+            assert len(nxt) == 2 * k
+        else:
+            # run 0 shares the lowest row, run 1's
+            assert len(nxt) == 2 * (markov.BLOCK + 1)
+            assert row[:2] == row[2:4]
+        # from run 0 the first symbol is free: digit 0 stays in class 1 or 2,
+        # digit 1 in class 2 only, and neither is forced
+        cls = np.arange(size) % 3
+        for digit in (0, 1):
+            at = row[digit] * size + np.arange(size)
+            stays = cls + (digit == 0) >= 2
+            assert np.array_equal(emitted[at] >> 7, np.where(stays, digit, 1 - digit))
+            assert not np.any(marks[at] >> 7)
+
     def test_one_table_per_order_class(self, monkeypatch):
         # every m >= BLOCK + 2 shares one table, and favoured digit 1 reads
         # digit 0's: each class comes back after the others with the other
@@ -555,10 +573,10 @@ class TestSampling:
         chain = build_chain(4, p)
         run = sample(chain, n, seed=n)
         bits = loop_sample(chain, n, n)
-        # 7 zero bits, the path, then zero padding to the byte
+        # the path, then zero padding to the byte
         assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
-        assert run.packed_bits.tobytes() == pack(bits).tobytes()
-        assert run.packed_forced.tobytes() == pack(forced_mask(4, bits)).tobytes()
+        assert run.packed_bits.tobytes() == np.packbits(bits).tobytes()
+        assert run.packed_forced.tobytes() == np.packbits(forced_mask(4, bits)).tobytes()
         assert markov._popcount(run.packed_bits) == np.count_nonzero(run.bits)
         assert markov._popcount(run.packed_forced) == np.count_nonzero(run.forced)
         assert run.freq0() == float(np.count_nonzero(run.bits == 0)) / n
@@ -581,7 +599,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < n
-        assert run.packed_bits.nbytes + run.packed_forced.nbytes <= 2 * 125_001
+        assert run.packed_bits.nbytes + run.packed_forced.nbytes == 2 * -(-n // 8)
         assert run.packed_bits.base is None and run.packed_forced.base is None
         assert "bits" not in vars(run) and "forced" not in vars(run)
         assert run.bits.dtype == np.uint8 and run.forced.dtype == bool

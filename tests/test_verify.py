@@ -146,9 +146,9 @@ class TestErgodicPath:
     def test_determinism_compares_a_fresh_draw(self):
         run = verify._ergodic_run(True)
         assert verify.check_determinism(True, [run]).passed
-        # flip the last symbol, at bit n + 6 of the packed layout
+        # flip the last symbol, at bit n - 1 of the packed layout
         packed = run.packed_bits.copy()
-        packed[(run.n + 6) // 8] ^= 0x80 >> (run.n + 6) % 8
+        packed[(run.n - 1) // 8] ^= 0x80 >> (run.n - 1) % 8
         changed = dataclasses.replace(run, packed_bits=packed)
         assert changed.bits[-1] != run.bits[-1]
         assert not verify.check_determinism(True, [changed]).passed
