@@ -15,6 +15,7 @@ from .words import _check_open_unit, _check_order
 
 LOG2 = math.log(2.0)
 TOL = 1e-12  # the largest |f_m(q) - p| that `solve_qm` accepts at its root
+_MARGIN = 2.0**-46  # over 30x the error of `_f_float`; see `solve_qm`
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,18 @@ def _f_float(m: int, x: float) -> float:
 
     x > 1/2 goes through f_m(x) = 1 - f_m(1-x), with 1-x exact; the
     denominator 1 - x^m - (1-x)^m takes (1-x)^m as expm1/log1p to survive
-    tiny x.
+    tiny x.  Each branch takes its power once.  The result is within
+    4e-16 of the exact f_m at the same binary x, relative: a few
+    roundings, none of them cancelling (the tests hold it to that for
+    m <= 1100 against the Fraction route).  `solve_qm` rests its skipped
+    midpoints on this bound.
     """
     if x > 0.5:
-        return 1.0 - _f_float(m, 1.0 - x)
-    return (x - x**m) / (-math.expm1(m * math.log1p(-x)) - x**m)
+        y = 1.0 - x
+        ym = y**m
+        return 1.0 - (y - ym) / (-math.expm1(m * math.log1p(-y)) - ym)
+    xm = x**m
+    return (x - xm) / (-math.expm1(m * math.log1p(-x)) - xm)
 
 
 def f_m(m: int, x):
@@ -78,6 +86,49 @@ def _check_p(m: int, p: float) -> None:
         raise ValueError(f"p must lie in (1/{m}, 1-1/{m}), got {p}")
 
 
+def _certified(h, x: float, d: float, margin: float, lo: float, hi: float):
+    """The first [x - d, x + d] inside (lo, hi), for d, 16d, 256d, ...
+    below 2e-6, with h(x - d) < -margin and h(x + d) > margin; else
+    [lo, hi].  h is increasing through its root near x."""
+    while d < 2e-6:
+        a, b = x - d, x + d
+        if not lo < a < b < hi:
+            break
+        if h(a) < -margin and h(b) > margin:
+            return a, b
+        d *= 16.0
+    return lo, hi
+
+
+def _qm_bracket(m: int, p: float) -> tuple[float, float]:
+    """[a, b] around the root of f_m = p, certified as `solve_qm` says, or
+    [0, 1] when no half-width below 2e-6 certifies.
+
+    Secant steps from p find the root to about 1e-16; the half-width
+    starts from the margin over the secant slope.
+    """
+    x0, r0 = p, _f_float(m, p) - p
+    # f_m(x) - x is small: a slope-1 first step, at least 1e-9 long so
+    # that the secant slope stands clear of the kernel's rounding
+    x1 = p - r0 if abs(r0) > 1e-9 else p + 1e-9
+    slope = 0.0
+    for _ in range(12):
+        if not 0.0 < x1 < 1.0:
+            return 0.0, 1.0
+        r1 = _f_float(m, x1) - p
+        if r1 == r0:
+            break
+        slope = (r1 - r0) / (x1 - x0)
+        x0, r0, x1 = x1, r1, x1 - r1 / slope
+        if abs(x1 - x0) < 1e-9:
+            break
+    if not slope > 0.0:
+        return 0.0, 1.0
+    return _certified(
+        lambda x: _f_float(m, x) - p, x1, 3 * _MARGIN / slope, 2 * _MARGIN, 0.0, 1.0
+    )
+
+
 def solve_qm(m: int, p: float) -> float:
     """Root of f_m(q) = p by bisection on (0, 1).
 
@@ -87,22 +138,46 @@ def solve_qm(m: int, p: float) -> float:
     (0, 1) brings |f_m(q) - p| to TOL, as happens within a few ulps of the
     ends, where f_m loses accuracy in binary64.
 
-    m and p are checked once; each step then calls `_f_float`, the
-    kernel that `f_m` runs after its own checks, so every midpoint, every
+    m and p are checked once; a step then calls `_f_float`, the kernel
+    that `f_m` runs after its own checks, so every midpoint, every
     comparison and the returned q are those of bisecting `f_m` itself.
     The bracket halves until it is one ulp wide: about 53 steps for a
-    root in (1e-3, 1 - 1e-3), at most 59, each one kernel call of
-    0.4-0.5 us against 0.9-1.3 us through `f_m` (2-core x86-64 VM,
-    Python 3.11).
+    root in (1e-3, 1 - 1e-3), at most 59.  Only a midpoint inside a
+    certified bracket [a, b] around the root calls the kernel: about 15
+    calls a root with the bracket's own.
+
+    Why a skipped midpoint takes the old loop's side.  With
+    E0 = 1 + x + ... + x^(m-2) and E1 = 1 + (1-x) + ... + (1-x)^(m-2),
+    x - x^m = x(1-x) E0 and (1-x) - (1-x)^m = x(1-x) E1 add up to the
+    denominator, so f_m = E0/(E0+E1) = 1/(1 + E1/E0), strictly increasing
+    on (0, 1) as E0 grows and E1 shrinks.  The kernel errs by at most
+    delta = 4e-16 (relative, and f < 1), and the margin eps = 2^-46 is
+    over 30 delta.  If the kernel gives f(a) - p < -2 eps, then for x < a
+    the exact f(x) < f(a) < p - 2 eps + delta, so the kernel's
+    f(x) < p - 2 eps + 2 delta < p, and f(x) - p is negative: the old
+    loop moves lo to x.
+    f(b) - p > 2 eps likewise moves hi to every x > b.  An end of the
+    final bracket that was skipped (none is, as the root lies between a
+    and b) would get its residual once, for the nearer-end choice and the
+    TOL test.  `_qm_bracket` finds [a, b] by secant steps; where they
+    leave (0, 1) or no half-width below 2e-6 certifies, as within ulps of
+    the domain's ends, [a, b] is [0, 1] and no midpoint is skipped.
     """
     _check_order(m)
     _check_p(m, p)
+    a, b = _qm_bracket(m, p)
     lo, hi = 0.0, 1.0
     flo, fhi = 1.0 / m - p, 1.0 - 1.0 / m - p
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # bracket down to one ulp
             break
+        if mid < a:
+            lo, flo = mid, None
+            continue
+        if mid > b:
+            hi, fhi = mid, None
+            continue
         fmid = _f_float(m, mid) - p
         if fmid == 0.0:
             return mid
@@ -110,6 +185,10 @@ def solve_qm(m: int, p: float) -> float:
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
+    if flo is None:
+        flo = _f_float(m, lo) - p
+    if fhi is None:
+        fhi = _f_float(m, hi) - p
     # the end of the last bracket nearer the root; 0 and 1 are never roots
     q, res = (hi, fhi) if lo == 0.0 or (hi < 1.0 and fhi < -flo) else (lo, flo)
     if abs(res) > TOL:
@@ -135,18 +214,67 @@ def entropy_binary(p: float) -> float:
     return (-p * math.log(p) - (1.0 - p) * math.log1p(-p)) / LOG2
 
 
+def _growth_log(m: int, x: float) -> float:
+    """G(x) = (m-1) log x + log(2 - x), the log of x^(m-1) (2 - x), for x
+    in (1, 2); its root is the growth root."""
+    return (m - 1) * math.log(x) + math.log(2.0 - x)
+
+
+def _growth_bracket(m: int) -> tuple[float, float]:
+    """[a, b] around the growth root, certified as `growth_root` says, or
+    [1, 2] when none certifies, as where 2 - 2^(1-m) rounds to 2.
+
+    Newton steps from 2 - 2^(1-m) approach the root from above; the
+    half-width starts from the margin over |G'|.
+    """
+    margin = m * 2.0**-48
+    x = 2.0 - 2.0 ** (1 - m)
+    slope = 0.0
+    for _ in range(12):
+        if not 1.0 < x < 2.0:
+            return 1.0, 2.0
+        slope = (m - 1) / x - 1.0 / (2.0 - x)
+        step = _growth_log(m, x) / slope
+        x -= step
+        if abs(step) < 1e-9:
+            break
+    d = max(3 * margin / -slope, 4 * math.ulp(x))
+    return _certified(lambda t: -_growth_log(m, t), x, d, margin, 1.0, 2.0)
+
+
 def growth_root(m: int) -> float:
     """Positive root of x^{m-1} = x^{m-2} + ... + x + 1 in (1, 2), to 1e-14.
 
     Times (x - 1) the equation reads x^{m-1} (2 - x) = 1.  Its log,
-    (m-1) log x + log(2 - x), is positive on (1, root) and negative on
-    (root, 2), and stays finite where x^{m-1} overflows (m >= 1026).
+    G(x) = (m-1) log x + log(2 - x), is positive on (1, root) and negative
+    on (root, 2), and stays finite where x^{m-1} overflows (m >= 1026).
+    The bisection takes its 47 steps, but only a midpoint inside a
+    certified bracket [a, b] around the root evaluates G: about 5
+    evaluations a root for m <= 50, with the bracket's own, not 47.
+
+    Why a skipped midpoint takes the old loop's side.  G is concave, zero
+    at 1, and falls from its peak at 2(m-1)/m < root to -inf at 2.  The
+    first midpoint is 1.5, where G = (m-1) log 1.5 - log 2 > 0.1, so every
+    later one lies in (1.5, 2).  The float G errs by at most 4 units of
+    2^-53 times (m-1) log x + |log(2-x)|, which near the root is under a
+    fifth of the margin m 2^-48.  If the float G(a) > margin, the concave
+    G stays above min(G(1.5), G(a)) on [1.5, a], so a midpoint below a
+    computes G >= 0 and moves lo; if the float G(b) < -margin, G falls
+    on (b, 2), further below -margin than its error grows, so a midpoint
+    above b computes G < 0 and moves hi.  `_growth_bracket` finds [a, b]
+    by Newton steps; where 2 - 2^(1-m) rounds to 2 (m >= 54) or no
+    half-width below 2e-6 certifies (m >= 51, where the root is within
+    4 ulps of 2), [a, b] is [1, 2] and every midpoint evaluates G, as
+    before.
     """
     _check_order(m)
+    a, b = _growth_bracket(m)
     lo, hi = 1.0, 2.0
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        if (m - 1) * math.log(mid) + math.log(2.0 - mid) < 0:
+        if mid < a:
+            lo = mid
+        elif mid > b or _growth_log(m, mid) < 0:
             hi = mid
         else:
             lo = mid

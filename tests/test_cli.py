@@ -326,6 +326,20 @@ class TestDims:
         assert code == 0
         assert out == (DATA / "dims_grid.csv").read_text()
 
+    def test_wide_grid_matches_golden(self, capsys):
+        # p just above 1/m (m = 8, 20), on either side of 1/2, and outside
+        # the domain, through m = 80
+        code, out, _ = run_cli(
+            capsys,
+            "dims",
+            "--m",
+            "3:80",
+            "--p",
+            "0.051,0.127,0.333,0.499,0.501,0.667,0.873,0.949",
+        )
+        assert code == 0
+        assert out == (DATA / "dims_wide.csv").read_text()
+
     def test_orders_past_float_powers(self, capsys):
         # x**(m-1) near the growth root overflows binary64 from m = 1026 on
         code, out, _ = run_cli(capsys, "dims", "--m", "1026:1030", "--p", "0.5")

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -49,6 +50,36 @@ def bisect_f_m(m, p, tol=1e-12):
     return q
 
 
+def bisect_growth_root(m):
+    """Reference: growth_root as it was, G evaluated at every midpoint."""
+    lo, hi = 1.0, 2.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if (m - 1) * math.log(mid) + math.log(2.0 - mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def ulps_inside(p, n, toward):
+    """p moved n ulps toward `toward`."""
+    for _ in range(n):
+        p = math.nextafter(p, toward)
+    return p
+
+
+def golden_roots():
+    """(m, p) of every q cell of tests/data/dims_grid.csv and dims_wide.csv."""
+    grids = [
+        (range(3, 61), (0.05, 0.3, 0.5, 0.7, 0.95)),
+        (range(3, 81), (0.051, 0.127, 0.333, 0.499, 0.501, 0.667, 0.873, 0.949)),
+    ]
+    return [
+        (m, p) for ms, ps in grids for m in ms for p in ps if 1 / m < p < 1 - 1 / m
+    ]
+
+
 def outcome(solve, *args):
     """('q', the float's hex digits) or ('error', the ValueError's message)."""
     try:
@@ -67,9 +98,20 @@ def targets(draw):
     if where == "inside":
         return m, draw(st.floats(lo, hi))
     p, toward = (lo, 1.0) if where == "low" else (hi, 0.0)
-    for _ in range(draw(st.integers(0, 8))):
-        p = math.nextafter(p, toward)
-    return m, p
+    return m, ulps_inside(p, draw(st.integers(0, 8)), toward)
+
+
+@st.composite
+def unit_points(draw):
+    """x in (0, 1): anywhere, or near 0, 1/2 or 1 (within 2^-60, 1e-9, 2^-52)."""
+    where = draw(st.sampled_from(["inside", "zero", "half", "one"]))
+    if where == "inside":
+        return draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    if where == "zero":
+        return draw(st.floats(2.0**-60, 1e-6))
+    if where == "half":
+        return draw(st.floats(0.5 - 1e-9, 0.5 + 1e-9))
+    return 1.0 - draw(st.floats(2.0**-52, 1e-6))
 
 
 class TestFrequencyFunction:
@@ -104,6 +146,34 @@ class TestFrequencyFunction:
         # against f_m of the same binary x, evaluated exactly
         exact = f_m(m, Fraction(x))
         assert abs(Fraction(f_m(m, x)) - exact) <= 4e-16 * exact
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(3, 1100), unit_points())
+    @example(1100, 2.0**-60)
+    @example(1026, 1.0 - 2.0**-52)
+    @example(3, 0.5)
+    def test_kernel_within_stated_error(self, m, x):
+        # the 4e-16 that solve_qm's margin 2^-46 exceeds over 30 times
+        assert 4e-16 * 30 < dimension._MARGIN
+        exact = f_m(m, Fraction(x))
+        assert abs(Fraction(dimension._f_float(m, x)) - exact) <= 4e-16 * exact
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_exact_strictly_increasing(self, m):
+        # the premise that lets solve_qm skip midpoints outside its bracket
+        xs = [Fraction(1, 2**40), Fraction(1, 10**6)]
+        xs += [Fraction(i, 97) for i in range(1, 97)]
+        xs += [1 - Fraction(1, 10**6), 1 - Fraction(1, 2**40)]
+        values = [f_m(m, x) for x in xs]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_exact_ratio_of_power_sums(self, m):
+        # f_m = E0/(E0+E1): E0 = sum x^k grows, E1 = sum (1-x)^k shrinks
+        for x in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6), Fraction(1, 10**9)):
+            e0 = sum(x**k for k in range(m - 1))
+            e1 = sum((1 - x) ** k for k in range(m - 1))
+            assert f_m(m, x) == e0 / (e0 + e1)
 
     def test_exact_for_fraction(self):
         value = f_m(3, Fraction(1, 3))
@@ -247,11 +317,45 @@ class TestRoot:
     @example((1026, math.nextafter(1.0 / 1026, 1.0)), 1e-12)
     @example((1100, math.nextafter(1.0 - 1.0 / 1100, 0.0)), 5e-324)
     @example((3, 0.5), 1e-300)
+    # no bracket certifies here: the loop calls the kernel at every midpoint
+    @example((3, ulps_inside(1 / 3, 1, 1.0)), 1e-12)
+    @example((4, ulps_inside(1 / 4, 8, 1.0)), 1e-12)
+    @example((1026, ulps_inside(1 / 1026, 3, 1.0)), 1e-15)
+    @example((4, ulps_inside(3 / 4, 2, 0.0)), 1e-12)
     def test_same_root_as_bisecting_f_m(self, target, tol):
-        # the kernel changes the cost of a step, not a bit of its result
+        # the kernel and the certified bracket change the cost, not a bit
         m, p = target
         with mock.patch.object(dimension, "TOL", tol):
             assert outcome(solve_qm, m, p) == outcome(bisect_f_m, m, p, tol)
+
+    @pytest.mark.parametrize(
+        "m, p",
+        [
+            (3, ulps_inside(1 / 3, 1, 1.0)),
+            (4, ulps_inside(1 / 4, 8, 1.0)),
+            (1026, ulps_inside(1 / 1026, 3, 1.0)),
+            (4, ulps_inside(3 / 4, 2, 0.0)),
+        ],
+    )
+    def test_no_bracket_within_ulps_of_the_ends(self, m, p):
+        # the examples above that run the loop on [0, 1], skipping nothing
+        assert dimension._qm_bracket(m, p) == (0.0, 1.0)
+
+    def test_kernel_calls_per_golden_root(self):
+        # a count, not a timing: 61 and 78 calls a root without the bracket
+        roots = golden_roots()
+        calls = []
+        kernel = dimension._f_float
+
+        def counted(m, x):
+            calls.append(x)
+            return kernel(m, x)
+
+        with mock.patch.object(dimension, "_f_float", counted):
+            for m, p in roots:
+                solve_qm(m, p)
+        assert len(roots) == 830
+        assert len(calls) <= 20 * len(roots)
 
     @pytest.mark.parametrize("m", [0, 1, 2, -1])
     @pytest.mark.parametrize(
@@ -346,6 +450,45 @@ class TestTopologicalDimension:
 
         for m in range(3, 61):
             assert abs(topo_dim(m) - math.log2(power_sum_root(m))) <= 1e-13
+
+    def test_same_root_as_bisecting_every_midpoint(self):
+        for m in [*range(3, 3001), 5000, 10**5, 10**6]:
+            assert growth_root(m).hex() == bisect_growth_root(m).hex(), m
+
+    def test_evaluations_per_root(self):
+        # a count, not a timing: 47 evaluations a root without the bracket
+        calls = []
+        log_g = dimension._growth_log
+
+        def counted(m, x):
+            calls.append(x)
+            return log_g(m, x)
+
+        with mock.patch.object(dimension, "_growth_log", counted):
+            for m in range(3, 51):
+                growth_root(m)
+        assert len(calls) <= 10 * 48
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(3, 3000), st.floats(-1e-6, 1e-6), st.floats(1.5, 2.0))
+    @example(3, 0.0, 2.0 - 2.0**-52)
+    @example(3000, 1e-6, 1.5)
+    def test_float_growth_log_within_margin(self, m, near, anywhere):
+        # G against a 40-digit evaluation: within 4 units of 2^-53 times
+        # |(m-1) log x| + |log(2-x)| anywhere in [1.5, 2), and within a
+        # fifth of growth_root's margin m 2^-48 near the root
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for x, at_root in ((growth_root(m) + near, True), (anywhere, False)):
+                if not 1.0 < x < 2.0:
+                    continue
+                dx = Decimal(x)
+                exact = (m - 1) * dx.ln() + (2 - dx).ln()
+                err = abs(Decimal(dimension._growth_log(m, x)) - exact)
+                size = (m - 1) * abs(math.log(x)) + abs(math.log(2.0 - x))
+                assert err <= Decimal(4 * 2.0**-53 * size)
+                if at_root:
+                    assert err <= Decimal(m * 2.0**-48 / 5)
 
     def test_against_count_growth(self):
         for m in (3, 4, 5):
