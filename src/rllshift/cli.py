@@ -112,13 +112,13 @@ def cmd_sample(args) -> int:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
     if not 0 <= args.seed < 2**128:
         raise ValueError(f"--seed must lie in [0, 2**128), got {args.seed}")
-    chain = markov.build_chain(args.m, float(_parse_p(args.p)))
-    q = float(chain.p) if args.q is None else float(_parse_p(args.q, "--q"))
-    run = markov.sample(chain, args.n, args.seed)
+    p = float(_parse_p(args.p))
+    run = markov.sample(args.m, p, args.n, args.seed)
+    q = p if args.q is None else float(_parse_p(args.q, "--q"))
     summary = {
         "schema": SCHEMA,
         "m": args.m,
-        "p": float(chain.p),
+        "p": p,
         "q": q,
         "seed": args.seed,
         "n": args.n,

@@ -1,9 +1,9 @@
 """The run-state Markov chain whose path law is the cylinder measure.
 
-States are (last digit, current run length).  The chain gives a second,
-fully independent route to the invariant measure: its exact stationary
-distribution must reproduce the closed form for lambda_p[0], and seeded
-sample paths drive the Birkhoff-frequency and local-dimension estimators.
+States are (last digit, current run length).  The chain is the
+stationary route to the invariant measure, kept apart from `measure`: its
+stationary law must reproduce the closed form for lambda_p[0].  Seeded
+paths of `sample(m, p, n, seed)` drive the frequency and dimension estimators.
 """
 from __future__ import annotations
 
@@ -287,7 +287,7 @@ def _class_bounds(p: float) -> tuple[np.uint64, np.uint64]:
     u < x exactly when w >> 11 < K = ceil(x * 2**53), since x * 2**53 is
     exact and w >> 11 is an integer; that is when w < K << 11, or
     w <= (K << 11) - 1.  lo <= 0.5 <= hi, so the first form fits a uint64
-    for lo and the second for hi, also at lo = 0.0 and hi = 1.0 (K = 2**53).
+    for lo and the second for hi, also at hi = 1.0 (K = 2**53).
     """
     import numpy as np
     lo, hi = sorted((p, 1.0 - p))
@@ -295,14 +295,15 @@ def _class_bounds(p: float) -> tuple[np.uint64, np.uint64]:
             np.uint64((math.ceil(hi * 2**53) << 11) - 1))
 
 
-def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
+def sample(m: int, p, n: int, seed: int) -> SampleRun:
     """Draw a length-n admissible word from the path law, deterministically.
 
-    With u = rng.random(n), rng = Generator(Philox(key=seed)), the walk
-    starts at run 0 with digit 0, and each symbol i extends the current run
-    when the run is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p
-    (run of 1's); otherwise it flips the digit, and the flip out of a run of
-    m-1 is forced.  The walk applies this law BLOCK symbols per lookup in
+    m < 3, float(p) outside (0, 1) and n < 1 raise ValueError.  With
+    u = rng.random(n), rng = Generator(Philox(key=seed)), the walk starts
+    at run 0 with digit 0, and each symbol i extends the current run when
+    the run is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p (run
+    of 1's); otherwise it flips the digit, and the flip out of a run of m-1
+    is forced.  The walk applies this law BLOCK symbols per lookup in
     `_block_table`, symbol 0 included, and yields the same bits as the
     per-symbol walk; the same lookups give the forced marks.
 
@@ -318,10 +319,11 @@ def sample(chain: ChainSpec, n: int, seed: int) -> SampleRun:
     favours digit 1 runs on digit 0's table with the digits swapped.
     """
     import numpy as np
+    _check_order(m)
+    p = float(p)
+    _check_open_unit(p, "p")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = chain.m
-    p = float(chain.p)
     below_lo, upto_hi = _class_bounds(p)
     draw = np.random.Philox(key=seed).random_raw
     size = -(-n // BLOCK)

@@ -258,8 +258,7 @@ def _ergodic_run(quick: bool, path: list | None = None) -> markov.SampleRun:
     if path:
         return path[0]
     n = 100_000 if quick else 1_000_000
-    chain = markov.build_chain(3, 0.2)
-    run = markov.sample(chain, n, ERGODIC_SEED)
+    run = markov.sample(3, 0.2, n, ERGODIC_SEED)
     if path is not None:
         path.append(run)
     return run
@@ -311,9 +310,8 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
     window_len = 12 if quick else 16
     problems = []
 
-    chain = markov.build_chain(3, 0.5)
     for seed in range(n_samples):
-        run = markov.sample(chain, sample_len, seed)
+        run = markov.sample(3, 0.5, sample_len, seed)
         win = univoque.theta_embed(run.m, run.word)
         verdict = univoque.gamma_check_prefix(win, depth)
         if verdict.status != univoque.CLEAN_TO_DEPTH:

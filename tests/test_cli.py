@@ -221,6 +221,27 @@ class TestSample:
         assert err == f"error: --seed must lie in [0, 2**128), got {seed}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--m", "2", "--p", "0.3"), "constraint order must be >= 3, got 2"),
+            (("--m", "3", "--p", "0"), "p must lie in (0,1), got 0.0"),
+            # a rational p is sampled as float(p), here 0.0
+            (("--m", "3", "--p", f"1/{10**400}"), "p must lie in (0,1), got 0.0"),
+            # the order is checked before --q is parsed
+            (("--m", "2", "--p", "0.3", "--q", "nan"), "constraint order must be >= 3, got 2"),
+        ],
+        ids=["m2", "p0", "p-rounds-to-0", "m2-q-nan"],
+    )
+    def test_bad_order_or_p_exit_two(self, capsys, fmt, argv, message):
+        code, out, err = run_cli(
+            capsys, "sample", *argv, "--n", "100", "--seed", "3", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sample_too_large_to_allocate_exit_two(self, capsys, fmt):
         # 4 EiB exceeds the address space: the allocation fails at once
         code, out, err = run_cli(
@@ -243,7 +264,7 @@ class TestSample:
             "--seed", "7", "--format", "json",
         )
         assert code == 0
-        run = markov.sample(markov.build_chain(3, 0.5), 1_000_000, 7)
+        run = markov.sample(3, 0.5, 1_000_000, 7)
         exact = sum(words.occurrence_counts(3, run.word)) / run.n
         assert abs(json.loads(out)["local_dim_final"] - exact) <= 1e-15 * exact
 
@@ -268,6 +289,21 @@ class TestSample:
         code, out, _ = run_cli(capsys, "sample", *argv.split())
         assert code == 0
         assert out == (DATA / golden).read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_builds_no_chain(self, capsys, monkeypatch, fmt):
+        # the sampler reads (m, p); the run-state kernel serves only `lambda`
+        def refuse(m, p):
+            raise AssertionError("sample built the oracle chain")
+
+        monkeypatch.setattr(markov, "build_chain", refuse)
+        code, out, _ = run_cli(
+            capsys, "sample", "--m", "5", "--p", "0.3", "--n", "20000",
+            "--seed", "7", "--stride", "1000", "--format", fmt,
+        )
+        assert code == 0
+        want = (DATA / "sample_m5.csv").read_text()
+        assert out == (want if fmt == "csv" else want.splitlines()[-1] + "\n")
 
     def test_seed_reproducibility(self, capsys):
         args = ("sample", "--m", "3", "--p", "0.4", "--n", "2000",

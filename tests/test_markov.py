@@ -23,9 +23,9 @@ from rllshift.verify import ERGODIC_SEED
 P13 = Fraction(1, 3)
 
 
-def loop_sample(chain, n, seed):
+def loop_sample(m, p, n, seed):
     """Reference: the per-symbol walk that sample applies a block at a time."""
-    m, p = chain.m, float(chain.p)
+    p = float(p)
     u = np.random.Generator(np.random.Philox(key=seed)).random(n)
     bits = np.empty(n, dtype=np.uint8)
     digit = 0 if u[0] < p else 1
@@ -384,28 +384,24 @@ class TestDigitMass:
 
 class TestSampling:
     def test_determinism(self):
-        chain = build_chain(3, 0.3)
-        a = sample(chain, 5000, seed=7)
-        b = sample(chain, 5000, seed=7)
+        a = sample(3, 0.3, 5000, seed=7)
+        b = sample(3, 0.3, 5000, seed=7)
         assert np.array_equal(a.bits, b.bits)
-        c = sample(chain, 5000, seed=8)
+        c = sample(3, 0.3, 5000, seed=8)
         assert not np.array_equal(a.bits, c.bits)
 
     def test_length_below_one_rejected(self):
-        chain = build_chain(3, 0.3)
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
-                sample(chain, n, seed=7)
+                sample(3, 0.3, n, seed=7)
 
     def test_samples_are_admissible(self):
         for m in (3, 4):
-            chain = build_chain(m, 0.3)
-            run = sample(chain, 20_000, seed=1)
+            run = sample(m, 0.3, 20_000, seed=1)
             assert words.is_admissible_symbols(m, run.word)
 
     def test_frequency_symmetric_case(self):
-        chain = build_chain(3, 0.5)
-        run = sample(chain, 200_000, seed=11)
+        run = sample(3, 0.5, 200_000, seed=11)
         assert abs(run.freq0() - 0.5) < 0.005
 
     @settings(max_examples=80, deadline=None, database=None)
@@ -444,10 +440,9 @@ class TestSampling:
     @example(7, math.nextafter(0.25, 0), 5000, 11)
     @example(12, math.nextafter(0.75, 1), 5000, 12)
     def test_bits_match_loop(self, m, p, n, seed):
-        chain = build_chain(m, p)
-        run = sample(chain, n, seed)
+        run = sample(m, p, n, seed)
         assert run.bits.dtype == np.uint8
-        assert run.bits.tobytes() == loop_sample(chain, n, seed).tobytes()
+        assert run.bits.tobytes() == loop_sample(m, p, n, seed).tobytes()
         assert run.forced.dtype == bool
         assert np.array_equal(run.forced, forced_mask(m, run.bits))
 
@@ -457,18 +452,42 @@ class TestSampling:
     @pytest.mark.parametrize("p", [0.5, 1e-9, 0.3, 1 - 1e-9])
     def test_bits_match_loop_past_a_byte(self, m, p):
         n = markov._SLICE + 2 * markov.BLOCK + 3  # a second slice
-        chain = build_chain(m, p)
-        run = sample(chain, n, seed=m)
-        assert run.bits.tobytes() == loop_sample(chain, n, m).tobytes()
+        run = sample(m, p, n, seed=m)
+        assert run.bits.tobytes() == loop_sample(m, p, n, m).tobytes()
         assert np.array_equal(run.forced, forced_mask(m, run.bits))
 
-    @pytest.mark.parametrize("p", [Fraction(1, 10**400), 1 - Fraction(1, 10**400)])
-    def test_float_p_at_zero_or_one(self, p):
-        # float(p) is 0.0 or 1.0, where one of the tests never or always holds
-        chain = build_chain(5, p)
-        run = sample(chain, 3000, seed=4)
-        assert run.bits.tobytes() == loop_sample(chain, 3000, 4).tobytes()
-        assert np.array_equal(run.forced, forced_mask(5, run.bits))
+    @pytest.mark.parametrize(
+        "m, p, message",
+        [
+            (2, 0.3, "constraint order must be >= 3, got 2"),
+            (3, 0.0, "p must lie in (0,1), got 0.0"),
+            (3, 1.0, "p must lie in (0,1), got 1.0"),
+            (3, math.nan, "p must lie in (0,1), got nan"),
+            # the walk reads float(p), here 0.0 or 1.0
+            (3, Fraction(1, 10**400), "p must lie in (0,1), got 0.0"),
+            (3, 1 - Fraction(1, 10**400), "p must lie in (0,1), got 1.0"),
+        ],
+        ids=["m2", "p0", "p1", "nan", "fraction-to-0", "fraction-to-1"],
+    )
+    def test_rejects_order_or_p(self, m, p, message):
+        # the messages that build_chain gives for an order or a p out of range
+        with pytest.raises(ValueError) as excinfo:
+            sample(m, p, 100, seed=4)
+        assert str(excinfo.value) == message
+
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(
+        st.one_of(st.floats(0.01, 0.49), st.floats(0.51, 0.99)),
+        st.integers(2, 2000),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(0.3, 2000, 1)
+    @example(0.7, 2000, 2)
+    def test_order_past_the_path_length(self, p, n, seed):
+        # no run of n symbols reaches the cap m - 1 >= n, so m does not matter
+        big, small = sample(10**6, p, n, seed), sample(n + 1, p, n, seed)
+        assert big.packed_bits.tobytes() == small.packed_bits.tobytes()
+        assert big.packed_forced.tobytes() == small.packed_forced.tobytes()
 
     def test_random_is_shifted_raw_word(self):
         # sample reads the uniforms off the raw words; a numpy change fails here first
@@ -498,7 +517,7 @@ class TestSampling:
 
     def test_bits_pinned(self):
         # check 12's band was calibrated on this path; check 14 samples these
-        run = sample(build_chain(3, 0.2), 10**6, ERGODIC_SEED)
+        run = sample(3, 0.2, 10**6, ERGODIC_SEED)
         assert hashlib.sha256(run.bits.tobytes()).hexdigest() == (
             "514386ab1dd7911a0874fcf92d9daed0f13272578860526eb2d22aae68d47d72"
         )
@@ -508,7 +527,7 @@ class TestSampling:
             "a535ff05703ae50fdd3d771e3de29b05ef76e0069a382b72b825a2b9377d2665",
         ]
         for seed, digest in enumerate(pinned):
-            run = sample(build_chain(3, 0.5), 10_000, seed)
+            run = sample(3, 0.5, 10_000, seed)
             assert hashlib.sha256(run.bits.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("m", range(3, 41))
@@ -516,7 +535,7 @@ class TestSampling:
     def test_forced_matches_reference_across_a_slice(self, m, p):
         # n is no multiple of BLOCK and takes a second slice
         n = markov._SLICE + 2 * markov.BLOCK + 3
-        run = sample(build_chain(m, p), n, seed=m)
+        run = sample(m, p, n, seed=m)
         assert np.array_equal(run.forced, forced_mask(m, run.bits))
 
     @pytest.mark.parametrize("k", range(3, markov.BLOCK + 3))
@@ -553,8 +572,8 @@ class TestSampling:
         monkeypatch.setattr(markov, "_block_table", lambda k: got.setdefault(m, table(k)))
         for m, p in [(m, p) for p in (0.3, 0.7) for m in range(3, 13)] + [(129, 0.7), (300, 0.3)]:
             n = 3000 + m
-            run = sample(build_chain(m, p), n, seed=m)
-            assert run.bits.tobytes() == loop_sample(build_chain(m, p), n, m).tobytes()
+            run = sample(m, p, n, seed=m)
+            assert run.bits.tobytes() == loop_sample(m, p, n, m).tobytes()
             assert np.array_equal(run.forced, forced_mask(m, run.bits))
         assert table.cache_info().misses <= 8
         assert got[10] is got[300]
@@ -570,9 +589,8 @@ class TestSampling:
     )
     @pytest.mark.parametrize("p", [0.3, 0.7])
     def test_packed_layout(self, n, p):
-        chain = build_chain(4, p)
-        run = sample(chain, n, seed=n)
-        bits = loop_sample(chain, n, n)
+        run = sample(4, p, n, seed=n)
+        bits = loop_sample(4, p, n, n)
         # the path, then zero padding to the byte
         assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
         assert run.packed_bits.tobytes() == np.packbits(bits).tobytes()
@@ -588,11 +606,10 @@ class TestSampling:
     def test_path_stays_packed(self):
         # the json summary's reads build no n-byte array
         n = 10**6
-        chain = build_chain(3, 0.2)
-        sample(chain, 10, 0)  # the block table, built once per process
+        sample(3, 0.2, 10, 0)  # the block table, built once per process
         tracemalloc.start()
         try:
-            run = sample(chain, n, ERGODIC_SEED)
+            run = sample(3, 0.2, n, ERGODIC_SEED)
             run.freq0()
             markov.final_local_dimension(run, 0.2)
             peak = tracemalloc.get_traced_memory()[1]
@@ -606,12 +623,12 @@ class TestSampling:
         assert run.bits is run.bits
 
     def test_word_matches_join(self):
-        run = sample(build_chain(4, 0.3), 5000, seed=2)
+        run = sample(4, 0.3, 5000, seed=2)
         assert run.word == "".join("01"[b] for b in run.bits)
         assert hand_run(3, [1]).word == "1"
 
     def test_frequency_series_shape(self):
-        run = sample(build_chain(3, 0.5), 100, seed=0)
+        run = sample(3, 0.5, 100, seed=0)
         series = markov.strided_series(run, 0.5, 1)[1]
         assert len(series) == 100
         assert series[-1] == run.freq0()
@@ -619,12 +636,12 @@ class TestSampling:
 
 class TestLocalDimension:
     def test_nonnegative(self):
-        run = sample(build_chain(3, 0.4), 10_000, seed=3)
+        run = sample(3, 0.4, 10_000, seed=3)
         series = markov.strided_series(run, 0.4, 1)[2]
         assert np.all(series >= 0)
 
     def test_symmetric_case_dominates_bound(self):
-        run = sample(build_chain(3, 0.5), 100_000, seed=5)
+        run = sample(3, 0.5, 100_000, seed=5)
         series = markov.strided_series(run, 0.5, 1)[2]
         assert series[-1] >= 0.5 - 0.01
 
@@ -648,7 +665,7 @@ class TestLocalDimension:
 
     @pytest.mark.parametrize("m,p,q", [(3, 0.2, 0.2), (12, 0.85, 0.6)])
     def test_error_model_at_a_million(self, m, p, q):
-        run = sample(build_chain(m, p), 1_000_000, ERGODIC_SEED)
+        run = sample(m, p, 1_000_000, ERGODIC_SEED)
         inc = loop_increments(run, q)
         final = markov.final_local_dimension(run, q)
         want = math.fsum(inc) / (run.n * math.log(2.0))
@@ -666,7 +683,7 @@ class TestLocalDimension:
     )
     def test_free_counts_are_occurrence_counts(self, m, p, n, seed, cuts):
         # the path's free 0's and 1's are the paper's N0 and N1 of each prefix
-        run = sample(build_chain(m, p), n, seed)
+        run = sample(m, p, n, seed)
         free = ~run.forced
         for k in {max(1, round(c * n)) for c in cuts} | {n}:
             prefix = run.bits[:k][free[:k]]
@@ -682,7 +699,7 @@ class TestLocalDimension:
         st.integers(0, 2**32 - 1),
     )
     def test_final_value_matches_series_bit_for_bit(self, m, p, n, q, seed):
-        run = sample(build_chain(m, p), n, seed)
+        run = sample(m, p, n, seed)
         final = markov.final_local_dimension(run, q)
         assert final.hex() == float(markov.strided_series(run, q, 1)[2][-1]).hex()
 
@@ -697,7 +714,7 @@ class TestLocalDimension:
     )
     def test_strided_series_bit_for_bit(self, m, p, n, stride, q, seed):
         # every stride-th value of the full running series, the same bits
-        run = sample(build_chain(m, p), n, seed)
+        run = sample(m, p, n, seed)
         at, freq, local = markov.strided_series(run, q, stride)
         want_freq, want_local = cumsum_series(run, q)
         assert at.tolist() == list(range(stride, n + 1, stride))
@@ -705,13 +722,13 @@ class TestLocalDimension:
         assert local.tobytes() == want_local[stride - 1::stride].tobytes()
 
     def test_strided_series_rejects_stride_below_one(self):
-        run = sample(build_chain(3, 0.5), 10, seed=0)
+        run = sample(3, 0.5, 10, seed=0)
         for stride in (0, -3):
             with pytest.raises(ValueError):
                 markov.strided_series(run, 0.5, stride)
 
     def test_bad_q_rejected(self):
-        run = sample(build_chain(3, 0.5), 10, seed=0)
+        run = sample(3, 0.5, 10, seed=0)
         with pytest.raises(ValueError):
             markov.strided_series(run, 1.0, 1)
         with pytest.raises(ValueError):

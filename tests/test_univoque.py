@@ -326,9 +326,8 @@ class TestPrefixCheck:
 
     def test_matches_full_scan_on_embedded_samples(self):
         # check 14's full-gate windows: 1^6 u, u a sample of 10,000 symbols
-        chain = markov.build_chain(3, 0.5)
         for seed in range(100):
-            w = theta_embed(3, markov.sample(chain, 10_000, seed).word)
+            w = theta_embed(3, markov.sample(3, 0.5, 10_000, seed).word)
             assert _verdict(gamma_check_prefix(w, 1000)) == z_gamma_prefix(w, 1000)
 
     def test_constant_window(self):
@@ -403,9 +402,8 @@ class TestThetaEmbedding:
             theta_embed(3, "000")
 
     def test_embedded_samples_stay_clean(self):
-        chain = markov.build_chain(3, 0.5)
         for seed in range(10):
-            run = markov.sample(chain, 400, seed=seed)
+            run = markov.sample(3, 0.5, 400, seed=seed)
             win = theta_embed(3, run.word)
             verdict = gamma_check_prefix(win, 200)
             assert verdict.status == CLEAN_TO_DEPTH

@@ -120,13 +120,24 @@ class TestPlantedFailures:
 
 
 class TestErgodicPath:
+    @pytest.mark.parametrize(
+        "check", [verify.check_ergodic_frequency, verify.check_gamma_construction]
+    )
+    def test_sampling_checks_build_no_chain(self, monkeypatch, check):
+        # the sampler reads (m, p); only check 8 builds the run-state kernel
+        def refuse(m, p):
+            raise AssertionError("a sampling check built the oracle chain")
+
+        monkeypatch.setattr(markov, "build_chain", refuse)
+        assert check(True).passed
+
     def _count_draws(self, monkeypatch):
         seeds = []
         sample = markov.sample
 
-        def counting(chain, n, seed):
+        def counting(m, p, n, seed):
             seeds.append(seed)
-            return sample(chain, n, seed)
+            return sample(m, p, n, seed)
 
         monkeypatch.setattr(markov, "sample", counting)
         return seeds
