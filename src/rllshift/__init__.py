@@ -23,13 +23,9 @@ _EXPORTS = {
         "pullback_cylinder",
     ),
     "markov": (
-        "ChainSpec",
-        "RunState",
         "SampleRun",
-        "build_chain",
         "final_local_dimension",
         "sample",
-        "stationary",
     ),
     "dimension": (
         "DimensionProfile",

@@ -87,9 +87,9 @@ def cmd_lambda(args) -> int:
     from . import dimension, markov, measure
 
     p = _parse_p(args.p)
-    chain = markov.build_chain(args.m, p)
+    # first, so that a bad p is reported as p, not as f_m's x
+    pi0 = markov.digit_mass(args.m, p, 0)
     closed = dimension.f_m(args.m, p)
-    pi0 = markov.digit_mass(chain, 0)
     meas = measure.bernoulli(args.m, p)
     ces = measure.cesaro_lambda(meas, "0", args.n)
     record = {

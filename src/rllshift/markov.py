@@ -1,9 +1,10 @@
 """The run-state Markov chain whose path law is the cylinder measure.
 
 States are (last digit, current run length).  The chain is the
-stationary route to the invariant measure, kept apart from `measure`: its
-stationary law must reproduce the closed form for lambda_p[0].  Seeded
-paths of `sample(m, p, n, seed)` drive the frequency and dimension estimators.
+stationary route to the invariant measure, kept apart from `measure`:
+`digit_mass(m, p, digit)` builds it and returns lambda_p[digit], which
+must reproduce the closed form.  Seeded paths of `sample(m, p, n, seed)`
+drive the frequency and dimension estimators.
 """
 from __future__ import annotations
 
@@ -25,11 +26,9 @@ class RunState(NamedTuple):
 class ChainSpec:
     """Transition kernel over run states."""
 
-    m: int
-    p: Fraction | float
     states: tuple[RunState, ...]
-    # state -> ((emitted digit, next state, probability), ...)
-    kernel: dict[RunState, tuple[tuple[int, RunState, object], ...]]
+    # state -> ((next state, probability), ...), emitting the next state's digit
+    kernel: dict[RunState, tuple[tuple[RunState, object], ...]]
 
 
 def build_chain(m: int, p) -> ChainSpec:
@@ -47,53 +46,45 @@ def build_chain(m: int, p) -> ChainSpec:
         runs = states[d * (m - 1) : (d + 1) * (m - 1)]
         restart = states[(1 - d) * (m - 1)]  # (1-d, 1)
         for st, nxt in zip(runs, runs[1:]):
-            kernel[st] = ((d, nxt, stay), (1 - d, restart, flip))
-        kernel[runs[-1]] = ((1 - d, restart, one),)
-    return ChainSpec(m, p, states, kernel)
+            kernel[st] = ((nxt, stay), (restart, flip))
+        kernel[runs[-1]] = ((restart, one),)
+    return ChainSpec(states, kernel)
 
 
 # ---------------------------------------------------------------------------
 # stationary distribution (exact for a Fraction p)
 
 
-def stationary(chain: ChainSpec) -> dict[RunState, Fraction | float]:
-    """The unique probability vector fixed by the kernel, in the number type of p.
+def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
+    """The stationary law of the chain as numerators over their total:
+    pi(x) = visits[i] / total for the i-th state x, with ints for rational
+    probabilities and floats otherwise.
 
     Regeneration (Kac 1947): every cycle of the chain passes through the
-    first state r = (0, 1), so pi(x) = v(x) / sum(v), where v(x) is the
-    expected number of visits to x in one excursion from r and v(r) = 1.
-    In `build_chain`'s order the edges (d, k) -> (d, k+1) and
-    (0, k) -> (1, 1) point forward and (1, k) -> (0, 1) points back into r;
-    without the edges into r the order is topological, so one forward pass
-    adding v(x) * prob along each edge x -> y, y != r, gives v.  Any other
+    first state r, so pi(x) = v(x) / sum(v), where v(x) is the expected
+    number of visits to x in one excursion from r and v(r) = 1.  If every
+    edge x -> y other than those into r points forward in the state order,
+    that order is topological without them, and one forward pass adding
+    v(x) * prob along each edge x -> y, y != r, gives v.  In `build_chain`'s
+    order, r = (0, 1), the edges (d, k) -> (d, k+1) and (0, k) -> (1, 1)
+    point forward and (1, k) -> (0, 1) points back into r.  Any other
     backward edge closes a cycle that avoids r and raises RuntimeError.
     A state that no edge from a reached state enters keeps v = None: r
     does not reach it, and the chain is rejected as reducible.  (A reached
     v may underflow to 0.0 in floats, so the test is for None, not 0.)
 
     With rational probabilities and b the lcm of their denominators, the
-    pass (`_visit_numerators`) holds v of the i-th state as an integer
-    numerator over b**i: an edge from the i-th to the j-th state with
-    probability w/b adds the numerator times w * b**(j-i-1).  The
-    numerators are put over b**(S-1), S states, and summed, and each pi(x)
-    is one Fraction; `digit_mass` divides once instead.  Float
-    probabilities take the same pass with b = 1 and w = prob, where every
-    factor b**k is an exact 1.
+    pass holds v of the i-th state as an integer numerator over b**i: an
+    edge from the i-th to the j-th state with probability w/b adds the
+    numerator times w * b**(j-i-1).  The numerators are put over
+    b**(S-1), S states, and summed.  Float probabilities take the same
+    pass with b = 1 and w = prob, where every factor b**k is an exact 1.
     """
-    visits, total = _visit_numerators(chain)
-    if isinstance(total, int):
-        return {st: Fraction(v, total) for st, v in zip(chain.states, visits)}
-    return {st: v / total for st, v in zip(chain.states, visits)}
-
-
-def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
-    """`stationary`'s pass: the visit numerators and their total, ints for
-    rational probabilities and floats (b = 1) otherwise."""
     states = chain.states
     first = states[0]
     index = {st: i for i, st in enumerate(states)}
     # keyed by identity: hashing a Fraction costs about 1 us, an id 30 ns
-    probs = {id(prob): prob for edges in chain.kernel.values() for _, _, prob in edges}
+    probs = {id(prob): prob for edges in chain.kernel.values() for _, prob in edges}
     exact = all(isinstance(prob, (int, Fraction)) for prob in probs.values())
     b = math.lcm(*(prob.denominator for prob in probs.values())) if exact else 1
     weight = {key: prob.numerator * (b // prob.denominator) if exact else prob
@@ -103,7 +94,7 @@ def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
     for i, st in enumerate(states):
         if visits[i] is None:
             continue
-        for _, nxt, prob in chain.kernel[st]:
+        for nxt, prob in chain.kernel[st]:
             if nxt == first:
                 continue
             j = index[nxt]
@@ -118,13 +109,18 @@ def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
     return visits, sum(visits)
 
 
-def digit_mass(chain: ChainSpec, digit: int) -> Fraction | float:
-    """Total stationary mass on states carrying the given last digit.
+def digit_mass(m: int, p, digit: int) -> Fraction | float:
+    """lambda_p[digit]: the stationary mass of the run states of the order-m
+    chain whose last digit is `digit`, in the number type of p.
 
-    The sum of `stationary(chain)` over them, in value and type: one
-    Fraction of their summed numerators, or their float quotients added in
-    state order.
+    A digit other than 0 or 1 raises ValueError, and so do m < 3 and p
+    outside (0, 1), with `build_chain`'s messages.  A rational p gives one
+    Fraction of the states' summed visit numerators (`_visit_numerators`);
+    a float p gives their quotients by the total, added in state order.
     """
+    if digit not in (0, 1):
+        raise ValueError(f"digit must be 0 or 1, got {digit!r}")
+    chain = build_chain(m, p)
     visits, total = _visit_numerators(chain)
     mine = [v for st, v in zip(chain.states, visits) if st.digit == digit]
     if isinstance(total, int):
@@ -196,7 +192,7 @@ def _block_table(
     k: int,
 ) -> tuple[tuple[int, ...], tuple[bytes, ...], np.ndarray, np.ndarray]:
     """One block of BLOCK steps of the order-k chain with favoured digit 0,
-    for every row and block code; `sample` keys it by min(m, BLOCK + 2).
+    for every row and block code; `sample` keys it by min(m, n + 2, BLOCK + 2).
 
     A state (digit, run) is the integer x = 2*run + digit; a path starts
     at x = 0, a free run of no 0's.  Symbol j of a block has a class c_j
@@ -331,10 +327,13 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     packed_forced = np.empty(size, dtype=np.uint8)
     # class 1 (u below exactly one of p, 1-p) extends only the more likely digit
     swap = 0 if p > 0.5 else 1
-    k = min(m, BLOCK + 2)
+    # no run of an n-symbol path reaches n + 1 and the symbols past n-1 are
+    # cleared, so every order from n + 2 on gives the same word and marks
+    order = min(m, n + 2)
+    k = min(order, BLOCK + 2)
     row, nxt, emitted, marks = _block_table(k)
-    # an order m > k has m - k more runs below the lowest row, each with run 0's rows
-    row = row[:2] * (m - k) + row
+    # order - k more runs below the lowest row, each taking run 0's rows
+    row = row[:2] * (order - k) + row
     byte_codes = _byte_codes()
     x = swap  # digit 0 with a run of 0: state 1 on the swapped walk
     jump = 2 * BLOCK

@@ -151,6 +151,22 @@ class TestLambda:
         assert code == 0
         assert out == (DATA / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--m", "2", "--p", "1/3"), "constraint order must be >= 3, got 2"),
+            (("--m", "3", "--p", "0"), "p must lie in (0,1), got 0.0"),
+            (("--m", "3", "--p", "1"), "p must lie in (0,1), got 1.0"),
+            (("--m", "3", "--p", "3/2"), "p must lie in (0,1), got 3/2"),
+        ],
+        ids=["m2", "p0", "p1", "p3/2"],
+    )
+    def test_bad_order_or_p_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "lambda", *argv, "--n", "100")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_largest_horizon(self, capsys):
         code, out, _ = run_cli(
             capsys, "lambda", "--m", "3", "--p", "1/3", "--n", str(2**1023)

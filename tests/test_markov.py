@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 
 from rllshift import markov, measure, words
 from rllshift.dimension import f_m
-from rllshift.markov import (
-    ChainSpec,
-    RunState,
-    build_chain,
-    digit_mass,
-    sample,
-    stationary,
-)
+from rllshift.markov import ChainSpec, RunState, build_chain, digit_mass, sample
 from rllshift.verify import ERGODIC_SEED
 
 P13 = Fraction(1, 3)
@@ -78,14 +71,28 @@ def loop_build_chain(m, p):
     for st in states:
         d, r = st
         if r == m - 1:
-            kernel[st] = ((1 - d, RunState(1 - d, 1), one),)
+            kernel[st] = ((RunState(1 - d, 1), one),)
         else:
             stay, flip = (p, q) if d == 0 else (q, p)
             kernel[st] = (
-                (d, RunState(d, r + 1), stay),
-                (1 - d, RunState(1 - d, 1), flip),
+                (RunState(d, r + 1), stay),
+                (RunState(1 - d, 1), flip),
             )
-    return ChainSpec(m, p, states, kernel)
+    return ChainSpec(states, kernel)
+
+
+def number_type_one(chain):
+    """1 in the number type of the chain's probabilities, that of its first edge."""
+    return chain.kernel[chain.states[0]][0][1] ** 0
+
+
+def stationary(chain):
+    """Reference: the stationary law from `_visit_numerators`, each pi(x) one
+    Fraction for rational probabilities and a float quotient otherwise."""
+    visits, total = markov._visit_numerators(chain)
+    if isinstance(total, int):
+        return {st: Fraction(v, total) for st, v in zip(chain.states, visits)}
+    return {st: v / total for st, v in zip(chain.states, visits)}
 
 
 def gauss_stationary(chain):
@@ -93,11 +100,12 @@ def gauss_stationary(chain):
     states = chain.states
     index = {st: i for i, st in enumerate(states)}
     n = len(states)
-    zero, one = chain.p * 0, chain.p**0
+    one = number_type_one(chain)
+    zero = one * 0
     # the balance equations with the last one replaced by the normalization
     aug = [[zero] * (n + 1) for _ in range(n)]
     for st in states:
-        for _, nxt, prob in chain.kernel[st]:
+        for nxt, prob in chain.kernel[st]:
             aug[index[nxt]][index[st]] += prob
     for i in range(n):
         aug[i][i] -= one
@@ -116,16 +124,16 @@ def gauss_stationary(chain):
 
 def fraction_stationary(chain):
     """Reference: the regeneration pass on values in p's number type, one
-    multiplication and addition per edge, that `stationary` runs on integer
-    numerators."""
+    multiplication and addition per edge, that `_visit_numerators` runs on
+    integer numerators."""
     first = chain.states[0]
     index = {st: i for i, st in enumerate(chain.states)}
     visits = dict.fromkeys(chain.states)
-    visits[first] = chain.p**0
+    visits[first] = number_type_one(chain)
     for i, st in enumerate(chain.states):
         if visits[st] is None:
             continue
-        for _, nxt, prob in chain.kernel[st]:
+        for nxt, prob in chain.kernel[st]:
             if nxt == first:
                 continue
             assert index[nxt] > i
@@ -170,11 +178,11 @@ class TestChain:
     def test_forced_transition(self):
         chain = build_chain(3, P13)
         (entry,) = chain.kernel[RunState(0, 2)]
-        assert entry == (1, RunState(1, 1), 1)
+        assert entry == (RunState(1, 1), 1)
 
     def test_free_transition_m4(self):
         chain = build_chain(4, P13)
-        step = {d: (nxt, prob) for d, nxt, prob in chain.kernel[RunState(0, 2)]}
+        step = {nxt.digit: (nxt, prob) for nxt, prob in chain.kernel[RunState(0, 2)]}
         assert step[0] == (RunState(0, 3), P13)
         assert step[1] == (RunState(1, 1), 1 - P13)
 
@@ -191,7 +199,7 @@ class TestChain:
         for m in (3, 4, 5):
             chain = build_chain(m, Fraction(2, 5))
             for st in chain.states:
-                assert sum(prob for _, _, prob in chain.kernel[st]) == 1
+                assert sum(prob for _, prob in chain.kernel[st]) == 1
 
     def test_irreducible_aperiodic(self):
         for m in range(3, 13):
@@ -218,7 +226,7 @@ class TestChain:
             chain = build_chain(m, p)
             own = {id(st) for st in chain.states}  # `is` an element of states
             assert all(
-                id(nxt) in own for edges in chain.kernel.values() for _, nxt, _ in edges
+                id(nxt) in own for edges in chain.kernel.values() for nxt, _ in edges
             ), m
 
 
@@ -233,8 +241,7 @@ class TestKernelMatchesMeasure:
             unit[i] = Fraction(1)
             z, o = words._step(unit[: m - 1], unit[m - 1 :], p, 1 - p, 1)
             row = dict.fromkeys(chain.states, Fraction(0))
-            for digit, nxt, prob in chain.kernel[st]:
-                assert digit == nxt.digit
+            for nxt, prob in chain.kernel[st]:
                 row[nxt] += prob
             assert list(row.values()) == z + o
 
@@ -243,19 +250,16 @@ class TestStationary:
     @pytest.mark.parametrize("m", range(3, 61))
     @pytest.mark.parametrize("p", [P13, Fraction(1, 2), Fraction(2, 3)])
     def test_matches_closed_form_exactly(self, m, p):
-        chain = build_chain(m, p)
-        assert digit_mass(chain, 0) == f_m(m, p)
-        assert digit_mass(chain, 0) + digit_mass(chain, 1) == 1
+        assert digit_mass(m, p, 0) == f_m(m, p)
+        assert digit_mass(m, p, 0) + digit_mass(m, p, 1) == 1
 
     def test_symmetric_case(self):
-        chain = build_chain(4, Fraction(1, 2))
-        assert digit_mass(chain, 0) == Fraction(1, 2)
+        assert digit_mass(4, Fraction(1, 2), 0) == Fraction(1, 2)
 
     def test_m3_hand_solution(self):
         # balance equations for the four-state chain solved by hand
         p = P13
-        chain = build_chain(3, p)
-        assert digit_mass(chain, 0) == (1 + p) / 3
+        assert digit_mass(3, p, 0) == (1 + p) / 3
 
     @pytest.mark.parametrize("m", range(3, 13))
     @pytest.mark.parametrize(
@@ -291,11 +295,11 @@ class TestStationary:
         a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
         third, half = Fraction(1, 3), Fraction(1, 2)
         kernel = {
-            a: ((0, b, third), (1, c, 1 - third)),
-            b: ((1, c, half), (0, a, half)),
-            c: ((0, a, 1),),
+            a: ((b, third), (c, 1 - third)),
+            b: ((c, half), (a, half)),
+            c: ((a, 1),),
         }
-        chain = ChainSpec(3, P13, (a, b, c), kernel)
+        chain = ChainSpec((a, b, c), kernel)
         pi = stationary(chain)
         assert pi == {a: Fraction(6, 13), b: Fraction(2, 13), c: Fraction(5, 13)}
         assert pi == fraction_stationary(chain)
@@ -307,7 +311,7 @@ class TestStationary:
         ps += [1 - x for x in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)]
         for m in range(3, 61, 3):
             for p in ps:
-                got = digit_mass(build_chain(m, p), 0)
+                got = digit_mass(m, p, 0)
                 exact = f_m(m, Fraction(p))
                 assert math.isfinite(got)
                 assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact, (m, p)
@@ -316,22 +320,21 @@ class TestStationary:
         a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
         half = Fraction(1, 2)
         # irreducible, but b -> c -> b never visits a
-        kernel = {a: ((0, b, 1),), b: ((1, c, 1),), c: ((0, b, half), (0, a, half))}
-        chain = ChainSpec(3, P13, (a, b, c), kernel)
+        kernel = {a: ((b, 1),), b: ((c, 1),), c: ((b, half), (a, half))}
+        chain = ChainSpec((a, b, c), kernel)
         with pytest.raises(RuntimeError, match="cycle"):
             stationary(chain)
 
     def test_underflowing_float_visits_accepted(self):
         # p**2 underflows to 0.0, but the state is reached: the chain is
         # irreducible, and pi[0] is 1/4 as in `lambda --m 4 --p 1e-320`
-        chain = build_chain(4, 1e-320)
-        assert digit_mass(chain, 0) == 0.25
+        assert digit_mass(4, 1e-320, 0) == 0.25
 
     def test_unreachable_state_raises(self):
         a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
         # nothing leads into c
-        kernel = {a: ((0, b, 1),), b: ((1, a, 1),), c: ((0, a, 1),)}
-        chain = ChainSpec(3, P13, (a, b, c), kernel)
+        kernel = {a: ((b, 1),), b: ((a, 1),), c: ((a, 1),)}
+        chain = ChainSpec((a, b, c), kernel)
         with pytest.raises(RuntimeError, match="irreducible"):
             stationary(chain)
 
@@ -341,7 +344,7 @@ class TestStationary:
         pi = stationary(chain)
         pushed = {st: Fraction(0) for st in chain.states}
         for st, mass in pi.items():
-            for _, nxt, prob in chain.kernel[st]:
+            for nxt, prob in chain.kernel[st]:
                 pushed[nxt] += mass * Fraction(prob)
         assert pushed == pi
 
@@ -352,9 +355,8 @@ class TestDigitMass:
     )
     def test_fraction_equals_sum_of_stationary(self, p):
         for m in range(3, 61):
-            chain = build_chain(m, p)
-            pi = stationary(chain)
-            masses = [digit_mass(chain, d) for d in (0, 1)]
+            pi = stationary(build_chain(m, p))
+            masses = [digit_mass(m, p, d) for d in (0, 1)]
             for d, got in enumerate(masses):
                 want = sum(v for st, v in pi.items() if st.digit == d)
                 assert type(got) is type(want) is Fraction and got == want, (m, d)
@@ -364,10 +366,9 @@ class TestDigitMass:
     def test_float_equals_sum_of_stationary(self, p):
         # the per-state quotients added in state order, as the sum over the dict
         for m in range(3, 61):
-            chain = build_chain(m, p)
-            pi = stationary(chain)
+            pi = stationary(build_chain(m, p))
             for d in (0, 1):
-                got = digit_mass(chain, d)
+                got = digit_mass(m, p, d)
                 want = sum(v for st, v in pi.items() if st.digit == d)
                 assert type(got) is type(want) is float and got == want, (m, d)
 
@@ -379,7 +380,12 @@ class TestDigitMass:
         ),
     )
     def test_matches_closed_form(self, m, p):
-        assert digit_mass(build_chain(m, p), 0) == f_m(m, p)
+        assert digit_mass(m, p, 0) == f_m(m, p)
+
+    @pytest.mark.parametrize("digit", [-1, 2, 0.5, None])
+    def test_digit_other_than_0_or_1_rejected(self, digit):
+        with pytest.raises(ValueError, match=rf"digit must be 0 or 1, got {digit!r}"):
+            digit_mass(3, P13, digit)
 
 
 class TestSampling:
@@ -475,7 +481,8 @@ class TestSampling:
             sample(m, p, 100, seed=4)
         assert str(excinfo.value) == message
 
-    @settings(max_examples=6, deadline=None, database=None)
+    # both draws walk at an order of at most n + 2, so they cost like any short path
+    @settings(max_examples=100, deadline=None, database=None)
     @given(
         st.one_of(st.floats(0.01, 0.49), st.floats(0.51, 0.99)),
         st.integers(2, 2000),
@@ -486,6 +493,21 @@ class TestSampling:
     def test_order_past_the_path_length(self, p, n, seed):
         # no run of n symbols reaches the cap m - 1 >= n, so m does not matter
         big, small = sample(10**6, p, n, seed), sample(n + 1, p, n, seed)
+        assert big.packed_bits.tobytes() == small.packed_bits.tobytes()
+        assert big.packed_forced.tobytes() == small.packed_forced.tobytes()
+
+    def test_order_past_the_path_length_costs_like_the_path(self):
+        # the walk at order 10**6 over 1000 symbols lists no row per order
+        sample(12, 0.3, 10, 0)  # the block table, built once per process
+        tracemalloc.start()
+        try:
+            big = sample(10**6, 0.3, 1000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        small = sample(1002, 0.3, 1000, 1)
+        assert big.m == 10**6
         assert big.packed_bits.tobytes() == small.packed_bits.tobytes()
         assert big.packed_forced.tobytes() == small.packed_forced.tobytes()
 
