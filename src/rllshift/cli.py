@@ -262,13 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """What main reports as a usage error, with exit 2."""
-    from .words import CapacityError
-
-    return ValueError, OSError, MemoryError, CapacityError
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -278,9 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    # evaluated only when an exception gets here, by which time the
-    # command has loaded words (every module imports it)
-    except _usage_errors() as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

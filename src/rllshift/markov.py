@@ -1,10 +1,11 @@
 """The run-state Markov chain whose path law is the cylinder measure.
 
-States are (last digit, current run length).  The chain is the
-stationary route to the invariant measure, kept apart from `measure`:
-`digit_mass(m, p, digit)` builds it and returns lambda_p[digit], which
-must reproduce the closed form.  Seeded paths of `sample(m, p, n, seed)`
-drive the frequency and dimension estimators.
+States are plain (last digit, current run length) pairs, and the chain
+is its kernel dict.  The chain is the stationary route to the invariant
+measure, kept apart from `measure`: `digit_mass(m, p, digit)` builds it
+and returns lambda_p[digit], which must reproduce the closed form.
+Seeded paths of `sample(m, p, n, seed)`, kept as packed bytes, drive the
+frequency and dimension estimators.
 """
 from __future__ import annotations
 
@@ -12,53 +13,41 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .words import _check_open_unit, _check_order
 
 
-class RunState(NamedTuple):
-    digit: int
-    run: int
+def build_chain(m: int, p) -> dict:
+    """The kernel over run states (digit, run), in the order (0, 1..m-1),
+    (1, 1..m-1): state -> ((next state, probability), ...).  Free states
+    split p/(1-p); a maximal run forces the flip.
 
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Transition kernel over run states."""
-
-    states: tuple[RunState, ...]
-    # state -> ((next state, probability), ...), emitting the next state's digit
-    kernel: dict[RunState, tuple[tuple[RunState, object], ...]]
-
-
-def build_chain(m: int, p) -> ChainSpec:
-    """Kernel: free states split p/(1-p); a maximal run forces the flip.
-
-    The kernel's next states are the elements of `states`, not copies.
+    The next states are the dict's own key objects, not copies.
     """
     _check_order(m)
     _check_open_unit(p, "p")
     q = 1 - p
     one = p**0
-    states = tuple(RunState(d, r) for d in (0, 1) for r in range(1, m))
-    kernel: dict[RunState, tuple] = {}
+    states = [(d, r) for d in (0, 1) for r in range(1, m)]
+    kernel = {}
     for d, stay, flip in ((0, p, q), (1, q, p)):
         runs = states[d * (m - 1) : (d + 1) * (m - 1)]
         restart = states[(1 - d) * (m - 1)]  # (1-d, 1)
         for st, nxt in zip(runs, runs[1:]):
             kernel[st] = ((nxt, stay), (restart, flip))
         kernel[runs[-1]] = ((restart, one),)
-    return ChainSpec(states, kernel)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # stationary distribution (exact for a Fraction p)
 
 
-def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
-    """The stationary law of the chain as numerators over their total:
-    pi(x) = visits[i] / total for the i-th state x, with ints for rational
-    probabilities and floats otherwise.
+def _visit_numerators(kernel: dict) -> tuple[list, int | float]:
+    """The stationary law of a kernel, state -> ((next state, probability),
+    ...), as numerators over their total: pi(x) = visits[i] / total for the
+    i-th key x of the kernel, with ints for rational probabilities and
+    floats otherwise.
 
     Regeneration (Kac 1947): every cycle of the chain passes through the
     first state r, so pi(x) = v(x) / sum(v), where v(x) is the expected
@@ -80,11 +69,11 @@ def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
     b**(S-1), S states, and summed.  Float probabilities take the same
     pass with b = 1 and w = prob, where every factor b**k is an exact 1.
     """
-    states = chain.states
+    states = list(kernel)
     first = states[0]
     index = {st: i for i, st in enumerate(states)}
     # keyed by identity: hashing a Fraction costs about 1 us, an id 30 ns
-    probs = {id(prob): prob for edges in chain.kernel.values() for _, prob in edges}
+    probs = {id(prob): prob for edges in kernel.values() for _, prob in edges}
     exact = all(isinstance(prob, (int, Fraction)) for prob in probs.values())
     b = math.lcm(*(prob.denominator for prob in probs.values())) if exact else 1
     weight = {key: prob.numerator * (b // prob.denominator) if exact else prob
@@ -94,7 +83,7 @@ def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
     for i, st in enumerate(states):
         if visits[i] is None:
             continue
-        for nxt, prob in chain.kernel[st]:
+        for nxt, prob in kernel[st]:
             if nxt == first:
                 continue
             j = index[nxt]
@@ -110,8 +99,8 @@ def _visit_numerators(chain: ChainSpec) -> tuple[list, int | float]:
 
 
 def digit_mass(m: int, p, digit: int) -> Fraction | float:
-    """lambda_p[digit]: the stationary mass of the run states of the order-m
-    chain whose last digit is `digit`, in the number type of p.
+    """lambda_p[digit]: the stationary mass of the run states (d, r) of the
+    order-m chain with d = digit, in the number type of p.
 
     A digit other than 0 or 1 raises ValueError, and so do m < 3 and p
     outside (0, 1), with `build_chain`'s messages.  A rational p gives one
@@ -120,9 +109,9 @@ def digit_mass(m: int, p, digit: int) -> Fraction | float:
     """
     if digit not in (0, 1):
         raise ValueError(f"digit must be 0 or 1, got {digit!r}")
-    chain = build_chain(m, p)
-    visits, total = _visit_numerators(chain)
-    mine = [v for st, v in zip(chain.states, visits) if st.digit == digit]
+    kernel = build_chain(m, p)
+    visits, total = _visit_numerators(kernel)
+    mine = [v for (d, _), v in zip(kernel, visits) if d == digit]
     if isinstance(total, int):
         return Fraction(sum(mine), total)
     return sum(v / total for v in mine)
@@ -141,10 +130,10 @@ class SampleRun:
     marks the symbols that end a maximal run of m-1, which the chain flips
     with probability 1; `sample` reads the marks off its block table.
 
-    The path is kept packed in np.packbits's layout, one block of `sample`
-    a byte: byte j holds symbols 8j, ..., 8j + 7, the first in its high
-    bit, and every bit past symbol n-1 is 0.  `bits` and `forced` unpack
-    on first use.
+    The path is kept only packed, in np.packbits's layout, one block of
+    `sample` a byte: byte j holds symbols 8j, ..., 8j + 7, the first in
+    its high bit, and every bit past symbol n-1 is 0.  Its readers unpack
+    what they need per call (np.unpackbits with count=n).
     """
 
     m: int
@@ -153,18 +142,6 @@ class SampleRun:
     n: int
     packed_bits: np.ndarray  # uint8, the 0/1 symbols
     packed_forced: np.ndarray  # uint8, bit 1 at the symbol right after m-1 equal ones
-
-    @functools.cached_property
-    def bits(self) -> np.ndarray:
-        """uint8, the 0/1 symbols."""
-        import numpy as np
-        return np.unpackbits(self.packed_bits, count=self.n)
-
-    @functools.cached_property
-    def forced(self) -> np.ndarray:
-        """bool, True at the symbol right after m-1 equal ones."""
-        import numpy as np
-        return np.unpackbits(self.packed_forced, count=self.n).view(bool)
 
     @property
     def word(self) -> str:
@@ -394,10 +371,11 @@ def strided_series(
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n = np.arange(stride, run.n + 1, stride)
-    free = ~run.forced
-    n1 = _running_counts(free & (run.bits == 1), stride)
+    bits = np.unpackbits(run.packed_bits, count=run.n)
+    free = ~np.unpackbits(run.packed_forced, count=run.n).view(bool)
+    n1 = _running_counts(free & (bits == 1), stride)
     n0 = _running_counts(free, stride) - n1
-    return n, _running_counts(run.bits == 0, stride) / n, _local_dimension(n0, n1, n, q)
+    return n, _running_counts(bits == 0, stride) / n, _local_dimension(n0, n1, n, q)
 
 
 def final_local_dimension(run: SampleRun, q: float) -> float:

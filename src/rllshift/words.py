@@ -15,7 +15,7 @@ MIN_ORDER = 3
 WORD_CAP = 1 << 21  # bound on the longest level one enumeration materializes
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """Enumeration would materialize more words than the caller allows."""
 
 

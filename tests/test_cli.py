@@ -61,6 +61,12 @@ class TestEnumerate:
         assert out == ""
         assert target.read_text().split() == ["00", "01", "10", "11"]
 
+    def test_past_the_word_cap_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--m", "3", "--n", "40")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"exceed the cap {words.WORD_CAP};" in err
+
 
 class TestMeasure:
     def test_exact_cylinder(self, capsys):

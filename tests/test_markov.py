@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rllshift import markov, measure, words
 from rllshift.dimension import f_m
-from rllshift.markov import ChainSpec, RunState, build_chain, digit_mass, sample
+from rllshift.markov import build_chain, digit_mass, sample
 from rllshift.verify import ERGODIC_SEED
 
 P13 = Fraction(1, 3)
@@ -45,13 +45,20 @@ def forced_mask(m, bits):
     return mask
 
 
+def unpack(run):
+    """The run's symbols as uint8 and its forced marks as bool, one per symbol."""
+    bits = np.unpackbits(run.packed_bits, count=run.n)
+    return bits, np.unpackbits(run.packed_forced, count=run.n).view(bool)
+
+
 def cumsum_series(run, q):
     """Reference: freq0 and the local dimension at every n from n-length running counts."""
     n = np.arange(1, run.n + 1)
-    free = ~run.forced
-    n1 = np.cumsum(free & (run.bits == 1))
+    bits, forced = unpack(run)
+    free = ~forced
+    n1 = np.cumsum(free & (bits == 1))
     local = markov._local_dimension(np.cumsum(free) - n1, n1, n, q)
-    return np.cumsum(run.bits == 0) / n, local
+    return np.cumsum(bits == 0) / n, local
 
 
 def hand_run(m, bits):
@@ -66,24 +73,24 @@ def loop_build_chain(m, p):
     shared states, with new next states on every edge."""
     q = 1 - p
     one = p**0
-    states = tuple(RunState(d, r) for d in (0, 1) for r in range(1, m))
+    states = tuple((d, r) for d in (0, 1) for r in range(1, m))
     kernel = {}
     for st in states:
         d, r = st
         if r == m - 1:
-            kernel[st] = ((RunState(1 - d, 1), one),)
+            kernel[st] = (((1 - d, 1), one),)
         else:
             stay, flip = (p, q) if d == 0 else (q, p)
             kernel[st] = (
-                (RunState(d, r + 1), stay),
-                (RunState(1 - d, 1), flip),
+                ((d, r + 1), stay),
+                ((1 - d, 1), flip),
             )
-    return ChainSpec(states, kernel)
+    return kernel
 
 
 def number_type_one(chain):
     """1 in the number type of the chain's probabilities, that of its first edge."""
-    return chain.kernel[chain.states[0]][0][1] ** 0
+    return next(iter(chain.values()))[0][1] ** 0
 
 
 def stationary(chain):
@@ -91,13 +98,13 @@ def stationary(chain):
     Fraction for rational probabilities and a float quotient otherwise."""
     visits, total = markov._visit_numerators(chain)
     if isinstance(total, int):
-        return {st: Fraction(v, total) for st, v in zip(chain.states, visits)}
-    return {st: v / total for st, v in zip(chain.states, visits)}
+        return {st: Fraction(v, total) for st, v in zip(chain, visits)}
+    return {st: v / total for st, v in zip(chain, visits)}
 
 
 def gauss_stationary(chain):
     """Reference: solve pi (P - I) = 0, sum(pi) = 1 by Gauss-Jordan elimination."""
-    states = chain.states
+    states = list(chain)
     index = {st: i for i, st in enumerate(states)}
     n = len(states)
     one = number_type_one(chain)
@@ -105,7 +112,7 @@ def gauss_stationary(chain):
     # the balance equations with the last one replaced by the normalization
     aug = [[zero] * (n + 1) for _ in range(n)]
     for st in states:
-        for nxt, prob in chain.kernel[st]:
+        for nxt, prob in chain[st]:
             aug[index[nxt]][index[st]] += prob
     for i in range(n):
         aug[i][i] -= one
@@ -126,14 +133,14 @@ def fraction_stationary(chain):
     """Reference: the regeneration pass on values in p's number type, one
     multiplication and addition per edge, that `_visit_numerators` runs on
     integer numerators."""
-    first = chain.states[0]
-    index = {st: i for i, st in enumerate(chain.states)}
-    visits = dict.fromkeys(chain.states)
+    first = next(iter(chain))
+    index = {st: i for i, st in enumerate(chain)}
+    visits = dict.fromkeys(chain)
     visits[first] = number_type_one(chain)
-    for i, st in enumerate(chain.states):
+    for i, st in enumerate(chain):
         if visits[st] is None:
             continue
-        for nxt, prob in chain.kernel[st]:
+        for nxt, prob in chain[st]:
             if nxt == first:
                 continue
             assert index[nxt] > i
@@ -148,9 +155,10 @@ def loop_increments(run, q):
     """Reference: -log of each symbol's measure factor; forced positions add 0."""
     log_q, log_1q = -math.log(q), -math.log(1.0 - q)
     out = np.empty(run.n, dtype=np.float64)
+    bits = unpack(run)[0]
     digit, rlen = -1, 0
     for i in range(run.n):
-        b = int(run.bits[i])
+        b = int(bits[i])
         if digit >= 0 and rlen == run.m - 1:
             out[i] = 0.0  # forced flip
         else:
@@ -171,20 +179,20 @@ def assert_within_fsum(series, inc, lengths=None):
 class TestChain:
     def test_state_space(self):
         chain = build_chain(3, P13)
-        assert len(chain.states) == 4
+        assert len(chain) == 4
         chain5 = build_chain(5, P13)
-        assert len(chain5.states) == 8
+        assert len(chain5) == 8
 
     def test_forced_transition(self):
         chain = build_chain(3, P13)
-        (entry,) = chain.kernel[RunState(0, 2)]
-        assert entry == (RunState(1, 1), 1)
+        (entry,) = chain[(0, 2)]
+        assert entry == ((1, 1), 1)
 
     def test_free_transition_m4(self):
         chain = build_chain(4, P13)
-        step = {nxt.digit: (nxt, prob) for nxt, prob in chain.kernel[RunState(0, 2)]}
-        assert step[0] == (RunState(0, 3), P13)
-        assert step[1] == (RunState(1, 1), 1 - P13)
+        step = {nxt[0]: (nxt, prob) for nxt, prob in chain[(0, 2)]}
+        assert step[0] == ((0, 3), P13)
+        assert step[1] == ((1, 1), 1 - P13)
 
     @pytest.mark.parametrize("p", [0, 1, 1.5, float("nan")])
     def test_p_outside_open_interval_rejected(self, p):
@@ -198,8 +206,8 @@ class TestChain:
     def test_rows_sum_to_one(self):
         for m in (3, 4, 5):
             chain = build_chain(m, Fraction(2, 5))
-            for st in chain.states:
-                assert sum(prob for _, prob in chain.kernel[st]) == 1
+            for st in chain:
+                assert sum(prob for _, prob in chain[st]) == 1
 
     def test_irreducible_aperiodic(self):
         for m in range(3, 13):
@@ -216,17 +224,17 @@ class TestChain:
     def test_matches_per_state_construction(self, p):
         for m in range(3, 61):
             chain, want = build_chain(m, p), loop_build_chain(m, p)
-            assert chain.states == want.states
+            assert list(chain) == list(want)
             # equal entries under equal keys, in the same key order
-            assert list(chain.kernel.items()) == list(want.kernel.items()), m
+            assert list(chain.items()) == list(want.items()), m
 
     @pytest.mark.parametrize("p", [P13, 0.3])
     def test_next_states_are_the_chain_states(self, p):
         for m in range(3, 61):
             chain = build_chain(m, p)
-            own = {id(st) for st in chain.states}  # `is` an element of states
+            own = {id(st) for st in chain}  # `is` a key of the chain
             assert all(
-                id(nxt) in own for edges in chain.kernel.values() for nxt, _ in edges
+                id(nxt) in own for edges in chain.values() for nxt, _ in edges
             ), m
 
 
@@ -236,12 +244,12 @@ class TestKernelMatchesMeasure:
     def test_rows_equal_measure_step(self, m, p):
         # the oracle chain and the measure's kernel share no code
         chain = build_chain(m, p)
-        for i, st in enumerate(chain.states):
-            unit = [Fraction(0)] * len(chain.states)
+        for i, st in enumerate(chain):
+            unit = [Fraction(0)] * len(chain)
             unit[i] = Fraction(1)
             z, o = words._step(unit[: m - 1], unit[m - 1 :], p, 1 - p, 1)
-            row = dict.fromkeys(chain.states, Fraction(0))
-            for nxt, prob in chain.kernel[st]:
+            row = dict.fromkeys(chain, Fraction(0))
+            for nxt, prob in chain[st]:
                 row[nxt] += prob
             assert list(row.values()) == z + o
 
@@ -292,14 +300,13 @@ class TestStationary:
     def test_hand_built_chain_takes_lcm_of_denominators(self):
         # probabilities 1/3, 2/3, 1/2 and 1 put every value over 6**k, not
         # over p's 3**k: int(prob * 3) would truncate 1/2 to 1
-        a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
+        a, b, c = (0, 1), (0, 2), (1, 1)
         third, half = Fraction(1, 3), Fraction(1, 2)
-        kernel = {
+        chain = {
             a: ((b, third), (c, 1 - third)),
             b: ((c, half), (a, half)),
             c: ((a, 1),),
         }
-        chain = ChainSpec((a, b, c), kernel)
         pi = stationary(chain)
         assert pi == {a: Fraction(6, 13), b: Fraction(2, 13), c: Fraction(5, 13)}
         assert pi == fraction_stationary(chain)
@@ -317,11 +324,10 @@ class TestStationary:
                 assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact, (m, p)
 
     def test_cycle_avoiding_first_state_raises(self):
-        a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
+        a, b, c = (0, 1), (0, 2), (1, 1)
         half = Fraction(1, 2)
         # irreducible, but b -> c -> b never visits a
-        kernel = {a: ((b, 1),), b: ((c, 1),), c: ((b, half), (a, half))}
-        chain = ChainSpec((a, b, c), kernel)
+        chain = {a: ((b, 1),), b: ((c, 1),), c: ((b, half), (a, half))}
         with pytest.raises(RuntimeError, match="cycle"):
             stationary(chain)
 
@@ -331,10 +337,9 @@ class TestStationary:
         assert digit_mass(4, 1e-320, 0) == 0.25
 
     def test_unreachable_state_raises(self):
-        a, b, c = RunState(0, 1), RunState(0, 2), RunState(1, 1)
+        a, b, c = (0, 1), (0, 2), (1, 1)
         # nothing leads into c
-        kernel = {a: ((b, 1),), b: ((a, 1),), c: ((a, 1),)}
-        chain = ChainSpec((a, b, c), kernel)
+        chain = {a: ((b, 1),), b: ((a, 1),), c: ((a, 1),)}
         with pytest.raises(RuntimeError, match="irreducible"):
             stationary(chain)
 
@@ -342,9 +347,9 @@ class TestStationary:
     def test_fixed_by_kernel(self, m):
         chain = build_chain(m, Fraction(2, 5))
         pi = stationary(chain)
-        pushed = {st: Fraction(0) for st in chain.states}
+        pushed = {st: Fraction(0) for st in chain}
         for st, mass in pi.items():
-            for nxt, prob in chain.kernel[st]:
+            for nxt, prob in chain[st]:
                 pushed[nxt] += mass * Fraction(prob)
         assert pushed == pi
 
@@ -358,7 +363,7 @@ class TestDigitMass:
             pi = stationary(build_chain(m, p))
             masses = [digit_mass(m, p, d) for d in (0, 1)]
             for d, got in enumerate(masses):
-                want = sum(v for st, v in pi.items() if st.digit == d)
+                want = sum(v for st, v in pi.items() if st[0] == d)
                 assert type(got) is type(want) is Fraction and got == want, (m, d)
             assert masses[0] + masses[1] == 1
 
@@ -369,7 +374,7 @@ class TestDigitMass:
             pi = stationary(build_chain(m, p))
             for d in (0, 1):
                 got = digit_mass(m, p, d)
-                want = sum(v for st, v in pi.items() if st.digit == d)
+                want = sum(v for st, v in pi.items() if st[0] == d)
                 assert type(got) is type(want) is float and got == want, (m, d)
 
     @settings(max_examples=150, deadline=None, database=None)
@@ -392,9 +397,9 @@ class TestSampling:
     def test_determinism(self):
         a = sample(3, 0.3, 5000, seed=7)
         b = sample(3, 0.3, 5000, seed=7)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(unpack(a)[0], unpack(b)[0])
         c = sample(3, 0.3, 5000, seed=8)
-        assert not np.array_equal(a.bits, c.bits)
+        assert not np.array_equal(unpack(a)[0], unpack(c)[0])
 
     def test_length_below_one_rejected(self):
         for n in (0, -1):
@@ -447,10 +452,11 @@ class TestSampling:
     @example(12, math.nextafter(0.75, 1), 5000, 12)
     def test_bits_match_loop(self, m, p, n, seed):
         run = sample(m, p, n, seed)
-        assert run.bits.dtype == np.uint8
-        assert run.bits.tobytes() == loop_sample(m, p, n, seed).tobytes()
-        assert run.forced.dtype == bool
-        assert np.array_equal(run.forced, forced_mask(m, run.bits))
+        bits, forced = unpack(run)
+        assert bits.dtype == np.uint8
+        assert bits.tobytes() == loop_sample(m, p, n, seed).tobytes()
+        assert forced.dtype == bool
+        assert np.array_equal(forced, forced_mask(m, bits))
 
     # m >= 128: at p = 1e-9 and 1 - 1e-9 the runs reach m-1, so the run
     # states x = 2*run + digit go past a byte
@@ -458,9 +464,9 @@ class TestSampling:
     @pytest.mark.parametrize("p", [0.5, 1e-9, 0.3, 1 - 1e-9])
     def test_bits_match_loop_past_a_byte(self, m, p):
         n = markov._SLICE + 2 * markov.BLOCK + 3  # a second slice
-        run = sample(m, p, n, seed=m)
-        assert run.bits.tobytes() == loop_sample(m, p, n, m).tobytes()
-        assert np.array_equal(run.forced, forced_mask(m, run.bits))
+        bits, forced = unpack(sample(m, p, n, seed=m))
+        assert bits.tobytes() == loop_sample(m, p, n, m).tobytes()
+        assert np.array_equal(forced, forced_mask(m, bits))
 
     @pytest.mark.parametrize(
         "m, p, message",
@@ -540,7 +546,7 @@ class TestSampling:
     def test_bits_pinned(self):
         # check 12's band was calibrated on this path; check 14 samples these
         run = sample(3, 0.2, 10**6, ERGODIC_SEED)
-        assert hashlib.sha256(run.bits.tobytes()).hexdigest() == (
+        assert hashlib.sha256(unpack(run)[0].tobytes()).hexdigest() == (
             "514386ab1dd7911a0874fcf92d9daed0f13272578860526eb2d22aae68d47d72"
         )
         pinned = [
@@ -550,15 +556,15 @@ class TestSampling:
         ]
         for seed, digest in enumerate(pinned):
             run = sample(3, 0.5, 10_000, seed)
-            assert hashlib.sha256(run.bits.tobytes()).hexdigest() == digest
+            assert hashlib.sha256(unpack(run)[0].tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("m", range(3, 41))
     @pytest.mark.parametrize("p", [1e-9, 0.5, 1 - 1e-9])
     def test_forced_matches_reference_across_a_slice(self, m, p):
         # n is no multiple of BLOCK and takes a second slice
         n = markov._SLICE + 2 * markov.BLOCK + 3
-        run = sample(m, p, n, seed=m)
-        assert np.array_equal(run.forced, forced_mask(m, run.bits))
+        bits, forced = unpack(sample(m, p, n, seed=m))
+        assert np.array_equal(forced, forced_mask(m, bits))
 
     @pytest.mark.parametrize("k", range(3, markov.BLOCK + 3))
     def test_block_table_rows(self, k):
@@ -594,9 +600,9 @@ class TestSampling:
         monkeypatch.setattr(markov, "_block_table", lambda k: got.setdefault(m, table(k)))
         for m, p in [(m, p) for p in (0.3, 0.7) for m in range(3, 13)] + [(129, 0.7), (300, 0.3)]:
             n = 3000 + m
-            run = sample(m, p, n, seed=m)
-            assert run.bits.tobytes() == loop_sample(m, p, n, m).tobytes()
-            assert np.array_equal(run.forced, forced_mask(m, run.bits))
+            bits, forced = unpack(sample(m, p, n, seed=m))
+            assert bits.tobytes() == loop_sample(m, p, n, m).tobytes()
+            assert np.array_equal(forced, forced_mask(m, bits))
         assert table.cache_info().misses <= 8
         assert got[10] is got[300]
         for row, nxt, emitted, marks in got.values():
@@ -617,12 +623,13 @@ class TestSampling:
         assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
         assert run.packed_bits.tobytes() == np.packbits(bits).tobytes()
         assert run.packed_forced.tobytes() == np.packbits(forced_mask(4, bits)).tobytes()
-        assert markov._popcount(run.packed_bits) == np.count_nonzero(run.bits)
-        assert markov._popcount(run.packed_forced) == np.count_nonzero(run.forced)
-        assert run.freq0() == float(np.count_nonzero(run.bits == 0)) / n
+        bits, forced = unpack(run)
+        assert markov._popcount(run.packed_bits) == np.count_nonzero(bits)
+        assert markov._popcount(run.packed_forced) == np.count_nonzero(forced)
+        assert run.freq0() == float(np.count_nonzero(bits == 0)) / n
         # the unpacked formula: free 1's and free 0's by count_nonzero
-        n1 = np.count_nonzero(run.bits > run.forced)
-        want = markov._local_dimension(n - np.count_nonzero(run.forced) - n1, n1, n, 0.4)
+        n1 = np.count_nonzero(bits > forced)
+        want = markov._local_dimension(n - np.count_nonzero(forced) - n1, n1, n, 0.4)
         assert markov.final_local_dimension(run, 0.4).hex() == want.hex()
 
     def test_path_stays_packed(self):
@@ -640,13 +647,10 @@ class TestSampling:
         assert peak < n
         assert run.packed_bits.nbytes + run.packed_forced.nbytes == 2 * -(-n // 8)
         assert run.packed_bits.base is None and run.packed_forced.base is None
-        assert "bits" not in vars(run) and "forced" not in vars(run)
-        assert run.bits.dtype == np.uint8 and run.forced.dtype == bool
-        assert run.bits is run.bits
 
     def test_word_matches_join(self):
         run = sample(4, 0.3, 5000, seed=2)
-        assert run.word == "".join("01"[b] for b in run.bits)
+        assert run.word == "".join("01"[b] for b in unpack(run)[0])
         assert hand_run(3, [1]).word == "1"
 
     def test_frequency_series_shape(self):
@@ -706,9 +710,10 @@ class TestLocalDimension:
     def test_free_counts_are_occurrence_counts(self, m, p, n, seed, cuts):
         # the path's free 0's and 1's are the paper's N0 and N1 of each prefix
         run = sample(m, p, n, seed)
-        free = ~run.forced
+        bits, forced = unpack(run)
+        free = ~forced
         for k in {max(1, round(c * n)) for c in cuts} | {n}:
-            prefix = run.bits[:k][free[:k]]
+            prefix = bits[:k][free[:k]]
             n1 = int(np.count_nonzero(prefix))
             assert (len(prefix) - n1, n1) == words.occurrence_counts(m, run.word[:k])
 

@@ -112,6 +112,8 @@ class TestEnumeration:
         assert enumerate_words(m, n) == brute_words(m, n)
 
     def test_capacity_error(self):
+        # a usage error like any bad argument: the CLI exits 2 on ValueError
+        assert issubclass(CapacityError, ValueError)
         with pytest.raises(CapacityError):
             enumerate_words(3, 40)
 
