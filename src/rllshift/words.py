@@ -141,13 +141,15 @@ def _cycle_weights(m: int, w0, w1, wf):
 def _reduce(u, fold):
     """u mod chi(z), in place from the top, for chi(z) = z^S - sum_j c[j] z^(S-j).
 
-    fold lists c[S], ..., c[2]: z^d = z^(d-S) z^S puts u[d] c[j] on z^(d-j).
+    fold lists c[S], ..., c[1]: z^d = z^(d-S) z^S puts u[d] c[j] on z^(d-j),
+    and c[1] lands on z^(d-1), the next degree the loop reduces.  A unit
+    c[j] costs an addition, no product.
     """
-    size = len(fold) + 1
+    size = len(fold)
     for d in range(len(u) - 1, size - 1, -1):
         h = u[d]
         if h:
-            u[d - size:d - 1] = [x + h * y for x, y in zip(u[d - size:d - 1], fold)]
+            u[d - size:d] = [x + (h if y == 1 else h * y) for x, y in zip(u[d - size:d], fold)]
     del u[size:]
     return u
 
@@ -164,56 +166,75 @@ def _square(r):
     return u
 
 
+def _nth_term(ys, fold, k: int) -> int:
+    """y_k of a sequence with y_n = sum_j c[j] y_(n-j), from its first terms.
+
+    ys holds y_1, ..., y_S, or y_1, ..., y_k when k <= S; fold lists the
+    integer c[S], ..., c[1] of chi(z) = z^S - sum_j c[j] z^(S-j), as
+    `_reduce` reads it.  Past S (Fiduccia 1985): chi(E) kills y for the
+    shift E, so y_(1+d) = sum_t q_t y_(1+t) for any q(z) = z^d mod chi(z).
+    Write k-1 = 2h + b with b = 0 or 1.  r(z) = z^h mod chi comes by
+    left-to-right square-and-multiply from r = 1, a multiply by z being a
+    shift plus one reduction.  Then q = r^2 z^b gives
+    y_k = sum_i r_i sum_j r_j y_(1+b+i+j), the terms extended to y_(2S-1+b)
+    by the recurrence: the last squaring's S^2/2 products of big r_i r_j
+    become S, and the S^2 others take a small y.  chi is monic, so every
+    r_t is an integer and the result equals k-1 steps of the recurrence
+    bit for bit.
+    """
+    if k <= len(ys):
+        return ys[k - 1]
+    size = len(fold)
+    h, b = divmod(k - 1, 2)
+    r = [1] + [0] * (size - 1)
+    for bit in reversed(range(h.bit_length())):
+        r = _reduce(_square(r), fold)
+        if h >> bit & 1:
+            r = _reduce([0] + r, fold)
+    ys = list(ys)
+    while len(ys) < 2 * size - 1 + b:
+        ys.append(sum(map(mul, fold, ys[-size:])))
+    return sum(x * sum(map(mul, r, ys[i + b:])) for i, x in enumerate(r))
+
+
 def _walk(m: int, w0: int, w1: int, wf: int, e, k: int) -> int:
     """_dot(z, o, e) for the masses (z, o) after k >= 1 symbols from _start.
 
-    One algorithm (Fiduccia 1985), S = 2(m-1): step min(k, S) symbols for
-    y_1, ..., y_min(k,S), and return y_k when k <= S.  Past that, by
-    Cayley-Hamilton y_k = sum_t r_t y_(1+t), where r(z) = z^(k-1) mod chi(z)
-    and chi(z) = z^S - sum_j c[j] z^(S-j) from `_cycle_weights`.  r comes by
-    left-to-right square-and-multiply from r = 1; a multiply by z is a shift
-    plus one reduction.  The cost is S steps plus bit_length(k-1) squarings
-    of S^2/2 products each, where the step loop takes k-1 steps of O(S)
-    products.  The squarings cost more than the steps they replace up to a
-    k that grows with S and the size of the integers (p = 3/10; best of 3-9
-    on a 2-core x86-64 VM whose timings moved by up to 2x between runs):
-    doubling is faster from about 20 symbols on at m = 3 and 80 at m = 8
-    (k = 400: 0.74 ms against 1.4-2.3 ms for the step loop); at m = 30 it
-    is slower at k = 300 (5.0 ms against 4.1 ms) and even at k = 1000; at
-    m = 60, k = 500 and k = 3481 take 1.1-2.5 times the step loop's time
-    and k = 14000 0.8-1.1 times; count_words(300, 5000) takes 1.4-1.9 times
-    (1.4-2.1 s).
-
-    Integer weights only: chi is monic and every r_t is a nonnegative
-    integer, so the result equals the step loop's bit for bit.
+    `_nth_term` of the kernel's recurrence, S = 2(m-1): min(k, S) steps
+    give y_1, ..., y_min(k,S), and `_cycle_weights` gives chi when k > S.
+    Integer weights only.  The squarings cost more than the steps they
+    replace up to a k that grows with S and the size of the integers
+    (p = 3/10; best of 3-7 on a 2-core x86-64 VM whose timings move by up
+    to 2x between runs): doubling is faster from about 20 symbols on at
+    m = 3 and 80 at m = 8 (k = 400: 0.83 ms against 1.6 ms for the step
+    loop); at m = 30 it is slower at k = 300 (3.7 ms against 3.3 ms) and
+    faster at k = 1000 (13 ms against 22 ms); at m = 60 it takes 1.2 times
+    the step loop's time at k = 500 and about half at k = 3481 and 14000.
     """
     size = 2 * (m - 1)
     ys = [_dot(z, o, e) for z, o in islice(_masses(m, w0, w1, wf), min(k, size))]
-    if k <= size:
+    if k <= size:  # no chi, whose (m-1)^2 products outweigh short walks
         return ys[-1]
-    fold = _cycle_weights(m, w0, w1, wf)[:1:-1]
-    n = k - 1
-    r = [1] + [0] * (size - 1)
-    for bit in reversed(range(n.bit_length())):
-        r = _reduce(_square(r), fold)
-        if n >> bit & 1:
-            r = _reduce([0] + r, fold)
-    return sum(map(mul, r, ys))
+    return _nth_term(ys, _cycle_weights(m, w0, w1, wf)[:0:-1], k)
 
 
 def count_words(m: int, n: int) -> int:
     """Number of admissible words of length n (1 for the empty word).
 
-    One `_walk` on unit weights with the all-ones emission, exact: S steps
-    (S = 2(m-1)), then bit_length(n-1) squarings of z^(n-1) modulo the
-    kernel's characteristic polynomial when n > S.
+    A word of length n >= 1 that starts with 0 is a composition of n into
+    runs of 1..m-1 (flip every symbol for one that starts with 1), so the
+    count is 2 C(n) with C(n) = C(n-1) + ... + C(n-m+1) and C(j) = 2^(j-1)
+    for 1 <= j <= m-1, where every composition qualifies.  Its polynomial
+    z^(m-1) - z^(m-2) - ... - 1 is the one whose root
+    `dimension.growth_root` finds.  One `_nth_term` on the m-1 terms, every
+    c[j] = 1: exact, and equal to the 2(m-1)-state kernel's count.
     """
     _check_order(m)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     if n == 0:
         return 1
-    return _walk(m, 1, 1, 1, ([1] * (m - 1),) * 2, n)
+    return 2 * _nth_term([1 << j for j in range(min(n, m - 1))], [1] * (m - 1), n)
 
 
 FREE0, FREE1, FORCED = 0, 1, 2  # classes of a symbol: indices into (w0, w1, wf)

@@ -52,6 +52,17 @@ class TestEnumerate:
         assert count == words.count_words(8, 20000)
         assert limit() == before  # the command restores the limit
 
+    def test_count_matches_committed_run(self, capsys, tmp_path):
+        # written by the 2(m-1)-state kernel route, before counts took the
+        # run recurrence
+        target = tmp_path / "count_m8.json"
+        code, _, _ = run_cli(
+            capsys, "enumerate", "--m", "8", "--n", "20000", "--count-only",
+            "--out", str(target),
+        )
+        assert code == 0
+        assert target.read_bytes() == (DATA / "count_m8.json").read_bytes()
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "words.txt"
         code, out, _ = run_cli(

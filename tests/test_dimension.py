@@ -495,6 +495,13 @@ class TestTopologicalDimension:
             ratio = words.count_words(m, 31) / words.count_words(m, 30)
             assert math.log2(ratio) == pytest.approx(topo_dim(m), abs=1e-4)
 
+    def test_count_ratio_within_root_accuracy(self):
+        # int / int is correctly rounded, and the ratio is within
+        # (1/root)^2000 of the root: growth_root's own 1e-14 is all that shows
+        for m in range(3, 51):
+            ratio = words.count_words(m, 2001) / words.count_words(m, 2000)
+            assert abs(ratio - growth_root(m)) <= 1e-14, m
+
 
 class TestProfile:
     def test_interior_point(self):

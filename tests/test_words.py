@@ -146,6 +146,69 @@ class TestEnumeration:
             c.append(sum(c[max(j - m + 1, 0):j]))
         assert count_words(m, n) == (2 * c[n] if n else 1)
 
+    @PROPERTY
+    @given(st.integers(3, 40), st.integers(0, 2000))
+    @example(3, 2)  # n = m-1: the run recurrence's initial terms only
+    @example(3, 3)  # n = m: its shortest doubling
+    @example(40, 39)
+    @example(40, 40)
+    @example(151, 1000)
+    @example(200, 1000)
+    def test_count_matches_kernel_route(self, m, n):
+        # the 2(m-1)-state kernel on counting weights, stepped and doubled
+        assert count_words(m, n) == kernel_count(m, n)
+        if n:
+            ones = ([1] * (m - 1),) * 2
+            assert count_words(m, n) == words._walk(m, 1, 1, 1, ones, n)
+
+
+def kernel_count(m, n):
+    """Reference: the kernel's counting route, n-1 steps of the run-state
+    walk on unit weights, read with the all-ones emission."""
+    if n == 0:
+        return 1
+    z, o = words._start(m, 1, 1)
+    for _ in range(n - 1):
+        z, o = words._step(z, o, 1, 1, 1)
+    return sum(z) + sum(o)
+
+
+def monomial_remainder(u, fold):
+    """Reference: u mod chi as sum_d u[d] (z^d mod chi), where z^(d+1) mod
+    chi is z^d mod chi times z, its z^S replaced by sum_j c[j] z^(S-j)."""
+    power = [1] + [0] * (len(fold) - 1)
+    out = [0] * len(fold)
+    for coef in u:
+        out = [a + coef * b for a, b in zip(out, power)]
+        top = power[-1]
+        power = [a + top * f for a, f in zip([0] + power[:-1], fold)]
+    return out
+
+
+# chi's c[S], ..., c[1] with c[1] != 0, as the run recurrence has it
+FOLDS = st.builds(
+    lambda rest, c1: rest + [c1],
+    st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    st.integers(1, 5),
+)
+
+
+class TestRecurrence:
+    @PROPERTY
+    @given(FOLDS, st.lists(st.integers(0, 10**6), max_size=30))
+    def test_reduce_matches_monomial_remainder(self, fold, tail):
+        u = [7] * len(fold) + tail  # _reduce takes a degree of at least S-1
+        assert words._reduce(list(u), fold) == monomial_remainder(u, fold)
+
+    @PROPERTY
+    @given(FOLDS, st.integers(0, 10**3), st.integers(1, 300))
+    def test_nth_term_matches_recurrence(self, fold, seed, k):
+        size = len(fold)
+        y = [seed + t for t in range(size)]
+        while len(y) < k:
+            y.append(sum(c * x for c, x in zip(fold, y[-size:])))
+        assert words._nth_term(y[:min(k, size)], fold, k) == y[k - 1]
+
 
 # kernel weights (w0, w1, wf): exact (a, b-a, b) for p = 2/7, float
 # (p, 1-p, 1) and counting
