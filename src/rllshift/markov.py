@@ -197,8 +197,8 @@ def _block_table(
     m-1 minus the run, and the rows' lefts go from BLOCK down to 0 for
     every such m; a flip leaves min(m-2, BLOCK) = BLOCK; and the next state
     after a flip, 2*run + digit with run <= BLOCK, does not refer to m.
-    So the order class min(m, BLOCK + 2) keys the table; only the list of
-    rows grows with m, each run below the lowest row taking that row.
+    So the order class min(m, BLOCK + 2) keys the table; `sample` walks
+    the runs below the lowest row on that row (see there).
 
     Favoured digit 1 needs no table of its own: the rule reads the digit d
     only through [d is favoured], so the chain that favours 1 is this one
@@ -290,6 +290,17 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     rows and codes then look up every block's bits and marks at once, one
     byte per block, which is `SampleRun`'s packed layout.  A walk that
     favours digit 1 runs on digit 0's table with the digits swapped.
+
+    At an order above the table's k, the gap = order - k runs below the
+    table's runs all take the lowest row.  The walk indexes a list of rows
+    with up to BLOCK of them put in front, so a flip, which lands on a run
+    of at most BLOCK, indexes the list at its own state.  When the gap is
+    wider, only a full extension reaches the runs past the list; it goes
+    through `climb`, which keeps such a run in `run`, outside the list,
+    and parks the state on a lowest row above every landing (`park`) until
+    the run reaches another row of the table.  So the list holds at most
+    2 (k + BLOCK) rows at any order, and the common path, a block that
+    ends on a flip, is the same at every order.
     """
     import numpy as np
     _check_order(m)
@@ -309,11 +320,25 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     order = min(m, n + 2)
     k = min(order, BLOCK + 2)
     row, nxt, emitted, marks = _block_table(k)
-    # order - k more runs below the lowest row, each taking run 0's rows
-    row = row[:2] * (order - k) + row
+    gap = order - k  # runs below the table's, each taking the lowest row
+    pad = min(gap, BLOCK)
+    row = row[:2] * pad + row  # with no wider gap, every state indexes itself
+    jump = 2 * BLOCK
+    # past a gap of BLOCK (so k = BLOCK + 2), the table's run t sits at
+    # 2 (pad + t) + digit, and its lowest row, run 1, at park + digit, above
+    # every state a flip lands on (run <= BLOCK)
+    park = jump + 2
+    edge = len(row) if gap == pad else 0
+    run = 0  # the run of a parked state
+
+    def climb(x: int) -> int:
+        """The state after BLOCK more of its digit, past a gap of BLOCK."""
+        nonlocal run
+        run = (x >> 1 if x < park else run) + BLOCK
+        return 2 * (pad + max(run - gap, 1)) + (x & 1)
+
     byte_codes = _byte_codes()
     x = swap  # digit 0 with a run of 0: state 1 on the swapped walk
-    jump = 2 * BLOCK
     for start in range(0, n, _SLICE):
         # whole blocks: the last one may draw past symbol n-1
         blocks = -(-min(_SLICE, n - start) // BLOCK)
@@ -325,7 +350,7 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
         for code in memoryview(codes):
             r = row[x]
             put(r)
-            x = nxt[r][code] or x + jump
+            x = nxt[r][code] or (x + jump if x < edge else climb(x))
         ks = np.frombuffer(trace, np.uint8) * np.intp(3**BLOCK) + codes
         at = start // BLOCK
         got = emitted[ks]

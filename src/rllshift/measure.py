@@ -250,6 +250,38 @@ def cesaro_lambda(meas: BernoulliTypeMeasure, w: str, n: int) -> float:
 # exhaustive inequality checks: integer numerators, cross-multiplied
 
 
+def numerator_dtype(b: int, exponent: int, count: int = 1):
+    """np.int64 when count * b**(exponent + 1) < 2**63, else object: the
+    dtype of an exact check whose values are proven at most count * b**exponent.
+
+    A numerator over b**n on the kernel weights (a, b-a, b) of p = a/b is
+    a product of n weights, each at most b, so it is at most b**n.  The
+    masses after k symbols are nonnegative numerators over b**k that sum to
+    b**k (a free state sends a + (b-a) = b times its mass on, a forced one
+    b times it), and an emission of s from any state is a numerator over
+    b**|s|.  On words of length <= L and shifts k <= kmax, every value of
+    the gate's exact checks, partial products and sums included, is
+    nonnegative and at most:
+    - b**L for check 3, the closed form a^n0 (b-a)^n1 b^(|w|-n0-n1), its
+      power tables, and the branching rule's numerators (exponent L);
+    - count * b**L for check 4's level sums, with count the words of
+      length L, the widest level (exponent L, count);
+    - b**(L+2) for check 5: mu[w] mu[v] <= b**(|w|+|v|) <= b**L, times
+      a(b-a) or b**2 in the test (exponent L + 2);
+    - b**(kmax+L+4) for check 6: mu[w] b**k <= b**(|w|+k), the pullback
+      sum_i mass_i e_i <= (sum_i mass_i) max_i e_i = b**k b**|w| with its
+      partial sums below it, times (a(b-a))**2 or b**4 in the test
+      (exponent kmax + L + 4).
+    int64 holds every integer below 2**63 exactly, and the threshold keeps
+    one more factor b >= 2 in hand, so a planted defect that moves a value
+    by up to a factor b (a unit too many on a numerator, or one free
+    symbol too many in check 3's closed form) stays exact too.  Past the
+    threshold the same expressions run on Python ints.
+    """
+    import numpy as np
+    return np.int64 if count * b ** (exponent + 1) < 2**63 else object
+
+
 def _quasi_bernoulli_bounds(a: int, b: int):
     """For p = a/b, the test (prod, mu_wv) -> whether mu[w]mu[v] <= mu[wv]
     and p(1-p)mu[wv] <= mu[w]mu[v], on numerators over b**|wv|; elementwise
@@ -281,9 +313,9 @@ def quasi_bernoulli_check(tree: WordTree, p) -> list[tuple[str, str]]:
     mu is bernoulli(tree.m, p), p exact; exhaustive over pairs with wv
     admissible and |w|+|v| <= L, the tree's depth, the empty word
     included: the split points of the tree's words (`WordTree.splits`),
-    each pair once, compared in one pass over object arrays of exact
-    numerators.  Expected empty; violations are listed by wv in tree
-    order, then by split point.
+    each pair once, compared in one pass over arrays of exact numerators
+    (int64 or Python ints, by `numerator_dtype`).  Expected empty;
+    violations are listed by wv in tree order, then by split point.
     """
     import numpy as np
     meas = bernoulli(tree.m, p)
@@ -291,25 +323,25 @@ def quasi_bernoulli_check(tree: WordTree, p) -> list[tuple[str, str]]:
         raise ValueError("quasi_bernoulli_check requires exact mode")
     a, _, b = weights = meas.weights
     holds = _quasi_bernoulli_bounds(a, b)
-    mu = tree.numerators(*weights)  # Python ints, never int64
+    L = len(tree.starts) - 2
+    mu = tree.numerators(*weights, numerator_dtype(b, L + 2))
     u, w, v = tree.splits
     bad = np.flatnonzero(~holds(mu[w] * mu[v], mu[u]))
     return [(tree.words[i], tree.words[j]) for i, j in zip(w[bad].tolist(), v[bad].tolist())]
 
 
-def _tree_emissions(tree: WordTree, w0, w1, wf) -> np.ndarray:
-    """`_emission` of every word of the tree: an object array (2(m-1), words).
+def _tree_emissions(tree: WordTree, w0, w1, wf, dtype) -> np.ndarray:
+    """`_emission` of every word of the tree: an array (2(m-1), words) in dtype.
 
     Level by level: the emission of s is `_prepend` of s[0] to that of
-    s[1:], the suffix link, on columns of Python ints.  A level is sorted
+    s[1:], the suffix link, on columns of the array.  A level is sorted
     and, read backwards, its own complement: its first half starts with 0,
     the second with 1, one call for each.
     """
     import numpy as np
     m = tree.m
-    ones = [w0**0] * (m - 1)
-    e = np.empty((2 * (m - 1), len(tree.parent)), dtype=object)
-    e[:, 0] = ones + ones
+    e = np.empty((2 * (m - 1), len(tree.parent)), dtype=dtype)
+    e[:, 0] = w0**0
     suffix = tree.arrays.suffix
     for lo, hi in zip(tree.starts[1:], tree.starts[2:]):
         mid = (lo + hi) // 2
@@ -325,8 +357,9 @@ def pullback_bounds_check(tree: WordTree, p, kmax: int) -> list[tuple[str, int]]
 
     mu is bernoulli(tree.m, p), p exact, and c = p^{-2}(1-p)^{-2};
     exhaustive over the tree's words, 1 <= |w| <= L, and 1 <= k <= kmax.
-    Every pullback is one object-array product of the masses after k
-    symbols with the emissions of `_tree_emissions`.  Expected empty;
+    Every pullback is one array product of the masses after k symbols
+    with the emissions of `_tree_emissions`, in int64 or on Python ints
+    by `numerator_dtype`.  Expected empty;
     violations are listed by w, shortest first, then k.
     """
     import numpy as np
@@ -337,10 +370,12 @@ def pullback_bounds_check(tree: WordTree, p, kmax: int) -> list[tuple[str, int]]
         raise ValueError("pullback_bounds_check requires exact mode")
     a, _, b = weights = meas.weights
     holds = _pullback_bounds(a, b)
-    masses = np.array([z + o for z, o in islice(_masses(tree.m, *weights), kmax)], dtype=object)
-    scales = np.array([b**k for k in range(1, kmax + 1)], dtype=object)
-    emissions = _tree_emissions(tree, *weights)[:, 1:]  # non-empty words
-    mu = tree.numerators(*weights)[1:]
+    L = len(tree.starts) - 2
+    dtype = numerator_dtype(b, kmax + L + 4)
+    masses = np.array([z + o for z, o in islice(_masses(tree.m, *weights), kmax)], dtype=dtype)
+    scales = np.array([b**k for k in range(1, kmax + 1)], dtype=dtype)
+    emissions = _tree_emissions(tree, *weights, dtype)[:, 1:]  # non-empty words
+    mu = tree.numerators(*weights, dtype)[1:]
     # rows are words, columns k = 1..kmax: violations in (w, k) order
     ok = holds(np.outer(mu, scales), (masses @ emissions).T)
     bad = np.flatnonzero(~ok)

@@ -4,8 +4,8 @@ Each check returns a deterministic pass/fail record; the report contains
 no timing or other run-to-run noise, so identical configurations produce
 byte-identical output.
 
-The full suite runs checks 3, 8 and 14 (`FORKED_CHECKS`) in one forked
-child process while the calling process runs the other twelve, where
+The full suite runs checks 3 and 14 (`FORKED_CHECKS`) in one forked
+child process while the calling process runs the other thirteen, where
 `os.fork` exists and at least 2 CPUs are usable. The results come back in
 `CHECKS` order, so the report is the same byte for byte as in one process,
 where the quick suite and every other case run.
@@ -17,6 +17,7 @@ import pickle
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NoReturn
 
 from . import dimension, markov, measure, univoque, words
@@ -81,21 +82,29 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
     """Closed form equals the branching recursion, as numerators over b**|w|.
 
     Two independent routes: the closed form from the substring counts of
-    `occurrence_counts`, the recursion from the word tree's products.
+    `occurrence_counts`, the recursion from the word tree's products; one
+    array comparison per (m, p), in `measure.numerator_dtype`'s dtype.
     """
+    import numpy as np
     max_len = 8 if quick else 12
     bad = 0
     total = 0
     for m in (3, 4, 5):
         tree = words.word_tree(m, max_len)
-        counts = [words.occurrence_counts(m, s) for s in tree.words]  # substring counts
+        # substring counts of the non-empty words, one call per word
+        size = len(tree.words) - 1
+        counts = chain.from_iterable(words.occurrence_counts(m, s) for s in tree.words[1:])
+        n0, n1 = np.fromiter(counts, np.intp, 2 * size).reshape(size, 2).T
+        nf = np.repeat(np.arange(1, max_len + 1), np.diff(tree.starts[1:])) - n0 - n1
         for p in P_GRID:
             weights = measure.bernoulli(m, p).weights
-            pow0, pow1, powb = ([x**i for i in range(max_len + 1)] for x in weights)
-            recursion = tree.numerators(*weights)
-            for s, (n0, n1), num in zip(tree.words[1:], counts[1:], recursion[1:]):
-                total += 1
-                bad += num != pow0[n0] * pow1[n1] * powb[len(s) - n0 - n1]
+            dtype = measure.numerator_dtype(weights[2], max_len)
+            pow0, pow1, powb = (
+                np.array([x**i for i in range(max_len + 1)], dtype=dtype) for x in weights
+            )
+            closed = pow0[n0] * pow1[n1] * powb[nf]
+            total += len(closed)
+            bad += int(np.count_nonzero(closed != tree.numerators(*weights, dtype)[1:]))
     return CheckResult(
         "closed-form-vs-recursion",
         bad == 0,
@@ -104,21 +113,24 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
 
 
 def check_normalization(quick: bool = False) -> CheckResult:
-    """Cylinder masses of each length sum to exactly 1: numerators to b**n."""
+    """Cylinder masses of each length sum to exactly 1: numerators to b**n,
+    each level summed in `measure.numerator_dtype`'s dtype."""
+    import numpy as np
     max_len = 8 if quick else 12
-    bad = []
+    bad = 0
     for m in (3, 4, 5):
         tree = words.word_tree(m, max_len)
+        widest = tree.starts[-1] - tree.starts[-2]  # the words of length max_len
         for p in P_GRID:
             w0, w1, b = measure.bernoulli(m, p).weights
-            nums = tree.numerators(w0, w1, b)
-            for n, (lo, hi) in enumerate(zip(tree.starts, tree.starts[1:])):
-                if sum(nums[lo:hi]) != b**n:
-                    bad.append((m, p, n))
+            dtype = measure.numerator_dtype(b, max_len, widest)
+            sums = np.add.reduceat(tree.numerators(w0, w1, b, dtype), tree.starts[:-1])
+            unit = np.array([b**n for n in range(max_len + 1)], dtype=dtype)
+            bad += int(np.count_nonzero(sums != unit))
     return CheckResult(
         "normalization",
-        not bad,
-        f"n <= {max_len}, 9 (m,p) combos: {len(bad)} non-unit sums",
+        bad == 0,
+        f"n <= {max_len}, 9 (m,p) combos: {bad} non-unit sums",
     )
 
 
@@ -380,14 +392,15 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 
 # the checks that the full suite runs in one forked child while the caller
-# runs the other twelve.  On a 2-core x86-64 VM, in one process (medians of 14)
-# they take 27, 5 and 51 ms of a 182 ms suite, so each side gets about half.
-# Run alone in a fresh process (8 processes a side), they take 175-260 ms the
-# first time and 73-131 ms the second, against 178-287 ms and 91-154 ms for
-# the other twelve: every check builds its own word tree, and the gap is the
-# warm-up each side pays once, numpy's import (100-125 ms) among it.
-# Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
-FORKED_CHECKS = ("3", "8", "14")
+# runs the other thirteen.  On a 2-core x86-64 VM, in one process (medians
+# of 21 rounds, check by check), checks 3 and 14 take 11.6 and 32.4 ms, and
+# the other thirteen 49.4 ms of a 93.4 ms suite, 27.8 ms of it the two
+# 10**6-symbol draws of checks 12 and 15.  The child also pays the fork
+# (about 2 ms).  With check 8 (3.3 ms) or check 9 (2.8 ms) in the child too,
+# the full suite took the same time (medians of 60 alternated runs: 86.0 and
+# 85.5 ms against 86.7 ms).  Checks 12, 13 and 15 stay in the caller and
+# share the one draw in `path`.
+FORKED_CHECKS = ("3", "14")
 
 
 def _run_checks(nums, quick: bool, path: list) -> list[tuple[str, CheckResult]]:

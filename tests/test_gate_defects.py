@@ -1,7 +1,7 @@
 """The planted-defect matrix: what the verification gate catches, and what not.
 
-Each row plants one defect by patching one module attribute that the
-gate reads, then runs the whole suite, quick and full.  The full suite's
+Each row plants one defect by patching one module (or class) attribute
+that the gate reads, then runs the whole suite, quick and full.  The full suite's
 forked child inherits the patch.  Rows in CAUGHT must fail exactly their
 named checks.  Rows in MISSED leave all 15 checks passing today; each
 names the ROADMAP open item that is to close it, and that change moves
@@ -28,6 +28,13 @@ def n0_plus_one_past_five(fn):
     return planted
 
 
+def one_more_past_five(fn):
+    """WordTree.numerators with one unit too many on every word longer than 5."""
+    def planted(tree, *args, **kwargs):
+        return fn(tree, *args, **kwargs) + (tree.arrays.depth > 5)
+    return planted
+
+
 def always_clean(fn):
     return lambda s, depth: univoque.GammaVerdict(univoque.CLEAN_TO_DEPTH)
 
@@ -42,6 +49,7 @@ CAUGHT = [
     ("digit_mass+1e-30", markov, "digit_mass",
      lambda fn: lambda *args: fn(*args) + Fraction(1, 10**30), {"8"}),
     ("occurrence_counts-n0+1", words, "occurrence_counts", n0_plus_one_past_five, {"3"}),
+    ("numerators+1", words.WordTree, "numerators", one_more_past_five, {"3", "4", "5"}),
 ]
 
 # (id, module, attribute, defect applied to the original, ROADMAP item to close it)

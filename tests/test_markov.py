@@ -45,6 +45,15 @@ def forced_mask(m, bits):
     return mask
 
 
+def examples(cases):
+    """Stack one hypothesis @example per case on a @given test."""
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return apply
+
+
 def unpack(run):
     """The run's symbols as uint8 and its forced marks as bool, one per symbol."""
     bits = np.unpackbits(run.packed_bits, count=run.n)
@@ -450,6 +459,15 @@ class TestSampling:
     @example(6, math.nextafter(12345 * 2.0**-53, 1), 5000, 10)
     @example(7, math.nextafter(0.25, 0), 5000, 11)
     @example(12, math.nextafter(0.75, 1), 5000, 12)
+    # m >= 19: a gap of more than BLOCK runs below the block table's, which
+    # only a full extension climbs (`sample`'s `climb`); at p = 1e-9 and
+    # 1 - 1e-9 the runs cross it and reach the table's rows, and at
+    # m = 10**6 the order is n + 2, so the path's one run climbs to its end
+    @examples([
+        (m, p, markov._SLICE + 2 * markov.BLOCK + 3, m)
+        for m in (18, 19, 20, 27, 45, 10**6)
+        for p in (1e-9, 0.03, 0.97, 1 - 1e-9)
+    ])
     def test_bits_match_loop(self, m, p, n, seed):
         run = sample(m, p, n, seed)
         bits, forced = unpack(run)
@@ -516,6 +534,17 @@ class TestSampling:
         assert big.m == 10**6
         assert big.packed_bits.tobytes() == small.packed_bits.tobytes()
         assert big.packed_forced.tobytes() == small.packed_forced.tobytes()
+        # nor over 10**6 symbols, where order 10**6 is below n + 2: its peak
+        # stays within 1 MiB of order 12's
+        peaks = {}
+        for m in (12, 10**6):
+            tracemalloc.start()
+            try:
+                sample(m, 0.3, 10**6, 1)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**6] < peaks[12] + 2**20, peaks
 
     def test_random_is_shifted_raw_word(self):
         # sample reads the uniforms off the raw words; a numpy change fails here first

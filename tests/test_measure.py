@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rllshift import markov, measure, words
+from rllshift import markov, measure, verify, words
 from rllshift.dimension import f_m
 from rllshift.univoque import gamma_check_prefix, theta_embed
 from rllshift.measure import (
@@ -78,6 +78,35 @@ def loop_pullback_bounds(meas, L, kmax):
             if not holds(mu_w * b**k, words._dot(z, o, e)):
                 violations.append((s, k))
     return violations
+
+
+def largest_base(exponent, count=1):
+    """The largest b >= 1 with count * b**exponent < 2**63, by bisection."""
+    lo, hi = 1, 2**63
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if count * mid**exponent < 2**63 else (lo, mid - 1)
+    return lo
+
+
+def on_python_ints(*args):
+    """A numerator_dtype that always answers object."""
+    return object
+
+
+# (m, L, kmax, p) with b**e just below and just above 2**63, for e the
+# exponent of check 5 (L + 2) and of check 6 (kmax + L + 4), and for e + 1,
+# where numerator_dtype switches from int64 to Python ints; p = 1/b and
+# (b-1)/b weigh the runs of one digit b-1 a symbol, so numerators come
+# close to their bound b**n
+BOUND_EDGE_EXAMPLES = [
+    (m, L, kmax, Fraction(a, b))
+    for m, L, kmax, e in [(4, 8, 1, 8 + 2), (3, 6, 2, 6 + 2), (5, 8, 8, 8 + 8 + 4),
+                          (3, 5, 3, 5 + 3 + 4)]
+    for edge in (e, e + 1)
+    for b in (largest_base(edge), largest_base(edge) + 1)
+    for a in (1, b - 1)
+]
 
 
 def reject_all(a, b):
@@ -551,6 +580,130 @@ class TestIntegerScaled:
                 assert Fraction(pb, scale) == ref_pullback(m, p, s, k, dists)
 
 
+def quick_and_full_edges():
+    """(quick, p) with b**e just below and just above 2**63, for e the
+    exponent of check 3 (L) and of check 4 (L, with the count of the widest
+    level at m = 3 and 5), and for e + 1, where numerator_dtype switches."""
+    cases = []
+    for quick, L in ((True, 8), (False, 12)):
+        for count in (1, words.count_words(3, L), words.count_words(5, L)):
+            for edge in (L, L + 1):
+                b = largest_base(edge, count)
+                cases += [(quick, Fraction(x - 1, x)) for x in (b, b + 1)]
+    return cases
+
+
+def numerators_one_more_past_five(tree, *args):
+    """WordTree.numerators with one unit too many on every word longer than 5."""
+    return NUMERATORS(tree, *args) + (tree.arrays.depth > 5)
+
+
+def counts_n0_plus_one_past_five(m, s):
+    """occurrence_counts with one free 0 too many on every word longer than 5."""
+    n0, n1 = OCCURRENCE_COUNTS(m, s)
+    return n0 + (len(s) > 5), n1
+
+
+NUMERATORS, OCCURRENCE_COUNTS = words.WordTree.numerators, words.occurrence_counts
+
+
+class TestExactDtype:
+    """measure.numerator_dtype: int64 where the bound is proven, else Python ints."""
+
+    # p = a/b with b up to 10**12, so both routes run
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(
+        st.booleans(),
+        st.integers(2, 10**12).flatmap(
+            lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
+        ),
+    )
+    @examples(quick_and_full_edges())
+    def test_checks_3_and_4_match_the_object_route(self, quick, p):
+        # the same verdicts and counts in numerator_dtype's dtype as on
+        # Python ints: as they are, and with a numerator or a count planted
+        # one too large past length 5
+        planted = [
+            (None, None, None),
+            (words.WordTree, "numerators", numerators_one_more_past_five),
+            (words, "occurrence_counts", counts_n0_plus_one_past_five),
+        ]
+        for owner, attr, defect in planted:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "P_GRID", (p,))
+                if owner is not None:
+                    mp.setattr(owner, attr, defect)
+                got = [verify.check_closed_vs_recursive(quick), verify.check_normalization(quick)]
+                mp.setattr(measure, "numerator_dtype", on_python_ints)
+                assert [verify.check_closed_vs_recursive(quick),
+                        verify.check_normalization(quick)] == got
+                if owner is not None:
+                    assert not got[0].passed
+
+    def test_edge_examples_straddle_both_routes(self):
+        # the examples above run checks 5 and 6 on int64 and on Python ints
+        routes = {
+            (measure.numerator_dtype(p.denominator, L + 2),
+             measure.numerator_dtype(p.denominator, kmax + L + 4))
+            for _, L, kmax, p in BOUND_EDGE_EXAMPLES
+        }
+        assert {np.int64, object} <= {dtype for pair in routes for dtype in pair}
+
+    # (exponent of the check's bound at depth L and shift kmax, count): b**L
+    # for check 3, count_words(m, L) b**L for check 4, b**(L+2) for check 5,
+    # b**(kmax+L+4) for check 6
+    CHECK_BOUNDS = {
+        "3": lambda b, L, kmax, m: (L, 1),
+        "4": lambda b, L, kmax, m: (L, words.count_words(m, L)),
+        "5": lambda b, L, kmax, m: (L + 2, 1),
+        "6": lambda b, L, kmax, m: (kmax + L + 4, 1),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECK_BOUNDS))
+    @pytest.mark.parametrize("b", [2, 3, 10, 52, 53, 10**3, 10**6, 10**12])
+    def test_numerator_dtype_picks_object_one_step_past(self, check, b):
+        bound = self.CHECK_BOUNDS[check]
+        m, kmax = 5, 8
+
+        def dtype(b, L, kmax):
+            return measure.numerator_dtype(b, *bound(b, L, kmax, m))
+
+        fits = [L for L in range(64) if dtype(b, L, kmax) is np.int64]
+        assert fits == list(range(len(fits)))  # every L up to the largest
+        for L in fits:  # the bound with a factor b to spare
+            exponent, count = bound(b, L, kmax, m)
+            assert count * b**exponent * b < 2**63
+        if not fits:
+            assert dtype(b, 0, kmax) is object
+            return
+        L = fits[-1]
+        # one step past in L, in b and, for check 6, in kmax
+        assert dtype(b, L + 1, kmax) is object
+        lo, hi = b, 2**63  # the largest base on int64 at this L, by bisection
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if dtype(mid, L, kmax) is np.int64 else (lo, mid - 1)
+        assert dtype(lo + 1, L, kmax) is object
+        exponent, count = bound(lo, L, kmax, m)
+        assert count * lo**exponent * lo < 2**63 <= count * (lo + 1) ** exponent * (lo + 1)
+        if check == "6":
+            assert dtype(b, L, kmax + 1) is object
+
+    def test_gate_sizes_run_on_int64(self, monkeypatch):
+        # b <= 3, |w| <= 12, k <= 8: checks 3-6 never fall back to Python ints
+        picked = []
+        numerator_dtype = measure.numerator_dtype
+
+        def recording(*args):
+            picked.append(numerator_dtype(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(measure, "numerator_dtype", recording)
+        for num in ("3", "4", "5", "6"):
+            assert dict(verify.CHECKS)[num](False).passed
+        assert len(picked) == 4 * 9 and set(picked) == {np.int64}
+
+
 class TestCesaroAndClosedForm:
     def test_symmetric_case_exact(self):
         meas = bernoulli(3, Fraction(1, 2))
@@ -673,9 +826,11 @@ class TestInequalitySuites:
     @example(3, 8, 8, Fraction(1, 10**12))
     @example(4, 0, 3, P13)
     @example(5, 1, 8, Fraction(1, 2))
+    @examples(BOUND_EDGE_EXAMPLES)
     def test_array_passes_match_loops(self, m, L, kmax, p):
         # the same violations in the same order: under the true bounds, a
-        # bound that rejects everything, and one that rejects by parity
+        # bound that rejects everything, and one that rejects by parity;
+        # and the same on Python ints as in numerator_dtype's dtype
         meas = bernoulli(m, p)
         tree = words.word_tree(m, L)
         for bound in (None, reject_all, reject_by_parity):
@@ -683,9 +838,13 @@ class TestInequalitySuites:
                 if bound is not None:
                     mp.setattr(measure, "_quasi_bernoulli_bounds", bound)
                     mp.setattr(measure, "_pullback_bounds", bound)
-                assert measure.quasi_bernoulli_check(tree, p) == loop_quasi_bernoulli(meas, L)
-                got = measure.pullback_bounds_check(tree, p, kmax)
-                assert got == loop_pullback_bounds(meas, L, kmax)
+                quasi = measure.quasi_bernoulli_check(tree, p)
+                assert quasi == loop_quasi_bernoulli(meas, L)
+                pullback = measure.pullback_bounds_check(tree, p, kmax)
+                assert pullback == loop_pullback_bounds(meas, L, kmax)
+                mp.setattr(measure, "numerator_dtype", on_python_ints)
+                assert measure.quasi_bernoulli_check(tree, p) == quasi
+                assert measure.pullback_bounds_check(tree, p, kmax) == pullback
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_shared_tree_gives_the_same_violations(self, monkeypatch, m):

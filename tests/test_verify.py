@@ -258,7 +258,8 @@ class TestForkedSuite:
             raise Local("planted")
 
         monkeypatch.setattr(univoque, "clean_windows", planted)
-        with pytest.raises(RuntimeError, match="checks 3, 8, 14 sent no result"):
+        sent = f"checks {', '.join(verify.FORKED_CHECKS)} sent no result"
+        with pytest.raises(RuntimeError, match=sent):
             verify.run_suite(False)
         self.assert_no_child()
 

@@ -94,6 +94,24 @@ class TestAdmissibility:
     def test_empty_word_has_valid_symbols(self):
         words._check_symbols("")
 
+    # non-ASCII letters and digits, an astral character and lone
+    # surrogates, in short words and in words past 16 symbols, where the
+    # check reads the word as bytes
+    @pytest.mark.parametrize("bad", ["\u00e9", "\u0661", "\U0001d7ce", "\ud800", "\udc30"])
+    @pytest.mark.parametrize("shape", ["{}", "01{}10", "{}" + "01" * 20, "01" * 5000 + "{}"])
+    def test_non_ascii_rejected_with_the_message(self, bad, shape):
+        s = shape.format(bad)
+        with pytest.raises(ValueError) as caught:
+            words._check_symbols(s)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"word symbols must be '0'/'1', got {s!r}"
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 10**4])
+    def test_binary_words_pass_at_every_length(self, n):
+        words._check_symbols(("0110" * n)[:n])
+        with pytest.raises(ValueError, match="word symbols must be"):
+            words._check_symbols(("0110" * n)[:n] + "2")
+
     @PROPERTY
     @given(st.integers(3, 7), binary)
     def test_matches_longest_run(self, m, s):
