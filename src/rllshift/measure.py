@@ -282,10 +282,11 @@ def numerator_dtype(b: int, exponent: int, count: int = 1):
     return np.int64 if count * b ** (exponent + 1) < 2**63 else object
 
 
-def _quasi_bernoulli_bounds(a: int, b: int):
+def _quasi_bernoulli_bounds(a, b):
     """For p = a/b, the test (prod, mu_wv) -> whether mu[w]mu[v] <= mu[wv]
     and p(1-p)mu[wv] <= mu[w]mu[v], on numerators over b**|wv|; elementwise
-    on object arrays of numerators."""
+    on arrays of numerators, and a and b may be arrays that broadcast
+    against them, one p per row."""
     lhs, rhs = a * (b - a), b * b
 
     def holds(prod, mu_wv):
@@ -307,27 +308,41 @@ def _pullback_bounds(a: int, b: int):
     return holds
 
 
-def quasi_bernoulli_check(tree: WordTree, p) -> list[tuple[str, str]]:
-    """Violations of mu[w]mu[v] <= mu[wv] <= (p(1-p))^{-1} mu[w]mu[v].
+def quasi_bernoulli_check(tree: WordTree, ps) -> list[list[tuple[str, str]]]:
+    """Violations of mu[w]mu[v] <= mu[wv] <= (p(1-p))^{-1} mu[w]mu[v], one
+    list for each p in ps.
 
     mu is bernoulli(tree.m, p), p exact; exhaustive over pairs with wv
     admissible and |w|+|v| <= L, the tree's depth, the empty word
-    included: the split points of the tree's words (`WordTree.splits`),
-    each pair once, compared in one pass over arrays of exact numerators
-    (int64 or Python ints, by `numerator_dtype`).  Expected empty;
-    violations are listed by wv in tree order, then by split point.
+    included: the split points of the tree's words, each pair once.  The
+    numerators of every p form one array, one row per p, in the dtype
+    that `numerator_dtype` picks for the largest denominator, and each
+    level of `WordTree.split_levels` is compared for all p at once.
+    Expected empty; violations are listed by wv in tree order, then by
+    split point.
     """
     import numpy as np
-    meas = bernoulli(tree.m, p)
-    if meas.mode != EXACT:
-        raise ValueError("quasi_bernoulli_check requires exact mode")
-    a, _, b = weights = meas.weights
-    holds = _quasi_bernoulli_bounds(a, b)
+    weights = []
+    for p in ps:
+        meas = bernoulli(tree.m, p)
+        if meas.mode != EXACT:
+            raise ValueError("quasi_bernoulli_check requires exact mode")
+        weights.append(meas.weights)
+    a, _, b = by_weight = list(zip(*weights))
     L = len(tree.starts) - 2
-    mu = tree.numerators(*weights, numerator_dtype(b, L + 2))
-    u, w, v = tree.splits
-    bad = np.flatnonzero(~holds(mu[w] * mu[v], mu[u]))
-    return [(tree.words[i], tree.words[j]) for i, j in zip(w[bad].tolist(), v[bad].tolist())]
+    dtype = numerator_dtype(max(b), L + 2)
+    mu = tree.numerators(*by_weight, dtype)  # one row per p
+    holds = _quasi_bernoulli_bounds(*(np.array(x, dtype=dtype)[:, None, None] for x in (a, b)))
+    bad = [[] for _ in weights]
+    for lo, (w, v) in zip(tree.starts, tree.split_levels()):
+        prod = mu.take(w, axis=1)
+        prod *= mu.take(v, axis=1)
+        ok = holds(prod, mu[:, None, lo:lo + w.shape[1]])
+        if np.count_nonzero(ok) < ok.size:
+            # by u, then by split point: the last two axes swapped
+            for k, r, i in zip(*(x.tolist() for x in np.nonzero(~ok.transpose(0, 2, 1)))):
+                bad[k].append((tree.words[w[i, r]], tree.words[v[i, r]]))
+    return bad
 
 
 def _tree_emissions(tree: WordTree, w0, w1, wf, dtype) -> np.ndarray:

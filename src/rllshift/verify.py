@@ -17,7 +17,7 @@ import pickle
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import NoReturn
 
 from . import dimension, markov, measure, univoque, words
@@ -38,20 +38,26 @@ class CheckResult:
 
 
 def check_subadditivity(quick: bool = False) -> CheckResult:
-    """N0(w)+N0(v)-1 <= N0(wv) <= N0(w)+N0(v), same for N1; exhaustive."""
+    """N0(w)+N0(v)-1 <= N0(wv) <= N0(w)+N0(v), same for N1; exhaustive.
+
+    One level of `WordTree.split_levels` at a time, its interior split
+    points (w and v non-empty) read as views; N0 and N1 in one gather.
+    """
     import numpy as np
     max_total = 8 if quick else 12
     bad = 0
     pairs = 0
     for m in (3, 4):
         tree = words.word_tree(m, max_total)
-        u, w, v = tree.splits
-        inner = (w != 0) & (v != 0)  # the split points into non-empty w, v
-        u, w, v = u[inner], w[inner], v[inner]
-        pairs += len(u)
-        for count in (tree.arrays.n0, tree.arrays.n1):
-            joined, total = count[u], count[w] + count[v]
-            bad += int(np.count_nonzero((total - 1 > joined) | (joined > total)))
+        counts = tree.arrays.counts[:2]  # N0, N1
+        levels = zip(range(max_total + 1), tree.starts, tree.split_levels())
+        for n, lo, (w, v) in islice(levels, 2, None):  # from length 2, with interior points
+            w, v = w[1:n], v[1:n]
+            pairs += w.size
+            gap = counts.take(w, axis=1)
+            gap += counts.take(v, axis=1)
+            gap -= counts[:, None, lo:lo + w.shape[1]]  # N(w) + N(v) - N(wv)
+            bad += int(np.count_nonzero((gap < 0) | (gap > 1)))
     return CheckResult(
         "occurrence-subadditivity",
         bad == 0,
@@ -59,18 +65,30 @@ def check_subadditivity(quick: bool = False) -> CheckResult:
     )
 
 
-def check_counting_bound(quick: bool = False) -> CheckResult:
-    """m|w|_0 <= (m-1)N0(w) + |w| and the digit-1 symmetric bound."""
+# check 2 compares the words of its trees in slices of at most this many,
+# so that its temporaries stay below one level of its largest tree (11,072
+# words of length 14 at m = 5) and the quick suite's trees take one slice
+COUNTING_SLICE = 1 << 13
+
+
+def _counting_violations(m: int, max_len: int) -> tuple[int, int]:
+    """(words, violations) of check 2 at order m; the tree goes with the
+    call, before the next order's is built."""
     import numpy as np
-    max_len = 10 if quick else 14
+    a = words.word_tree(m, max_len).arrays
     bad = 0
-    total = 0
-    for m in (3, 4, 5):
-        a = words.word_tree(m, max_len).arrays
-        n, zeros, n0, n1 = (x[1:] for x in (a.depth, a.zeros, a.n0, a.n1))  # non-empty words
-        total += len(n)
+    size = len(a.depth)
+    for lo in range(1, size, COUNTING_SLICE):  # the non-empty words
+        n, (n0, n1, zeros) = a.depth[lo:lo + COUNTING_SLICE], a.counts[:, lo:lo + COUNTING_SLICE]
         bad += int(np.count_nonzero(m * zeros > (m - 1) * n0 + n))
         bad += int(np.count_nonzero(m * (n - zeros) > (m - 1) * n1 + n))
+    return size - 1, bad
+
+
+def check_counting_bound(quick: bool = False) -> CheckResult:
+    """m|w|_0 <= (m-1)N0(w) + |w| and the digit-1 symmetric bound."""
+    max_len = 10 if quick else 14
+    total, bad = map(sum, zip(*(_counting_violations(m, max_len) for m in (3, 4, 5))))
     return CheckResult(
         "occurrence-counting-bound",
         bad == 0,
@@ -138,9 +156,8 @@ def check_quasi_bernoulli(quick: bool = False) -> CheckResult:
     L = 7 if quick else 10
     bad = 0
     for m in (3, 4, 5):
-        tree = words.word_tree(m, L)  # one per order, shared by the three p
-        for p in P_GRID:
-            bad += len(measure.quasi_bernoulli_check(tree, p))
+        tree = words.word_tree(m, L)  # one per order, one pass for the three p
+        bad += sum(map(len, measure.quasi_bernoulli_check(tree, P_GRID)))
     return CheckResult(
         "quasi-bernoulli",
         bad == 0,
@@ -392,14 +409,15 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 
 # the checks that the full suite runs in one forked child while the caller
-# runs the other thirteen.  On a 2-core x86-64 VM, in one process (medians
-# of 21 rounds, check by check), checks 3 and 14 take 11.6 and 32.4 ms, and
-# the other thirteen 49.4 ms of a 93.4 ms suite, 27.8 ms of it the two
-# 10**6-symbol draws of checks 12 and 15.  The child also pays the fork
-# (about 2 ms).  With check 8 (3.3 ms) or check 9 (2.8 ms) in the child too,
-# the full suite took the same time (medians of 60 alternated runs: 86.0 and
-# 85.5 ms against 86.7 ms).  Checks 12, 13 and 15 stay in the caller and
-# share the one draw in `path`.
+# runs the other thirteen.  On a loaded 2-core x86-64 VM, in one process
+# (medians of 21 rounds, check by check), checks 3 and 14 take 13.5 and
+# 34.2 ms, and the other thirteen 54.4 ms of a 105.6 ms suite, 32.4 ms of
+# it the two 10**6-symbol draws of checks 12 and 15.  The child also pays
+# the fork (about 2 ms).  With check 5 (2.4 ms), 8 (4.0 ms) or 9 (2.9 ms)
+# in the child too, the full suite took the same time (two sets of 61
+# alternated runs: 96.4 and 98.5 ms for (3, 14), 94.4-99.5 ms for the
+# others, each faster in 17-42 of 61).  Checks 12, 13 and 15 stay in the
+# caller and share the one draw in `path`.
 FORKED_CHECKS = ("3", "14")
 
 

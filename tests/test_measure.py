@@ -701,7 +701,9 @@ class TestExactDtype:
         monkeypatch.setattr(measure, "numerator_dtype", recording)
         for num in ("3", "4", "5", "6"):
             assert dict(verify.CHECKS)[num](False).passed
-        assert len(picked) == 4 * 9 and set(picked) == {np.int64}
+        # one pick per (m, p) in checks 3, 4 and 6; one per m in check 5,
+        # whose three p share one array
+        assert len(picked) == 3 * 9 + 3 and set(picked) == {np.int64}
 
 
 class TestCesaroAndClosedForm:
@@ -776,11 +778,11 @@ class TestCesaroAndClosedForm:
 
 class TestInequalitySuites:
     def test_quasi_bernoulli_empty(self):
-        assert measure.quasi_bernoulli_check(words.word_tree(3, 6), P13) == []
+        assert measure.quasi_bernoulli_check(words.word_tree(3, 6), [P13]) == [[]]
 
     def test_quasi_bernoulli_requires_exact(self):
         with pytest.raises(ValueError, match="exact mode"):
-            measure.quasi_bernoulli_check(words.word_tree(3, 6), 0.3)
+            measure.quasi_bernoulli_check(words.word_tree(3, 6), [P13, 0.3])
 
     def test_pullback_bounds_empty(self):
         assert measure.pullback_bounds_check(words.word_tree(3, 5), P13, 5) == []
@@ -801,7 +803,8 @@ class TestInequalitySuites:
         monkeypatch.setattr(measure, "_quasi_bernoulli_bounds", reject_all)
         tree = words.word_tree(m, 6)
         every = [(u[:i], u[i:]) for u in tree.words for i in range(len(u) + 1)]
-        assert measure.quasi_bernoulli_check(tree, P13) == every
+        assert measure.quasi_bernoulli_check(tree, [P13]) == [every]
+        assert measure.quasi_bernoulli_check(tree, [P13, Fraction(1, 2)]) == [every, every]
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_pullback_bounds_reports_every_pair(self, monkeypatch, m):
@@ -838,12 +841,12 @@ class TestInequalitySuites:
                 if bound is not None:
                     mp.setattr(measure, "_quasi_bernoulli_bounds", bound)
                     mp.setattr(measure, "_pullback_bounds", bound)
-                quasi = measure.quasi_bernoulli_check(tree, p)
-                assert quasi == loop_quasi_bernoulli(meas, L)
+                quasi = measure.quasi_bernoulli_check(tree, [p])
+                assert quasi == [loop_quasi_bernoulli(meas, L)]
                 pullback = measure.pullback_bounds_check(tree, p, kmax)
                 assert pullback == loop_pullback_bounds(meas, L, kmax)
                 mp.setattr(measure, "numerator_dtype", on_python_ints)
-                assert measure.quasi_bernoulli_check(tree, p) == quasi
+                assert measure.quasi_bernoulli_check(tree, [p]) == quasi
                 assert measure.pullback_bounds_check(tree, p, kmax) == pullback
 
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -853,12 +856,30 @@ class TestInequalitySuites:
         monkeypatch.setattr(measure, "_pullback_bounds", reject_by_parity)
         L, kmax = 6, 4
         tree = words.word_tree(m, L)
-        for p in (P13, Fraction(1, 2), Fraction(2, 3), Fraction(7, 10**12)):
+        ps = (P13, Fraction(1, 2), Fraction(2, 3), Fraction(7, 10**12))
+        loops = [loop_quasi_bernoulli(bernoulli(m, p), L) for p in ps]
+        assert all(loops)
+        # one pass for every p, on Python ints for all of them (b = 10**12)
+        assert measure.quasi_bernoulli_check(tree, ps) == loops
+        # and in int64 for the first three
+        assert measure.quasi_bernoulli_check(tree, ps[:3]) == loops[:3]
+        for p in ps:
             meas = bernoulli(m, p)
-            shared = measure.quasi_bernoulli_check(tree, p)
-            assert shared == loop_quasi_bernoulli(meas, L) != []
+            assert measure.quasi_bernoulli_check(tree, [p]) == [loop_quasi_bernoulli(meas, L)]
             shared = measure.pullback_bounds_check(tree, p, kmax)
             assert shared == loop_pullback_bounds(meas, L, kmax) != []
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_planted_numerators_list_violations_in_order(self, monkeypatch, m):
+        # one unit too many on every word longer than 5, as in the gate's
+        # defect matrix: the same violations as the per-split loop's, by wv
+        # in tree order, then by split point, for each p of one pass
+        monkeypatch.setattr(words.WordTree, "numerators", numerators_one_more_past_five)
+        L = 9
+        tree = words.word_tree(m, L)
+        got = measure.quasi_bernoulli_check(tree, verify.P_GRID)
+        assert got == [loop_quasi_bernoulli(bernoulli(m, p), L) for p in verify.P_GRID]
+        assert any(got)
 
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))

@@ -3,6 +3,8 @@ import dataclasses
 import errno
 import itertools
 import os
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -123,6 +125,77 @@ class TestPlantedFailures:
             "seed 2 violated at k=5",
         )
         assert "seed 3" not in result.detail  # the detail lists three problems
+
+
+def counts_planted(monkeypatch, row, change):
+    """Patch WordTree.arrays: count row `row` (0 for N0, 1 for N1) moves by
+    `change` on every word longer than 5."""
+    build = words.WordTree.arrays.func
+
+    def planted(tree):
+        a = build(tree)
+        counts = a.counts.copy()
+        counts[row] += change * (a.depth > 5)
+        return words.TreeArrays(a.depth, counts, a.suffix)
+
+    monkeypatch.setattr(words.WordTree, "arrays", property(planted))
+
+
+def detail_count(result, what):
+    return int(re.search(rf"(\d+) {what}", result.detail).group(1))
+
+
+class TestLevelWalks:
+    """Checks 1, 2 and 5 walk their trees one level (or slice) at a time."""
+
+    # tracemalloc peaks at full size, each check alone from a fresh tree;
+    # with whole-tree split points and build temporaries they were 3.77,
+    # 2.30 and 1.01 MiB
+    @pytest.mark.parametrize("num, mib", [("1", 1.5), ("2", 1.5), ("5", 1.01)])
+    def test_full_check_peak(self, num, mib):
+        check = dict(verify.CHECKS)[num]
+        tracemalloc.start()
+        try:
+            assert check(False).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, f"check {num}: {peak / 2**20:.3f} MiB"
+
+    @pytest.mark.parametrize("row, change", [(0, 1), (1, -1)])
+    def test_subadditivity_counts_every_violation(self, monkeypatch, row, change):
+        # the same count as a loop over the split points of every word
+        counts_planted(monkeypatch, row, change)
+        bad = 0
+        for m in (3, 4):
+            tree = words.word_tree(m, 8)
+            index = {u: i for i, u in enumerate(tree.words)}
+            counts = tree.arrays.counts[:2].T.tolist()
+            for u in tree.words:
+                for i in range(1, len(u)):
+                    for joined, left, right in zip(*(counts[index[x]] for x in (u, u[:i], u[i:]))):
+                        bad += not left + right - 1 <= joined <= left + right
+        result = verify.check_subadditivity(quick=True)
+        assert not result.passed and detail_count(result, "violations") == bad > 0
+
+    @pytest.mark.parametrize("width", [1, 7, 1000, verify.COUNTING_SLICE])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_counting_bound_counts_every_violation(self, monkeypatch, row, width):
+        # under a planted free 0 (or 1) too few, any slice width counts the
+        # words and the violations of a loop over the words
+        counts_planted(monkeypatch, row, -1)
+        bad = words_total = 0
+        for m in (3, 4, 5):
+            tree = words.word_tree(m, 10)
+            n0, n1, _ = tree.arrays.counts.tolist()
+            for s, free0, free1 in zip(tree.words[1:], n0[1:], n1[1:]):
+                words_total += 1
+                bad += m * s.count("0") > (m - 1) * free0 + len(s)
+                bad += m * s.count("1") > (m - 1) * free1 + len(s)
+        monkeypatch.setattr(verify, "COUNTING_SLICE", width)
+        result = verify.check_counting_bound(quick=True)
+        assert detail_count(result, "words") == words_total
+        assert not result.passed and detail_count(result, "violations") == bad > 0
 
 
 class TestErgodicPath:

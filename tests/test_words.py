@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,6 +118,36 @@ class TestAdmissibility:
     def test_matches_longest_run(self, m, s):
         assert words.is_admissible_symbols(m, s) == (longest_run(s) < m)
 
+    # runs of m-1, m and m+1 at either end, around a body of up to 2000
+    # symbols in all
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(3, 70), st.data())
+    def test_bit_pass_matches_substring_definition(self, m, data):
+        end = st.tuples(st.sampled_from("01"), st.sampled_from([0, m - 1, m, m + 1]))
+        (a, i), (b, j) = data.draw(end), data.draw(end)
+        s = a * i + data.draw(st.text(alphabet="01", max_size=2000 - i - j)) + b * j
+        assert words.is_admissible_symbols(m, s) == ("0" * m not in s and "1" * m not in s)
+
+    # the empty word, m past the length, m a power of 2 (no last shift)
+    @pytest.mark.parametrize(
+        "m, s, admissible",
+        [(3, "", True), (70, "1" * 69, True), (5, "0110", True), (64, "0" * 64, False),
+         (64, "1" + "0" * 63 + "1", True), (65, "1" * 64 + "0" + "1" * 64, True),
+         (65, "0" + "1" * 65, False)],
+    )
+    def test_bit_pass_edges(self, m, s, admissible):
+        assert words.is_admissible_symbols(m, s) is admissible
+
+    @pytest.mark.parametrize("m", [3, 5, 40])
+    @pytest.mark.parametrize("s", ["2", "0\n", "01" * 20 + "\u0661"])
+    def test_symbols_checked_before_the_length(self, m, s):
+        # also where m > len(s), which needs no scan
+        with pytest.raises(ValueError) as caught:
+            words.is_admissible_symbols(m, s)
+        assert str(caught.value) == f"word symbols must be '0'/'1', got {s!r}"
+        with pytest.raises(ValueError, match="constraint order must be >= 3, got 2"):
+            words.is_admissible_symbols(2, s)
+
 
 class TestEnumeration:
     def test_small_sizes(self):
@@ -150,6 +181,22 @@ class TestEnumeration:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             count_words(3, -1)
+
+    @pytest.mark.parametrize("m", [3, 4, 40])
+    def test_words_shorter_than_m_all_count(self, m):
+        assert [count_words(m, n) for n in range(m + 1)] == [2**n for n in range(m)] + [2**m - 2]
+
+    def test_short_words_build_no_terms(self):
+        # 2**n for n < m, without the m-1 initial terms, which took 6.9 MB
+        # of tracemalloc at m = 20000 for this 1,250-byte answer
+        tracemalloc.start()
+        try:
+            count = count_words(20000, 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**10000
+        assert peak < 16 * 1024, peak
 
     @PROPERTY
     @given(st.integers(3, 40), st.integers(0, 2000))
@@ -228,6 +275,21 @@ class TestRecurrence:
         assert words._nth_term(y[:min(k, size)], fold, k) == y[k - 1]
 
 
+def loop_tree_arrays(tree):
+    """Reference: depth, n0, n1, zeros and suffix node by node, each from the
+    node's parent, kind and last symbol, and the suffix from the strings."""
+    index = {w: i for i, w in enumerate(tree.words)}
+    depth, n0, n1, zeros, suffix = ([0] for _ in range(5))
+    for i in range(1, len(tree.words)):
+        p, kind, last = int(tree.parent[i]), int(tree.kind[i]), int(tree.last[i])
+        depth.append(depth[p] + 1)
+        n0.append(n0[p] + (kind == words.FREE0))
+        n1.append(n1[p] + (kind == words.FREE1))
+        zeros.append(zeros[p] + (last == 0))
+        suffix.append(index[tree.words[i][1:]])
+    return [depth, n0, n1, zeros, suffix]
+
+
 # kernel weights (w0, w1, wf): exact (a, b-a, b) for p = 2/7, float
 # (p, 1-p, 1) and counting
 KERNEL_WEIGHTS = st.sampled_from([(2, 5, 7), (0.3, 1 - 0.3, 1), (1, 1, 1)])
@@ -248,7 +310,7 @@ class TestWordTable:
     @given(st.integers(3, 7), st.integers(0, 10))
     def test_tree_counts_match_occurrence_counts(self, m, L):
         tree = words.word_tree(m, L)
-        counts = zip(tree.arrays.n0.tolist(), tree.arrays.n1.tolist())
+        counts = zip(*tree.arrays.counts[:2].tolist())
         assert list(counts) == [words.occurrence_counts(m, s) for s in tree.words]
 
     @PROPERTY
@@ -261,7 +323,7 @@ class TestWordTable:
         for i, s in enumerate(tree.words):
             assert tree.words[a.suffix[i]] == s[1:]
             assert a.depth[i] == len(s)
-            assert a.zeros[i] == s.count("0")
+            assert a.counts[2, i] == s.count("0")
             assert tree.last[i] == symbol.get(s[-1:], -1)
         # what _tree_emissions splits each level by: read backwards, a level
         # is its own complement, so its first half is the words starting with 0
@@ -272,24 +334,37 @@ class TestWordTable:
             assert {w[0] for w in level[:half]} == {"0"} and {w[0] for w in level[half:]} == {"1"}
 
     @PROPERTY
+    @given(st.integers(3, 9), st.integers(0, 11))
+    def test_tree_arrays_match_node_loop(self, m, L):
+        tree = words.word_tree(m, L)
+        a = tree.arrays
+        assert a.counts.shape == (3, len(tree.words))
+        got = [x.tolist() for x in (a.depth, *a.counts, a.suffix)]
+        assert got == loop_tree_arrays(tree)
+
+    @PROPERTY
     @given(st.integers(3, 7), st.integers(0, 10))
     def test_splits_are_the_factorizations(self, m, L):
         # the (u[:i], u[i:], u) triples of test_pairs_match_brute_force, each
-        # once, by u in tree order and then by i
+        # once: the levels, each read column by column and concatenated, go
+        # by u in tree order and then by i
         tree = words.word_tree(m, L)
-        got = [
-            (tree.words[p], tree.words[s], tree.words[u])
-            for u, p, s in zip(*(x.tolist() for x in tree.splits))
-        ]
+        got = []
+        levels = list(tree.split_levels())
+        assert len(levels) == L + 1
+        for n, (lo, (prefix, suffix)) in enumerate(zip(tree.starts, levels)):
+            assert prefix.shape == suffix.shape == (n + 1, tree.starts[n + 1] - lo)
+            for r, (p, s) in enumerate(zip(prefix.T.tolist(), suffix.T.tolist())):
+                got += [(tree.words[i], tree.words[j], tree.words[lo + r]) for i, j in zip(p, s)]
         assert got == [(u[:i], u[i:], u) for u in tree.words for i in range(len(u) + 1)]
 
     def test_splits_are_kept_read_only(self):
-        # measures of one order share them, so no caller may write into them
+        # each level is read to build the next, so no caller may write into it
         tree = words.word_tree(4, 6)
-        assert tree.splits is tree.splits
-        for x in tree.splits:
-            with pytest.raises(ValueError, match="read-only"):
-                x[0] = 1
+        for level in tree.split_levels():
+            for x in level:
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0, 0] = 1
 
     @PROPERTY
     @given(st.integers(3, 7), st.integers(0, 10), KERNEL_WEIGHTS)
