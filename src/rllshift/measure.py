@@ -21,7 +21,6 @@ from .words import (
     _dot,
     _emission,
     _masses,
-    _prepend,
     _require_admissible,
     _start,
     _walk,
@@ -276,7 +275,9 @@ def numerator_dtype(b: int, exponent: int, count: int = 1):
     one more factor b >= 2 in hand, so a planted defect that moves a value
     by up to a factor b (a unit too many on a numerator, or one free
     symbol too many in check 3's closed form) stays exact too.  Past the
-    threshold the same expressions run on Python ints.
+    threshold the same expressions run on Python ints.  A check picks once
+    per order, for the largest b of its p, whose values share one array:
+    a smaller denominator meets the same bound.
     """
     import numpy as np
     return np.int64 if count * b ** (exponent + 1) < 2**63 else object
@@ -295,17 +296,26 @@ def _quasi_bernoulli_bounds(a, b):
     return holds
 
 
-def _pullback_bounds(a: int, b: int):
+def _pullback_bounds(a, b):
     """For p = a/b, the test (mu_k, pb) -> whether mu[w] <= c pb and
     pb <= c mu[w], c = (p(1-p))^-2; pb is a numerator over b**(k+|w|), and
-    mu_k = mu[w] b**k puts mu[w] over the same power; elementwise on object
-    arrays of numerators."""
+    mu_k = mu[w] b**k puts mu[w] over the same power; elementwise on arrays
+    of numerators, and a and b may be arrays that broadcast against them,
+    one p per row."""
     lhs, rhs = (a * (b - a)) ** 2, b**4
 
     def holds(mu_k, pb):
         return (lhs * mu_k <= rhs * pb) & (lhs * pb <= rhs * mu_k)
 
     return holds
+
+
+def _exact_weights(m: int, ps, check: str) -> list[tuple[int, int, int]]:
+    """(a, b-a, b) of bernoulli(m, p) for each p in ps, all exact, or ValueError."""
+    measures = [bernoulli(m, p) for p in ps]
+    if any(meas.mode != EXACT for meas in measures):
+        raise ValueError(f"{check} requires exact mode")
+    return [meas.weights for meas in measures]
 
 
 def quasi_bernoulli_check(tree: WordTree, ps) -> list[list[tuple[str, str]]]:
@@ -322,16 +332,11 @@ def quasi_bernoulli_check(tree: WordTree, ps) -> list[list[tuple[str, str]]]:
     split point.
     """
     import numpy as np
-    weights = []
-    for p in ps:
-        meas = bernoulli(tree.m, p)
-        if meas.mode != EXACT:
-            raise ValueError("quasi_bernoulli_check requires exact mode")
-        weights.append(meas.weights)
-    a, _, b = by_weight = list(zip(*weights))
+    weights = _exact_weights(tree.m, ps, "quasi_bernoulli_check")
+    a, _, b = zip(*weights)
     L = len(tree.starts) - 2
     dtype = numerator_dtype(max(b), L + 2)
-    mu = tree.numerators(*by_weight, dtype)  # one row per p
+    mu = tree.numerators(weights, dtype)  # one row per p
     holds = _quasi_bernoulli_bounds(*(np.array(x, dtype=dtype)[:, None, None] for x in (a, b)))
     bad = [[] for _ in weights]
     for lo, (w, v) in zip(tree.starts, tree.split_levels()):
@@ -345,53 +350,32 @@ def quasi_bernoulli_check(tree: WordTree, ps) -> list[list[tuple[str, str]]]:
     return bad
 
 
-def _tree_emissions(tree: WordTree, w0, w1, wf, dtype) -> np.ndarray:
-    """`_emission` of every word of the tree: an array (2(m-1), words) in dtype.
-
-    Level by level: the emission of s is `_prepend` of s[0] to that of
-    s[1:], the suffix link, on columns of the array.  A level is sorted
-    and, read backwards, its own complement: its first half starts with 0,
-    the second with 1, one call for each.
-    """
-    import numpy as np
-    m = tree.m
-    e = np.empty((2 * (m - 1), len(tree.parent)), dtype=dtype)
-    e[:, 0] = w0**0
-    suffix = tree.arrays.suffix
-    for lo, hi in zip(tree.starts[1:], tree.starts[2:]):
-        mid = (lo + hi) // 2
-        for c, start, stop in (("0", lo, mid), ("1", mid, hi)):
-            tail = e[:, suffix[start:stop]]
-            ez, eo = _prepend(m, w0, w1, wf, c, (tail[:m - 1], tail[m - 1:]))
-            e[:, start:stop] = ez + eo
-    return e
-
-
-def pullback_bounds_check(tree: WordTree, p, kmax: int) -> list[tuple[str, int]]:
-    """Violations of c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w].
+def pullback_bounds_check(tree: WordTree, ps, kmax: int) -> list[list[tuple[str, int]]]:
+    """Violations of c^{-1} mu[w] <= mu(sigma^{-k}[w]) <= c mu[w], one list
+    for each p in ps.
 
     mu is bernoulli(tree.m, p), p exact, and c = p^{-2}(1-p)^{-2};
     exhaustive over the tree's words, 1 <= |w| <= L, and 1 <= k <= kmax.
-    Every pullback is one array product of the masses after k symbols
-    with the emissions of `_tree_emissions`, in int64 or on Python ints
-    by `numerator_dtype`.  Expected empty;
-    violations are listed by w, shortest first, then k.
+    Every pullback of every p is one batched array product, one row per p,
+    of the masses after k symbols with the emissions of
+    `WordTree.emissions`, in the dtype that `numerator_dtype` picks for the
+    largest denominator.  Expected empty; violations are listed by w,
+    shortest first, then k.
     """
     import numpy as np
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    meas = bernoulli(tree.m, p)
-    if meas.mode != EXACT:
-        raise ValueError("pullback_bounds_check requires exact mode")
-    a, _, b = weights = meas.weights
-    holds = _pullback_bounds(a, b)
+    weights = _exact_weights(tree.m, ps, "pullback_bounds_check")
+    a, _, b = zip(*weights)
     L = len(tree.starts) - 2
-    dtype = numerator_dtype(b, kmax + L + 4)
-    masses = np.array([z + o for z, o in islice(_masses(tree.m, *weights), kmax)], dtype=dtype)
-    scales = np.array([b**k for k in range(1, kmax + 1)], dtype=dtype)
-    emissions = _tree_emissions(tree, *weights, dtype)[:, 1:]  # non-empty words
-    mu = tree.numerators(*weights, dtype)[1:]
-    # rows are words, columns k = 1..kmax: violations in (w, k) order
-    ok = holds(np.outer(mu, scales), (masses @ emissions).T)
-    bad = np.flatnonzero(~ok)
-    return [(tree.words[1 + i // kmax], 1 + i % kmax) for i in bad.tolist()]
+    dtype = numerator_dtype(max(b), kmax + L + 4)
+    holds = _pullback_bounds(*(np.array(x, dtype=dtype)[:, None, None] for x in (a, b)))
+    masses = [[z + o for z, o in islice(_masses(tree.m, *w), kmax)] for w in weights]
+    scales = [[x**k for k in range(1, kmax + 1)] for x in b]
+    masses, scales = (np.array(x, dtype=dtype) for x in (masses, scales))  # (p, k, ...)
+    emissions = tree.emissions(weights, dtype)[:, :, 1:]  # non-empty words
+    mu = tree.numerators(weights, dtype)[:, 1:]
+    # for each p, rows are words and columns k = 1..kmax: violations in (w, k) order
+    ok = holds(mu[:, :, None] * scales[:, None, :], (masses @ emissions).transpose(0, 2, 1))
+    return [[(tree.words[1 + i // kmax], 1 + i % kmax) for i in np.flatnonzero(~row).tolist()]
+            for row in ok]

@@ -101,7 +101,7 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
 
     Two independent routes: the closed form from the substring counts of
     `occurrence_counts`, the recursion from the word tree's products; one
-    array comparison per (m, p), in `measure.numerator_dtype`'s dtype.
+    array comparison per m, a row per p, in `measure.numerator_dtype`'s dtype.
     """
     import numpy as np
     max_len = 8 if quick else 12
@@ -114,15 +114,13 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
         counts = chain.from_iterable(words.occurrence_counts(m, s) for s in tree.words[1:])
         n0, n1 = np.fromiter(counts, np.intp, 2 * size).reshape(size, 2).T
         nf = np.repeat(np.arange(1, max_len + 1), np.diff(tree.starts[1:])) - n0 - n1
-        for p in P_GRID:
-            weights = measure.bernoulli(m, p).weights
-            dtype = measure.numerator_dtype(weights[2], max_len)
-            pow0, pow1, powb = (
-                np.array([x**i for i in range(max_len + 1)], dtype=dtype) for x in weights
-            )
-            closed = pow0[n0] * pow1[n1] * powb[nf]
-            total += len(closed)
-            bad += int(np.count_nonzero(closed != tree.numerators(*weights, dtype)[1:]))
+        weights = [measure.bernoulli(m, p).weights for p in P_GRID]
+        dtype = measure.numerator_dtype(max(b for *_, b in weights), max_len)
+        pow0, pow1, powb = np.array(  # (weight, p, exponent): powers of a, b-a and b
+            [[[x**i for i in range(max_len + 1)] for x in col] for col in zip(*weights)], dtype)
+        closed = pow0.take(n0, axis=1) * pow1.take(n1, axis=1) * powb.take(nf, axis=1)
+        total += closed.size
+        bad += int(np.count_nonzero(closed != tree.numerators(weights, dtype)[:, 1:]))
     return CheckResult(
         "closed-form-vs-recursion",
         bad == 0,
@@ -132,19 +130,18 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
 
 def check_normalization(quick: bool = False) -> CheckResult:
     """Cylinder masses of each length sum to exactly 1: numerators to b**n,
-    each level summed in `measure.numerator_dtype`'s dtype."""
+    every level of every p summed at once in `measure.numerator_dtype`'s dtype."""
     import numpy as np
     max_len = 8 if quick else 12
     bad = 0
     for m in (3, 4, 5):
         tree = words.word_tree(m, max_len)
         widest = tree.starts[-1] - tree.starts[-2]  # the words of length max_len
-        for p in P_GRID:
-            w0, w1, b = measure.bernoulli(m, p).weights
-            dtype = measure.numerator_dtype(b, max_len, widest)
-            sums = np.add.reduceat(tree.numerators(w0, w1, b, dtype), tree.starts[:-1])
-            unit = np.array([b**n for n in range(max_len + 1)], dtype=dtype)
-            bad += int(np.count_nonzero(sums != unit))
+        weights = [measure.bernoulli(m, p).weights for p in P_GRID]
+        dtype = measure.numerator_dtype(max(b for *_, b in weights), max_len, widest)
+        sums = np.add.reduceat(tree.numerators(weights, dtype), tree.starts[:-1], axis=1)
+        unit = np.array([[b**n for n in range(max_len + 1)] for *_, b in weights], dtype=dtype)
+        bad += int(np.count_nonzero(sums != unit))
     return CheckResult(
         "normalization",
         bad == 0,
@@ -169,9 +166,8 @@ def check_pullback_bounds(quick: bool = False) -> CheckResult:
     L = kmax = 5 if quick else 8
     bad = 0
     for m in (3, 4, 5):
-        tree = words.word_tree(m, L)  # one per order, shared by the three p
-        for p in P_GRID:
-            bad += len(measure.pullback_bounds_check(tree, p, kmax))
+        tree = words.word_tree(m, L)  # one per order, one pass for the three p
+        bad += sum(map(len, measure.pullback_bounds_check(tree, P_GRID, kmax)))
     return CheckResult(
         "pullback-bounds",
         bad == 0,
@@ -410,14 +406,14 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 # the checks that the full suite runs in one forked child while the caller
 # runs the other thirteen.  On a loaded 2-core x86-64 VM, in one process
-# (medians of 21 rounds, check by check), checks 3 and 14 take 13.5 and
-# 34.2 ms, and the other thirteen 54.4 ms of a 105.6 ms suite, 32.4 ms of
+# (medians of 21 rounds, check by check), checks 3 and 14 take 13.0 and
+# 34.5 ms, and the other thirteen 51.7 ms of a 99.2 ms suite, 31.6 ms of
 # it the two 10**6-symbol draws of checks 12 and 15.  The child also pays
-# the fork (about 2 ms).  With check 5 (2.4 ms), 8 (4.0 ms) or 9 (2.9 ms)
-# in the child too, the full suite took the same time (two sets of 61
-# alternated runs: 96.4 and 98.5 ms for (3, 14), 94.4-99.5 ms for the
-# others, each faster in 17-42 of 61).  Checks 12, 13 and 15 stay in the
-# caller and share the one draw in `path`.
+# the fork (about 2 ms).  From the call's start (medians of two sets of
+# 41 alternated runs) the caller's side ends at 79-90 ms, the child's at
+# 79-84 ms; with check 6 (2.3 ms), as with 5, 8 or 9 before, in the child
+# too the suite took the same time (88.0-88.6 against 87.0-91.0 ms).
+# Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
 FORKED_CHECKS = ("3", "14")
 
 

@@ -24,13 +24,9 @@ class InadmissibleWordError(ValueError):
 
 
 def _check_symbols(s: str) -> None:
-    # Below 16 symbols one lstrip, whose cost grows by about 6 ns a symbol;
-    # from 16 on an ASCII test and a bytes pass that deletes b"01", about
-    # 0.4 ns a symbol.  Against str.translate (2-core x86-64 VM, best of
-    # 11): 1-8 symbols 77-114 ns against 108-116 ns, 10**4 symbols 4.4 us
-    # against 14.2 us, 12-32 symbols up to 35 ns slower.  Any other
-    # character, a lone surrogate too, is left over or not ASCII.
-    if s.lstrip("01") if len(s) < 16 else not s.isascii() or s.encode().translate(None, b"01"):
+    # an ASCII test and a bytes pass that deletes b"01": any other
+    # character, a lone surrogate too, is left over or not ASCII
+    if not s.isascii() or s.encode().translate(None, b"01"):
         raise ValueError(f"word symbols must be '0'/'1', got {s!r}")
 
 
@@ -294,8 +290,9 @@ class WordTree:
     An exhaustive table shares its prefixes, so a quantity that grows
     symbol by symbol takes one step per node instead of one walk per word,
     and one array step per level.  The strings (`words`) and the `arrays`
-    are built on first use and kept with the tree, so the checks of
-    several measures of one order can share it; the split points
+    are built on first use and kept with the tree; `numerators` and
+    `emissions` fill one row per measure in one pass, so a check reads the
+    tree once for all its measures of one order; the split points
     (`split_levels`) come one level at a time and are not kept.
     """
 
@@ -379,20 +376,42 @@ class WordTree:
             prefix, suffix = level
             yield prefix, suffix
 
-    def numerators(self, w0, w1, wf, dtype=object) -> np.ndarray:
-        """Every word's numerator by the branching rule, one multiply per
-        node: an array of Python ints, or of a fixed-width dtype that the
-        caller has proven wide enough (`measure.numerator_dtype`).  Weights
-        given as equal-length sequences, one entry a measure, give one row
-        a measure, all filled in the same pass."""
+    def numerators(self, weights, dtype=object) -> np.ndarray:
+        """Every word's numerator by the branching rule, one row per (w0,
+        w1, wf) triple of weights, all rows filled in the same pass of one
+        multiply per node: an array (measures, words) of Python ints, or of
+        a fixed-width dtype that the caller has proven wide enough
+        (`measure.numerator_dtype`)."""
         import numpy as np
-        weight = np.array([w0, w1, wf], dtype=dtype).T  # (3,), or (measures, 3)
-        out = np.empty(weight.shape[:-1] + self.parent.shape, dtype=dtype)
-        out[..., 0] = weight[..., 0] ** 0
+        weight = np.array(weights, dtype=dtype)  # (measures, 3)
+        out = np.empty((len(weight), len(self.parent)), dtype=dtype)
+        out[:, 0] = weight[:, 0] ** 0
         for lo, hi in zip(self.starts[1:], self.starts[2:]):
-            step = weight.take(self.kind[lo:hi], axis=-1)
-            out[..., lo:hi] = out.take(self.parent[lo:hi], axis=-1) * step
+            step = weight.take(self.kind[lo:hi], axis=1)
+            out[:, lo:hi] = out.take(self.parent[lo:hi], axis=1) * step
         return out
+
+    def emissions(self, weights, dtype=object) -> np.ndarray:
+        """`_emission` of every word for each (w0, w1, wf) triple of weights:
+        an array (measures, 2(m-1), words), the states in the order z + o.
+
+        Level by level: the emission of s is `_prepend` of s[0] to that of
+        s[1:], the suffix link, on columns of the array, every measure at
+        once.  A level is sorted and, read backwards, its own complement:
+        its first half starts with 0, the second with 1, one call for each.
+        """
+        import numpy as np
+        m, suffix = self.m, self.arrays.suffix
+        w0, w1, wf = np.array(weights, dtype=dtype).T[:, :, None]  # each (measures, 1)
+        e = np.empty((2 * (m - 1), len(w0), len(self.parent)), dtype=dtype)
+        e[:, :, 0] = w0[:, 0] ** 0
+        for lo, hi in zip(self.starts[1:], self.starts[2:]):
+            mid = (lo + hi) // 2
+            for c, start, stop in (("0", lo, mid), ("1", mid, hi)):
+                tail = e[:, :, suffix[start:stop]]
+                ez, eo = _prepend(m, w0, w1, wf, c, (tail[:m - 1], tail[m - 1:]))
+                e[:, :, start:stop] = ez + eo
+        return e.swapaxes(0, 1)
 
 
 def word_tree(m: int, L: int) -> WordTree:

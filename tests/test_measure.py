@@ -58,7 +58,7 @@ def loop_quasi_bernoulli(meas, L):
     a, _, b = weights = meas.weights
     holds = measure._quasi_bernoulli_bounds(a, b)
     tree = words.word_tree(meas.m, L)
-    mu = dict(zip(tree.words, tree.numerators(*weights)))
+    mu = dict(zip(tree.words, tree.numerators([weights])[0]))
     return [(u[:i], u[i:]) for u, mu_u in mu.items() for i in range(len(u) + 1)
             if not holds(mu[u[:i]] * mu[u[i:]], mu_u)]
 
@@ -72,7 +72,7 @@ def loop_pullback_bounds(meas, L, kmax):
     tree = words.word_tree(m, L)
     emissions = {"": words._emission(m, *weights, "")}  # shortest first, so s[1:] is in
     violations = []
-    for s, mu_w in zip(tree.words[1:], tree.numerators(*weights)[1:]):
+    for s, mu_w in zip(tree.words[1:], tree.numerators([weights])[0, 1:]):
         e = emissions[s] = words._prepend(m, *weights, s[0], emissions[s[1:]])
         for k, (z, o) in enumerate(masses, start=1):
             if not holds(mu_w * b**k, words._dot(z, o, e)):
@@ -598,6 +598,11 @@ def numerators_one_more_past_five(tree, *args):
     return NUMERATORS(tree, *args) + (tree.arrays.depth > 5)
 
 
+def numerators_times_21_past_five(tree, *args):
+    """WordTree.numerators with every word longer than 5 weighed 21 times."""
+    return NUMERATORS(tree, *args) * (1 + 20 * (tree.arrays.depth > 5))
+
+
 def counts_n0_plus_one_past_five(m, s):
     """occurrence_counts with one free 0 too many on every word longer than 5."""
     n0, n1 = OCCURRENCE_COUNTS(m, s)
@@ -701,9 +706,22 @@ class TestExactDtype:
         monkeypatch.setattr(measure, "numerator_dtype", recording)
         for num in ("3", "4", "5", "6"):
             assert dict(verify.CHECKS)[num](False).passed
-        # one pick per (m, p) in checks 3, 4 and 6; one per m in check 5,
-        # whose three p share one array
-        assert len(picked) == 3 * 9 + 3 and set(picked) == {np.int64}
+        # one pick per m in each check, whose three p share one array
+        assert len(picked) == 4 * 3 and set(picked) == {np.int64}
+
+    def test_one_pass_per_order(self, monkeypatch):
+        # checks 3-6 each read a tree once for all three p: one numerators
+        # call and one numerator_dtype pick per order, 12 of each in all
+        calls = []
+        for owner, attr in ((words.WordTree, "numerators"), (measure, "numerator_dtype")):
+            def counted(*args, fn=getattr(owner, attr), attr=attr):
+                calls.append(attr)
+                return fn(*args)
+            monkeypatch.setattr(owner, attr, counted)
+        for num in ("3", "4", "5", "6"):
+            calls.clear()
+            assert dict(verify.CHECKS)[num](False).passed
+            assert sorted(calls) == ["numerator_dtype"] * 3 + ["numerators"] * 3, num
 
 
 class TestCesaroAndClosedForm:
@@ -785,16 +803,16 @@ class TestInequalitySuites:
             measure.quasi_bernoulli_check(words.word_tree(3, 6), [P13, 0.3])
 
     def test_pullback_bounds_empty(self):
-        assert measure.pullback_bounds_check(words.word_tree(3, 5), P13, 5) == []
+        assert measure.pullback_bounds_check(words.word_tree(3, 5), [P13], 5) == [[]]
 
     def test_pullback_bounds_requires_exact(self):
         with pytest.raises(ValueError, match="exact mode"):
-            measure.pullback_bounds_check(words.word_tree(3, 5), 0.3, 5)
+            measure.pullback_bounds_check(words.word_tree(3, 5), [P13, 0.3], 5)
 
     @pytest.mark.parametrize("kmax", [0, -1])
     def test_pullback_bounds_rejects_kmax_below_one(self, kmax):
         with pytest.raises(ValueError, match=f"kmax must be >= 1, got {kmax}"):
-            measure.pullback_bounds_check(words.word_tree(3, 5), P13, kmax)
+            measure.pullback_bounds_check(words.word_tree(3, 5), [P13], kmax)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_quasi_bernoulli_reports_every_split(self, monkeypatch, m):
@@ -813,7 +831,8 @@ class TestInequalitySuites:
         L, kmax = 5, 4
         tree = words.word_tree(m, L)
         every = [(w, k) for w in tree.words[1:] for k in range(1, kmax + 1)]
-        assert measure.pullback_bounds_check(tree, P13, kmax) == every
+        assert measure.pullback_bounds_check(tree, [P13], kmax) == [every]
+        assert measure.pullback_bounds_check(tree, [P13, Fraction(1, 2)], kmax) == [every, every]
 
     # p = a/b with b up to 10**12: the numerators pass 2**63 at small sizes
     @settings(max_examples=40, deadline=None, database=None)
@@ -843,11 +862,11 @@ class TestInequalitySuites:
                     mp.setattr(measure, "_pullback_bounds", bound)
                 quasi = measure.quasi_bernoulli_check(tree, [p])
                 assert quasi == [loop_quasi_bernoulli(meas, L)]
-                pullback = measure.pullback_bounds_check(tree, p, kmax)
-                assert pullback == loop_pullback_bounds(meas, L, kmax)
+                pullback = measure.pullback_bounds_check(tree, [p], kmax)
+                assert pullback == [loop_pullback_bounds(meas, L, kmax)]
                 mp.setattr(measure, "numerator_dtype", on_python_ints)
                 assert measure.quasi_bernoulli_check(tree, [p]) == quasi
-                assert measure.pullback_bounds_check(tree, p, kmax) == pullback
+                assert measure.pullback_bounds_check(tree, [p], kmax) == pullback
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_shared_tree_gives_the_same_violations(self, monkeypatch, m):
@@ -858,16 +877,18 @@ class TestInequalitySuites:
         tree = words.word_tree(m, L)
         ps = (P13, Fraction(1, 2), Fraction(2, 3), Fraction(7, 10**12))
         loops = [loop_quasi_bernoulli(bernoulli(m, p), L) for p in ps]
-        assert all(loops)
-        # one pass for every p, on Python ints for all of them (b = 10**12)
+        pullbacks = [loop_pullback_bounds(bernoulli(m, p), L, kmax) for p in ps]
+        assert all(loops) and all(pullbacks)
+        # one pass for every p, on Python ints for all of them (b = 3 with
+        # b = 10**12)
         assert measure.quasi_bernoulli_check(tree, ps) == loops
+        assert measure.pullback_bounds_check(tree, ps, kmax) == pullbacks
         # and in int64 for the first three
         assert measure.quasi_bernoulli_check(tree, ps[:3]) == loops[:3]
-        for p in ps:
-            meas = bernoulli(m, p)
-            assert measure.quasi_bernoulli_check(tree, [p]) == [loop_quasi_bernoulli(meas, L)]
-            shared = measure.pullback_bounds_check(tree, p, kmax)
-            assert shared == loop_pullback_bounds(meas, L, kmax) != []
+        assert measure.pullback_bounds_check(tree, ps[:3], kmax) == pullbacks[:3]
+        for p, loop, pullback in zip(ps, loops, pullbacks):
+            assert measure.quasi_bernoulli_check(tree, [p]) == [loop]
+            assert measure.pullback_bounds_check(tree, [p], kmax) == [pullback]
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_planted_numerators_list_violations_in_order(self, monkeypatch, m):
@@ -880,6 +901,19 @@ class TestInequalitySuites:
         got = measure.quasi_bernoulli_check(tree, verify.P_GRID)
         assert got == [loop_quasi_bernoulli(bernoulli(m, p), L) for p in verify.P_GRID]
         assert any(got)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_planted_numerators_list_pullback_violations_in_order(self, monkeypatch, m):
+        # every word longer than 5 weighed 21 times, past c = (p(1-p))^-2
+        # (16 at p = 1/2, 20.25 at 1/3 and 2/3): the same violations as the
+        # loop's, by w, shortest first, then k, for each p of one pass
+        monkeypatch.setattr(words.WordTree, "numerators", numerators_times_21_past_five)
+        L, kmax = 8, 5
+        tree = words.word_tree(m, L)
+        got = measure.pullback_bounds_check(tree, verify.P_GRID, kmax)
+        want = [loop_pullback_bounds(bernoulli(m, p), L, kmax) for p in verify.P_GRID]
+        assert got == want
+        assert all(0 < len(bad) < (len(tree.words) - 1) * kmax for bad in got)
 
     def test_equality_case(self):
         meas = bernoulli(3, Fraction(1, 2))

@@ -66,7 +66,7 @@ class TestPlantedFailures:
 
         def heavy_root(tree, *weights):
             nums = numerators(tree, *weights)
-            nums[0] += 1  # the empty word's mass is 2, not 1
+            nums[:, 0] += 1  # the empty word's mass is 2, not 1, for every p
             return nums
 
         monkeypatch.setattr(words.WordTree, "numerators", heavy_root)

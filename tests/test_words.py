@@ -293,6 +293,7 @@ def loop_tree_arrays(tree):
 # kernel weights (w0, w1, wf): exact (a, b-a, b) for p = 2/7, float
 # (p, 1-p, 1) and counting
 KERNEL_WEIGHTS = st.sampled_from([(2, 5, 7), (0.3, 1 - 0.3, 1), (1, 1, 1)])
+WEIGHT_ROWS = st.lists(KERNEL_WEIGHTS, min_size=1, max_size=3)  # one triple a measure
 
 
 class TestWordTable:
@@ -325,7 +326,7 @@ class TestWordTable:
             assert a.depth[i] == len(s)
             assert a.counts[2, i] == s.count("0")
             assert tree.last[i] == symbol.get(s[-1:], -1)
-        # what _tree_emissions splits each level by: read backwards, a level
+        # what emissions splits each level by: read backwards, a level
         # is its own complement, so its first half is the words starting with 0
         for n in range(1, L + 1):
             level = tree.words[tree.starts[n]:tree.starts[n + 1]]
@@ -367,14 +368,25 @@ class TestWordTable:
                     x[0, 0] = 1
 
     @PROPERTY
-    @given(st.integers(3, 7), st.integers(0, 10), KERNEL_WEIGHTS)
+    @given(st.integers(3, 7), st.integers(0, 10), WEIGHT_ROWS)
     def test_tree_numerators_match_branching_rule(self, m, L, weights):
-        w0, w1, wf = weights
         tree = words.word_tree(m, L)
-        # the same products in the same order, so float values agree exactly
-        assert tree.numerators(w0, w1, wf).tolist() == [
-            measure._mu_symbols(m, w0, w1, wf, s) for s in tree.words
+        # one row per triple, each with the same products in the same order,
+        # so float values agree exactly
+        assert tree.numerators(weights).tolist() == [
+            [measure._mu_symbols(m, *triple, s) for s in tree.words] for triple in weights
         ]
+
+    @PROPERTY
+    @given(st.integers(3, 7), st.integers(0, 9), WEIGHT_ROWS)
+    def test_tree_emissions_match_emission(self, m, L, weights):
+        tree = words.word_tree(m, L)
+        got = tree.emissions(weights)
+        assert got.shape == (len(weights), 2 * (m - 1), len(tree.words))
+        for row, triple in zip(got, weights):
+            for s, column in zip(tree.words, row.T.tolist()):
+                ez, eo = words._emission(m, *triple, s)
+                assert column == ez + eo
 
     @PROPERTY
     @given(st.integers(3, 5), st.integers(0, 8))
