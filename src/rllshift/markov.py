@@ -161,7 +161,11 @@ def _popcount(packed: np.ndarray) -> int:
 
 
 BLOCK = 8  # symbols per table lookup in `sample`
-_SLICE = 4096 * BLOCK  # symbols per batch of block work, to bound the temporaries
+_SLICE = 4096 * BLOCK  # symbols per raw draw, to bound the temporaries
+_BATCH = 4 * _SLICE  # symbols per batch of block work
+_PAD = 4 * BLOCK  # the most runs below the block table that `sample` lists
+_GROUP = 32  # blocks per group of `sample`'s group walk
+_GROUP_FROM = 6000  # path symbols per column of the step table from which groups pay
 
 
 @functools.cache
@@ -293,14 +297,40 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
 
     At an order above the table's k, the gap = order - k runs below the
     table's runs all take the lowest row.  The walk indexes a list of rows
-    with up to BLOCK of them put in front, so a flip, which lands on a run
-    of at most BLOCK, indexes the list at its own state.  When the gap is
-    wider, only a full extension reaches the runs past the list; it goes
-    through `climb`, which keeps such a run in `run`, outside the list,
-    and parks the state on a lowest row above every landing (`park`) until
-    the run reaches another row of the table.  So the list holds at most
-    2 (k + BLOCK) rows at any order, and the common path, a block that
-    ends on a flip, is the same at every order.
+    with pad = min(gap, _PAD) of them put in front, so every run up to the
+    pad, a flip's landing (a run of at most BLOCK) among them, indexes the
+    list at its own state.  When the gap is wider, only a full extension
+    reaches the runs past the pad; it goes through `climb`, which keeps
+    such a run in `run`, outside the list, and parks the state on a lowest
+    row above every run of the pad (`park`) until the run reaches another
+    row of the table.  So the list holds at most 2 (k + _PAD) rows at any
+    order, and the common path, a block that ends on a flip, is the same
+    at every order.
+
+    Long paths walk in groups of G = _GROUP blocks, on the coalescence of
+    run states: a symbol of class 0 flips every state, each digit onto the
+    run 1 of the other, so after it the states reached from all states
+    number at most two, and stay at most two.  Such a symbol comes with
+    probability min(p, 1-p), so a two-block head holds one in 93% of the
+    groups at p = 0.85 and in all but 2**-16 at p = 0.5.  For each batch
+    of _BATCH symbols, numpy takes every group's first two blocks, its
+    head, from every state of the list at once (`_step_table`, `_heads`),
+    and carries the least and the greatest of the states reached from the
+    states a block can end on through the rest of the group as two lanes,
+    one gather per block position.  The Python
+    loop then takes one lookup per group: the lane that the true state
+    after the head lands on gives the state at the group's end.  A group
+    whose head leaves the state on neither lane is walked block by block,
+    and so is the rest of one whose lane reaches a run between the pad and
+    the table's rows, from the block that does.  The state before each
+    block comes back by one select between the two lanes, so the rows, the
+    bits and the marks are those of the per-block walk.  G follows from the
+    path length per column of the step table, one column per state of the
+    list: paths of at least _GROUP_FROM symbols per column take groups, and
+    shorter ones G = 1, the per-block walk.  That is 42 000 symbols at
+    m = 3 and 150 000 at m = 12; on a 2-core x86-64 VM the walk in groups
+    first paid at about 35 000-40 000 and 45 000-85 000 symbols (medians of
+    whole calls), and at 10**6 symbols it took 2.6 against 7.8 ms at m = 3.
     """
     import numpy as np
     _check_order(m)
@@ -321,48 +351,190 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     k = min(order, BLOCK + 2)
     row, nxt, emitted, marks = _block_table(k)
     gap = order - k  # runs below the table's, each taking the lowest row
-    pad = min(gap, BLOCK)
+    pad = min(gap, _PAD)
     row = row[:2] * pad + row  # with no wider gap, every state indexes itself
     jump = 2 * BLOCK
-    # past a gap of BLOCK (so k = BLOCK + 2), the table's run t sits at
-    # 2 (pad + t) + digit, and its lowest row, run 1, at park + digit, above
-    # every state a flip lands on (run <= BLOCK)
-    park = jump + 2
-    edge = len(row) if gap == pad else 0
+    # past a gap of _PAD, the table's run t sits at 2 (pad + t) + digit, its
+    # lowest row, run 1, at park + digit, above every run of the pad; a full
+    # extension from below edge stays within the pad
+    park = 2 * (pad + 1)
+    edge = len(row) if gap == pad else park - jump
     run = 0  # the run of a parked state
 
     def climb(x: int) -> int:
-        """The state after BLOCK more of its digit, past a gap of BLOCK."""
+        """The state after BLOCK more of its digit, past the pad."""
         nonlocal run
         run = (x >> 1 if x < park else run) + BLOCK
         return 2 * (pad + max(run - gap, 1)) + (x & 1)
 
+    def walk(x: int, codes, put, row=row, nxt=nxt, jump=jump, edge=edge) -> int:
+        """Step x through the block codes, putting each block's row."""
+        for code in codes:
+            r = row[x]
+            put(r)
+            x = nxt[r][code] or (x + jump if x < edge else climb(x))
+        return x
+
+    lost = len(row)  # the lane state of a lane that lost its state
+    width = lost + 1  # columns of the step table
+    group = _GROUP if n >= _GROUP_FROM * width else 1
+    if group > 1:
+        step = _step_table(row, nxt, pad, gap)
+        flat = step.ravel()
+        row_of = np.array(row + (0,), dtype=np.uint8)
     byte_codes = _byte_codes()
     x = swap  # digit 0 with a run of 0: state 1 on the swapped walk
+    done = 0  # blocks walked
+    slices = []  # the codes of a batch's slices
     for start in range(0, n, _SLICE):
         # whole blocks: the last one may draw past symbol n-1
         blocks = -(-min(_SLICE, n - start) // BLOCK)
         w = draw(blocks * BLOCK)
         codes = byte_codes[np.packbits(w < below_lo, bitorder="little")]
         codes += byte_codes[np.packbits(w <= upto_hi, bitorder="little")]
+        del w  # not held through the next draw
+        if group > 1:
+            # walk in batches of _BATCH symbols
+            slices.append(codes)
+            if len(slices) < _BATCH // _SLICE and start + _SLICE < n:
+                continue
+            codes = np.concatenate(slices) if len(slices) > 1 else codes
+            blocks = len(codes)
+            slices = []
+        groups = blocks // group if group > 1 else 0
+        body = groups * group
         trace = bytearray()
-        put = trace.append
-        for code in memoryview(codes):
-            r = row[x]
-            put(r)
-            x = nxt[r][code] or (x + jump if x < edge else climb(x))
-        ks = np.frombuffer(trace, np.uint8) * np.intp(3**BLOCK) + codes
-        at = start // BLOCK
+        if groups:
+            by_group = codes[:body].reshape(groups, group)
+            after1, after2, lanes = _heads(step, by_group[:, 0], by_group[:, 1], group)
+            # the lanes through the rest of each group, one gather per block
+            cols = by_group[:, 2:].T * np.intp(width)
+            at = np.empty((2, groups), dtype=np.intp)
+            for i in range(group - 2):
+                np.add(cols[i], lanes[i], out=at)
+                lanes[i + 1] = flat[at]
+            del cols  # not held through the walk
+            # each state's end of group after the head: a lane's exit, or
+            # lost (lane 0 lost), lost + 1 (lane 1 lost), lost + 2 (no lane)
+            exit0, exit1 = lanes[-1]
+            exit1 = np.where(exit1 == lost, lost + 1, exit1)
+            on1 = after2 == lanes[0, 1][:, None]
+            to = np.where(on1, exit1[:, None], np.where(
+                after2 == lanes[0, 0][:, None], exit0[:, None], lost + 2)).tobytes()
+            if gap > pad:
+                # a lane loses its state only past the pad: for each lost
+                # lane, the block that lost it, from which the walk takes
+                # over, and its state before that block (0: from the entry)
+                flat_lanes = lanes.reshape(group - 1, 2 * groups)
+                gone = np.flatnonzero(flat_lanes[-1] == lost)
+                seen = flat_lanes[:, gone]
+                when = (seen == lost).argmax(axis=0)
+                resume = np.zeros(2 * groups, dtype=np.intp)
+                last = np.zeros(2 * groups, dtype=np.uint8)
+                resume[gone] = np.where(when > 0, when + 1, 0)
+                last[gone] = seen[np.maximum(when - 1, 0), np.arange(len(gone))]
+                resume = resume.reshape(2, groups).tolist()
+                last = last.reshape(2, groups).tolist()
+            # the walk: one lookup per group, block by block where no lane holds
+            put = trace.append
+            walked = bytearray()
+            walked_groups, walked_from = [], []
+            by_block = memoryview(codes)
+            for base in range(0, groups * width, width):
+                put(x)
+                y = to[base + x]
+                if y >= lost:
+                    g = base // width
+                    skip = resume[y - lost][g] if y < lost + 2 else 0
+                    if skip:
+                        x = last[y - lost][g]
+                    walked_groups.append(g)
+                    walked_from.append(skip)
+                    y = walk(x, by_block[g * group + skip : g * group + group], walked.append)
+                x = y
+            # the state before each block: the head's, then the lane taken
+            entry = np.frombuffer(trace, dtype=np.uint8)
+            at = np.arange(0, groups * width, width) + entry
+            states = np.empty((groups, group), dtype=np.uint8)
+            states[:, 0] = entry
+            states[:, 1] = after1.ravel()[at]
+            states[:, 2:] = np.where(on1.ravel()[at], lanes[:-1, 1], lanes[:-1, 0]).T
+            rows = row_of[states]
+            if walked_groups:
+                first = np.full(groups, group)
+                first[walked_groups] = walked_from
+                rows[np.arange(group) >= first[:, None]] = np.frombuffer(walked, dtype=np.uint8)
+            trace = bytearray(rows)
+        x = walk(x, memoryview(codes)[body:], trace.append)
+        ks = np.frombuffer(trace, dtype=np.uint8) * np.intp(3**BLOCK) + codes
         got = emitted[ks]
         if swap:
             got ^= 0xFF
-        packed_bits[at : at + blocks] = got
-        packed_forced[at : at + blocks] = marks[ks]
+        packed_bits[done : done + blocks] = got
+        packed_forced[done : done + blocks] = marks[ks]
+        done += blocks
+        del ks  # not held through the next draw
     # clear the bits that the last block drew past symbol n-1
     tail = 0xFF << -n % BLOCK & 0xFF
     packed_bits[-1] &= tail
     packed_forced[-1] &= tail
     return SampleRun(m, p, seed, n, packed_bits, packed_forced)
+
+
+def _step_table(row: tuple[int, ...], nxt: tuple[bytes, ...], pad: int, gap: int) -> np.ndarray:
+    """The state after one block from each state x of `sample`'s row list,
+    for every block code, as uint8 of shape (3**BLOCK, len(row) + 1), code
+    first, so that a lane's next state is one gather at code * width + x.
+
+    Column x holds nxt[row[x]].  Where the block extends x's run BLOCK
+    times, it holds the state BLOCK runs up: x + 2 BLOCK up to the pad,
+    or the table's row past the gap.  A run that lands between the two,
+    and a parked state (whose run only `sample`'s walk keeps), has no
+    state here: those entries, and the whole last column, are the lost
+    lane len(row).
+    """
+    import numpy as np
+    lost = len(row)
+    jump = 2 * BLOCK
+    park = 2 * (pad + 1)
+    edge = lost if gap == pad else park - jump
+    table = np.frombuffer(b"".join(nxt), dtype=np.uint8).reshape(len(nxt), -1)
+    step = np.empty((table.shape[1], lost + 1), dtype=np.uint8)
+    step[:, :lost] = table[list(row)].T
+    step[:, lost] = lost
+    for digit in (0, 1):
+        # only the lowest row extends BLOCK times, on the codes where nxt is 0
+        lowest = row[digit]
+        codes = np.flatnonzero(table[lowest] == 0)
+        states = [x for x in range(digit, lost, 2) if row[x] == lowest]
+        up = []
+        for x in states:
+            t = (x >> 1) + BLOCK - gap  # the table's run after, when above the pad
+            if x < edge:
+                up.append(x + jump)
+            else:
+                up.append(2 * (pad + t) + digit if x < park and t > 1 else lost)
+        step[np.ix_(codes, states)] = up
+    return step
+
+
+def _heads(
+    step: np.ndarray, first: np.ndarray, second: np.ndarray, group: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each group's state after its first and after its second block (the
+    head), from every state, as (groups, width) arrays, and the lanes of
+    `sample`'s group walk, (group - 1, 2, groups), with the two lane starts
+    filled in: the least and the greatest state that the head reaches from
+    the states a block can end on, a run of at least 1."""
+    import numpy as np
+    width = step.shape[1]
+    after1 = step[first]
+    after2 = step.ravel()[(second * np.intp(width))[:, None] + after1]
+    lanes = np.empty((group - 1, 2, len(first)), dtype=np.uint8)
+    reach = after2[:, 2 : width - 1]
+    reach.min(axis=1, out=lanes[0, 0])
+    reach.max(axis=1, out=lanes[0, 1])
+    return after1, after2, lanes
 
 
 def _local_dimension(n0, n1, n, q: float):

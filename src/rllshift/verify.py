@@ -4,8 +4,8 @@ Each check returns a deterministic pass/fail record; the report contains
 no timing or other run-to-run noise, so identical configurations produce
 byte-identical output.
 
-The full suite runs checks 3 and 14 (`FORKED_CHECKS`) in one forked
-child process while the calling process runs the other thirteen, where
+The full suite runs checks 1, 2, 5, 6 and 14 (`FORKED_CHECKS`) in one
+forked child process while the calling process runs the other ten, where
 `os.fork` exists and at least 2 CPUs are usable. The results come back in
 `CHECKS` order, so the report is the same byte for byte as in one process,
 where the quick suite and every other case run.
@@ -405,16 +405,19 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 
 # the checks that the full suite runs in one forked child while the caller
-# runs the other thirteen.  On a loaded 2-core x86-64 VM, in one process
-# (medians of 21 rounds, check by check), checks 3 and 14 take 13.0 and
-# 34.5 ms, and the other thirteen 51.7 ms of a 99.2 ms suite, 31.6 ms of
-# it the two 10**6-symbol draws of checks 12 and 15.  The child also pays
-# the fork (about 2 ms).  From the call's start (medians of two sets of
-# 41 alternated runs) the caller's side ends at 79-90 ms, the child's at
-# 79-84 ms; with check 6 (2.3 ms), as with 5, 8 or 9 before, in the child
-# too the suite took the same time (88.0-88.6 against 87.0-91.0 ms).
-# Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
-FORKED_CHECKS = ("3", "14")
+# runs the other ten.  On a loaded 2-core x86-64 VM, in one process
+# (medians of 21 rounds, check by check), check 14 takes 28.9-29.9 ms,
+# check 3 11.7-11.9 ms and checks 1, 2, 5 and 6 8.8-9.0 ms together, of a
+# 76.5-79.3 ms suite, 18.1-18.6 ms of it checks 12 and 15, each one
+# 10**6-symbol draw.  The child also pays the fork (about 2 ms).  From the
+# call's start (medians of 21 runs) the caller's side ends at 42.2 ms and
+# the child's at 45.0 ms, later in 21 of 21 runs, with checks 3 and 14 in
+# the child; with checks 1, 2, 5, 6 and 14 there, at 44.5 and 45.1 ms, and
+# in three sets of 61-101 alternated runs that split took 46.6 against
+# 47.6, 46.0 against 47.1 and 45.6 against 46.7 ms, faster in 47 of 61,
+# 70 of 101 and 76 of 101.  Checks 12, 13 and 15 stay in the caller and
+# share the one draw in `path`.
+FORKED_CHECKS = ("1", "2", "5", "6", "14")
 
 
 def _run_checks(nums, quick: bool, path: list) -> list[tuple[str, CheckResult]]:

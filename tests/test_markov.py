@@ -45,6 +45,40 @@ def forced_mask(m, bits):
     return mask
 
 
+def law_blocks(order, digit, run, codes):
+    """Reference: (digit, run) after each block code's BLOCK symbols from one
+    state, by the per-symbol law on the classes (symbol j is base-3 digit j
+    of the code) with favoured digit 0, for an array of codes."""
+    digit = np.full(len(codes), digit)
+    run = np.full(len(codes), run)
+    for j in range(markov.BLOCK):
+        cls = codes // 3**j % 3
+        stay = (run < order - 1) & (cls + (digit == 0) >= 2)
+        digit = np.where(stay, digit, 1 - digit)
+        run = np.where(stay, run + 1, 1)
+    return digit, run
+
+
+def walk_list(order):
+    """The row list that `sample` walks at this order, as it pads it, with
+    its nxt table, pad and gap."""
+    k = min(order, markov.BLOCK + 2)
+    row, nxt, _, _ = markov._block_table(k)
+    gap = order - k
+    pad = min(gap, markov._PAD)
+    return row[:2] * pad + row, nxt, pad, gap
+
+
+def list_run(x, pad, gap):
+    """The run of state x of `walk_list`'s list, None for a parked state,
+    whose run only the walk keeps."""
+    j = x >> 1
+    if j <= pad:
+        return j
+    t = j - pad  # the table's run t, the real run gap + t
+    return None if t == 1 and gap > pad else gap + t
+
+
 def examples(cases):
     """Stack one hypothesis @example per case on a @given test."""
     def apply(test):
@@ -660,6 +694,105 @@ class TestSampling:
         n1 = np.count_nonzero(bits > forced)
         want = markov._local_dimension(n - np.count_nonzero(forced) - n1, n1, n, 0.4)
         assert markov.final_local_dimension(run, 0.4).hex() == want.hex()
+
+    # orders of every block table (3..BLOCK + 2), with the whole gap listed
+    # (11, 18, 42) and past the pad (43, 44, 200, 10**6)
+    STEP_ORDERS = [*range(3, 13), 18, 19, 42, 43, 44, 200, 10**6]
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_step_table_is_the_law(self, order):
+        # every entry of the lanes' table is the per-symbol law's state
+        # after the block, or the lost lane exactly where the list holds no
+        # state for it: a parked state's full extension, or a run landing
+        # between the pad and the table rows
+        row, nxt, pad, gap = walk_list(order)
+        step = markov._step_table(row, nxt, pad, gap)
+        lost = len(row)
+        codes = np.arange(3**markov.BLOCK)
+        assert step.shape == (len(codes), lost + 1) and step.dtype == np.uint8
+        assert np.all(step[:, lost] == lost)
+        for x in range(lost):
+            run = list_run(x, pad, gap)
+            digit, after = law_blocks(order, x & 1, gap + 1 if run is None else run, codes)
+            got = step[:, x].astype(int)
+            unlisted = (after > pad) & (after - gap < 2) & (gap > pad)
+            if run is None:
+                # a parked state is lost exactly where its run grows by BLOCK
+                unlisted = after > markov.BLOCK
+            assert np.array_equal(got == lost, unlisted), (order, x)
+            want = np.where(after <= pad, 2 * after + digit, 2 * (pad + after - gap) + digit)
+            assert np.array_equal(got[~unlisted], want[~unlisted]), (order, x)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_lane_starts_hold_every_block_end_state(self, order):
+        # the speed-up rests on this: after a group's head the states reached
+        # from every state a block can end on number at most two, and then
+        # the two lanes start on exactly those; where they number more, the
+        # lanes start on two of them and the walk goes block by block from
+        # every other
+        row, nxt, pad, gap = walk_list(order)
+        step = markov._step_table(row, nxt, pad, gap)
+        lost = len(row)
+        codes = np.arange(3**markov.BLOCK)
+        second = np.random.default_rng(order).permutation(codes)
+        after1, after2, lanes = markov._heads(step, codes, second, markov._GROUP)
+        assert lanes.shape == (markov._GROUP - 1, 2, len(codes))
+        assert np.array_equal(after1, step[codes])
+        assert np.array_equal(after2, step[second[:, None], after1])
+        few = 0
+        for c, (a, b) in enumerate(lanes[0].T.tolist()):
+            reached = set(after2[c, 2:lost].tolist())
+            assert {a, b} <= reached
+            if len(reached) <= 2:
+                few += 1
+                assert {a, b} == reached, (order, c)
+        assert few >= len(codes) // 2
+
+    # group, slice and batch edges: the walk groups blocks by _GROUP, draws
+    # _SLICE symbols at a time and walks _BATCH at a time
+    GROUP_EDGES = sorted({
+        max(1, n + d)
+        for n in (markov.BLOCK * markov._GROUP, 3 * markov.BLOCK * markov._GROUP,
+                  markov._SLICE, markov._BATCH, 2 * markov._BATCH)
+        for d in (-1, 0, 1)
+    })
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.sampled_from([*range(3, 13), 19, 20, 200, 10**6]),
+        st.one_of(
+            st.sampled_from(
+                [0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1e-12, 1 - 1e-12,
+                 0.15, 0.85]
+            ),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        st.one_of(
+            st.sampled_from([1, *GROUP_EDGES, 200_000]),
+            st.builds(
+                lambda j, d: markov.BLOCK * markov._GROUP * j + d,
+                st.integers(1, 200_000 // (markov.BLOCK * markov._GROUP)),
+                st.sampled_from([-1, 1]),
+            ),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @examples([(m, p, 200_000, m) for m in (3, 12, 20, 200) for p in (0.15, 0.85)])
+    def test_group_walk_matches_loop(self, m, p, n, seed):
+        # with and without groups from the first block on: the bits and the
+        # forced marks of the per-symbol walk, on every path the groups take
+        # (both lanes, a head that reaches more than two states, lanes lost
+        # past the pad at m >= 43)
+        bits = loop_sample(m, p, n, seed)
+        forced = forced_mask(m, bits)
+        runs = [sample(m, p, n, seed)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(markov, "_GROUP_FROM", 0)
+            runs.append(sample(m, p, n, seed))
+        for run in runs:
+            got_bits, got_forced = unpack(run)
+            assert got_bits.tobytes() == bits.tobytes()
+            assert np.array_equal(got_forced, forced)
 
     def test_path_stays_packed(self):
         # the json summary's reads build no n-byte array
