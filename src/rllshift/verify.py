@@ -4,8 +4,8 @@ Each check returns a deterministic pass/fail record; the report contains
 no timing or other run-to-run noise, so identical configurations produce
 byte-identical output.
 
-The full suite runs checks 1, 2, 5, 6 and 14 (`FORKED_CHECKS`) in one
-forked child process while the calling process runs the other ten, where
+The full suite runs checks 1, 2, 6 and 14 (`FORKED_CHECKS`) in one
+forked child process while the calling process runs the other eleven, where
 `os.fork` exists and at least 2 CPUs are usable. The results come back in
 `CHECKS` order, so the report is the same byte for byte as in one process,
 where the quick suite and every other case run.
@@ -17,7 +17,7 @@ import pickle
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import NoReturn
 
 from . import dimension, markov, measure, univoque, words
@@ -100,8 +100,10 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
     """Closed form equals the branching recursion, as numerators over b**|w|.
 
     Two independent routes: the closed form from the substring counts of
-    `occurrence_counts`, the recursion from the word tree's products; one
-    array comparison per m, a row per p, in `measure.numerator_dtype`'s dtype.
+    `occurrence_counts`, taken a level at a time from the words' symbols
+    (`column_occurrence_counts` of `digit_levels`), the recursion from the
+    word tree's products of its symbols' classes; one array comparison per
+    m, a row per p, in `measure.numerator_dtype`'s dtype.
     """
     import numpy as np
     max_len = 8 if quick else 12
@@ -109,10 +111,8 @@ def check_closed_vs_recursive(quick: bool = False) -> CheckResult:
     total = 0
     for m in (3, 4, 5):
         tree = words.word_tree(m, max_len)
-        # substring counts of the non-empty words, one call per word
-        size = len(tree.words) - 1
-        counts = chain.from_iterable(words.occurrence_counts(m, s) for s in tree.words[1:])
-        n0, n1 = np.fromiter(counts, np.intp, 2 * size).reshape(size, 2).T
+        levels = islice(tree.digit_levels(), 1, None)  # the non-empty words
+        n0, n1 = np.concatenate([words.column_occurrence_counts(m, d) for d in levels], axis=1)
         nf = np.repeat(np.arange(1, max_len + 1), np.diff(tree.starts[1:])) - n0 - n1
         weights = [measure.bernoulli(m, p).weights for p in P_GRID]
         dtype = measure.numerator_dtype(max(b for *_, b in weights), max_len)
@@ -334,8 +334,7 @@ def check_gamma_construction(quick: bool = False) -> CheckResult:
     window_len = 12 if quick else 16
     problems = []
 
-    for seed in range(n_samples):
-        run = markov.sample(3, 0.5, sample_len, seed)
+    for seed, run in enumerate(markov.samples(3, 0.5, sample_len, range(n_samples))):
         win = univoque.theta_embed(run.m, run.word)
         verdict = univoque.gamma_check_prefix(win, depth)
         if verdict.status != univoque.CLEAN_TO_DEPTH:
@@ -405,19 +404,17 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 
 # the checks that the full suite runs in one forked child while the caller
-# runs the other ten.  On a loaded 2-core x86-64 VM, in one process
-# (medians of 21 rounds, check by check), check 14 takes 28.9-29.9 ms,
-# check 3 11.7-11.9 ms and checks 1, 2, 5 and 6 8.8-9.0 ms together, of a
-# 76.5-79.3 ms suite, 18.1-18.6 ms of it checks 12 and 15, each one
-# 10**6-symbol draw.  The child also pays the fork (about 2 ms).  From the
-# call's start (medians of 21 runs) the caller's side ends at 42.2 ms and
-# the child's at 45.0 ms, later in 21 of 21 runs, with checks 3 and 14 in
-# the child; with checks 1, 2, 5, 6 and 14 there, at 44.5 and 45.1 ms, and
-# in three sets of 61-101 alternated runs that split took 46.6 against
-# 47.6, 46.0 against 47.1 and 45.6 against 46.7 ms, faster in 47 of 61,
-# 70 of 101 and 76 of 101.  Checks 12, 13 and 15 stay in the caller and
-# share the one draw in `path`.
-FORKED_CHECKS = ("1", "2", "5", "6", "14")
+# runs the other eleven.  On a 2-core x86-64 VM, in one process (medians of
+# 21 rounds, check by check, two runs), check 14 takes 22.8-23.2 ms and
+# checks 1, 2 and 6 5.8-5.9 ms together, of a 61.4-62.8 ms suite; the
+# caller's 32.8-33.7 ms hold 18.6-19.3 ms of checks 12 and 15, each one
+# 10**6-symbol draw.  The child also pays the fork (about 2 ms).  With
+# checks 1, 2, 5, 6 and 14 in the child the child's side ended later in 117
+# and 97 of 151 runs; with check 5 in the caller the suite was faster in 92
+# and 79 of 151 alternated runs (medians 58.2 against 58.5 and 45.0
+# against 44.7 ms), and with check 6 in the caller instead in 87 and 76.
+# Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
+FORKED_CHECKS = ("1", "2", "6", "14")
 
 
 def _run_checks(nums, quick: bool, path: list) -> list[tuple[str, CheckResult]]:

@@ -376,6 +376,23 @@ class WordTree:
             prefix, suffix = level
             yield prefix, suffix
 
+    def digit_levels(self):
+        """The tree's words as 0/1 columns, one level at a time.
+
+        Yields, for n = 0, ..., L, a uint8 array of shape (n, words of
+        length n), column r the symbols of the word starts[n] + r: level n
+        is level n-1 gathered by `parent`, with `last` as its new row.
+        Reads the symbols only, not their classes.
+        """
+        import numpy as np
+        level = np.zeros((0, 1), dtype=np.uint8)
+        yield level
+        for up, lo, hi in zip(self.starts, self.starts[1:], self.starts[2:]):
+            above, level = level, np.empty((len(level) + 1, hi - lo), dtype=np.uint8)
+            above.take(self.parent[lo:hi] - up, axis=1, out=level[:-1])
+            level[-1] = self.last[lo:hi]
+            yield level
+
     def numerators(self, weights, dtype=object) -> np.ndarray:
         """Every word's numerator by the branching rule, one row per (w0,
         w1, wf) triple of weights, all rows filled in the same pass of one
@@ -482,3 +499,30 @@ def occurrence_counts(m: int, s: str) -> tuple[int, int]:
         s.count("0") - s.count("1" * (m - 1) + "0"),
         s.count("1") - s.count("0" * (m - 1) + "1"),
     )
+
+
+def column_occurrence_counts(m: int, digits: np.ndarray) -> np.ndarray:
+    """`occurrence_counts` of every column of an (n, words) 0/1 array at
+    once, as an int array (2, words): the words' n0 and n1.
+
+    By the same definition: a 0 at position j >= m-1 closes 1^{m-1}0 when
+    the m-1 symbols before it are all 1's, and a 1 closes 0^{m-1}1 when
+    none of them is.  With c[j] the number of 1's before position j (one
+    cumulative sum down the columns), those m-1 symbols hold
+    c[j] - c[j-m+1] ones, so 2 (c[j] - c[j-m+1]) + the symbol at j is
+    2(m-1) for the first and 1 for the second.
+    """
+    import numpy as np
+    n, size = digits.shape
+    ones = np.zeros((n + 1, size), dtype=np.intp)
+    np.cumsum(digits, axis=0, out=ones[1:])
+    counts = np.empty((2, size), dtype=np.intp)
+    counts[1] = ones[n]
+    counts[0] = n - counts[1]
+    if n >= m:  # a symbol with m-1 before it
+        key = ones[m - 1 : n] - ones[: n - m + 1]
+        key *= 2
+        key += digits[m - 1 :]
+        counts[0] -= np.count_nonzero(key == 2 * (m - 1), axis=0)
+        counts[1] -= np.count_nonzero(key == 1, axis=0)
+    return counts

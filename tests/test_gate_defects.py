@@ -21,10 +21,12 @@ def scaled(factor):
 
 
 def n0_plus_one_past_five(fn):
-    """occurrence_counts with one free 0 too many on every word longer than 5."""
-    def planted(m, s):
-        n0, n1 = fn(m, s)
-        return n0 + (len(s) > 5), n1
+    """column_occurrence_counts with one free 0 too many on every word
+    longer than 5 (the words are the columns, their length the rows)."""
+    def planted(m, digits):
+        counts = fn(m, digits)
+        counts[0] += len(digits) > 5
+        return counts
     return planted
 
 
@@ -48,7 +50,8 @@ CAUGHT = [
     ("f_float-x(1+1e-9)", dimension, "_f_float", scaled(1 + 1e-9), {"10"}),
     ("digit_mass+1e-30", markov, "digit_mass",
      lambda fn: lambda *args: fn(*args) + Fraction(1, 10**30), {"8"}),
-    ("occurrence_counts-n0+1", words, "occurrence_counts", n0_plus_one_past_five, {"3"}),
+    ("column_occurrence_counts-n0+1", words, "column_occurrence_counts", n0_plus_one_past_five,
+     {"3"}),
     ("numerators+1", words.WordTree, "numerators", one_more_past_five, {"3", "4", "5"}),
 ]
 

@@ -810,6 +810,82 @@ class TestSampling:
         assert run.packed_bits.nbytes + run.packed_forced.nbytes == 2 * -(-n // 8)
         assert run.packed_bits.base is None and run.packed_forced.base is None
 
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        st.sampled_from([*range(3, 13), 42, 43, 200, 10**6]),
+        st.one_of(
+            st.sampled_from(
+                [0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1e-12, 1 - 1e-12]
+            ),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        st.sampled_from([1, 7, 8, 9, 2000, 10**4]),
+        st.lists(
+            st.one_of(st.sampled_from([0, 2**128 - 1]), st.integers(0, 2**128 - 1)),
+            max_size=8,
+        ).map(lambda seeds: seeds + seeds[:2]),  # a repeated seed or two
+        st.sampled_from([0, None]),
+    )
+    @example(3, 0.5, 10**4, [0, 2**128 - 1, 0], 0)
+    @example(3, 0.5, 10**4, [], 0)
+    @example(3, 0.5, 10**4, [], None)
+    # a second draw slice and chunk ends inside it
+    @example(5, 0.3, markov._SLICE + 9, [1, 2, 3], 0)
+    # every path climbs past the pad and is drawn again by `sample`
+    @example(200, 1 - 1e-12, 2000, [4, 5], 0)
+    @example(10**6, 1e-12, 10**4, [6], 0)
+    def test_samples_are_samples(self, m, p, n, seeds, lockstep_from):
+        # each seed's run, bits and forced marks byte-equal to its `sample`,
+        # walked in lockstep from any number of paths (lockstep_from 0) and
+        # as `samples` chooses; lockstep sets of one and two paths as well
+        want = [sample(m, p, n, seed) for seed in seeds]
+        patches = [{}, {"_LOCKSTEP": 1}, {"_LOCKSTEP": 2 * -(-n // markov.BLOCK)}]
+        for patch in patches:
+            with pytest.MonkeyPatch.context() as mp:
+                if lockstep_from is not None:
+                    mp.setattr(markov, "_LOCKSTEP_FROM", lockstep_from)
+                for name, value in patch.items():
+                    mp.setattr(markov, name, value)
+                got = markov.samples(m, p, n, iter(seeds))
+            assert len(got) == len(seeds)
+            for run, ref in zip(got, want):
+                assert (run.m, run.p, run.seed, run.n) == (ref.m, ref.p, ref.seed, ref.n)
+                assert run.packed_bits.tobytes() == ref.packed_bits.tobytes()
+                assert run.packed_forced.tobytes() == ref.packed_forced.tobytes()
+                assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
+
+    def test_samples_walk_in_lockstep(self, monkeypatch):
+        # check 14's paths take no `sample` call, and paths that climb past
+        # the pad one each
+        calls = []
+        original = markov.sample
+
+        def counting(m, p, n, seed):
+            calls.append(seed)
+            return original(m, p, n, seed)
+
+        monkeypatch.setattr(markov, "sample", counting)
+        assert len(markov.samples(3, 0.5, 10**4, range(100))) == 100
+        assert calls == []
+        markov.samples(200, 1 - 1e-12, 2000, range(30))
+        assert calls == list(range(30))
+
+    @pytest.mark.parametrize("lockstep_from", [0, 20])
+    @pytest.mark.parametrize(
+        "m, p, n, seeds",
+        [(2, 0.3, 100, [1]), (3, 0.0, 100, [1]), (3, 1.0, 100, []), (3, math.nan, 100, [1]),
+         (3, 0.3, 0, [1]), (3, 0.3, -5, []), (3, 0.3, 100, [1, -1]), (3, 0.3, 100, [2**128]),
+         (3, 0.3, 100, [0, "a"])],
+    )
+    def test_samples_reject_as_sample(self, monkeypatch, lockstep_from, m, p, n, seeds):
+        monkeypatch.setattr(markov, "_LOCKSTEP_FROM", lockstep_from)
+        bad = [seed for seed in seeds if not isinstance(seed, int) or not 0 <= seed < 2**128]
+        with pytest.raises(ValueError) as want:
+            sample(m, p, n, bad[0] if bad else 1)
+        with pytest.raises(ValueError) as got:
+            markov.samples(m, p, n, seeds)
+        assert str(got.value) == str(want.value)
+
     def test_word_matches_join(self):
         run = sample(4, 0.3, 5000, seed=2)
         assert run.word == "".join("01"[b] for b in unpack(run)[0])

@@ -603,13 +603,15 @@ def numerators_times_21_past_five(tree, *args):
     return NUMERATORS(tree, *args) * (1 + 20 * (tree.arrays.depth > 5))
 
 
-def counts_n0_plus_one_past_five(m, s):
-    """occurrence_counts with one free 0 too many on every word longer than 5."""
-    n0, n1 = OCCURRENCE_COUNTS(m, s)
-    return n0 + (len(s) > 5), n1
+def counts_n0_plus_one_past_five(m, digits):
+    """column_occurrence_counts with one free 0 too many on every word
+    longer than 5 (the words are the columns, their length the rows)."""
+    counts = COLUMN_OCCURRENCE_COUNTS(m, digits)
+    counts[0] += len(digits) > 5
+    return counts
 
 
-NUMERATORS, OCCURRENCE_COUNTS = words.WordTree.numerators, words.occurrence_counts
+NUMERATORS, COLUMN_OCCURRENCE_COUNTS = words.WordTree.numerators, words.column_occurrence_counts
 
 
 class TestExactDtype:
@@ -631,7 +633,7 @@ class TestExactDtype:
         planted = [
             (None, None, None),
             (words.WordTree, "numerators", numerators_one_more_past_five),
-            (words, "occurrence_counts", counts_n0_plus_one_past_five),
+            (words, "column_occurrence_counts", counts_n0_plus_one_past_five),
         ]
         for owner, attr, defect in planted:
             with pytest.MonkeyPatch.context() as mp:

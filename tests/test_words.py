@@ -2,6 +2,7 @@ import itertools
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -432,6 +433,43 @@ class TestOccurrence:
         # inadmissible strings too: the substring counts need no run check
         set0, set1 = loop_flip_positions(m, s)
         assert words.occurrence_counts(m, s) == (len(set0), len(set1))
+
+    @PROPERTY
+    @given(
+        st.integers(3, 12),
+        st.integers(0, 40).flatmap(
+            lambda n: st.lists(st.text(alphabet="01", min_size=n, max_size=n), max_size=12)
+        ),
+    )
+    @example(3, [])
+    @example(3, ["110", "001"])
+    @example(4, ["1110" * 10, "0001" * 10, "1" * 40, "0" * 40])
+    def test_columns_match_occurrence_counts(self, m, batch):
+        # a batch of equal-length words, admissible or not, as the columns
+        # of one 0/1 array: n0 and n1 of each column in one pass
+        n = len(batch[0]) if batch else 0
+        digits = np.array([[int(c) for c in s] for s in batch], dtype=np.uint8).reshape(len(batch), n).T
+        got = words.column_occurrence_counts(m, digits)
+        assert got.shape == (2, len(batch))
+        assert list(zip(*got.tolist())) == [words.occurrence_counts(m, s) for s in batch]
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_every_tree_level_matches_occurrence_counts(self, m):
+        # the symbols of each level, gathered from parent and last, and
+        # their counts, in the trees of every L <= 14
+        tree = words.word_tree(m, 14)
+        levels = list(tree.digit_levels())
+        assert len(levels) == 15
+        for n, (lo, hi, digits) in enumerate(zip(tree.starts, tree.starts[1:], levels)):
+            assert digits.shape == (n, hi - lo) and digits.dtype == np.uint8
+            level = tree.words[lo:hi]
+            assert ["".join(map(str, col)) for col in digits.T.tolist()] == level
+            got = words.column_occurrence_counts(m, digits)
+            assert list(zip(*got.tolist())) == [words.occurrence_counts(m, s) for s in level]
+        for L in range(14):  # a smaller tree's levels are the first of the larger's
+            smaller = list(words.word_tree(m, L).digit_levels())
+            assert len(smaller) == L + 1
+            assert all(np.array_equal(a, b) for a, b in zip(smaller, levels))
 
     def test_subadditivity_small(self):
         m = 3
