@@ -165,7 +165,7 @@ _SLICE = 4096 * BLOCK  # symbols per raw draw, to bound the temporaries
 _BATCH = 4 * _SLICE  # symbols per batch of block work
 _PAD = 4 * BLOCK  # the most runs below the block table that `sample` lists
 _GROUP = 32  # blocks per group of `sample`'s group walk
-_GROUP_FROM = 6000  # path symbols per column of the step table from which groups pay
+_GROUP_FROM = 6000  # path symbols per state of the row list, plus one, from which groups pay
 
 
 @functools.cache
@@ -367,20 +367,18 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     head, from every state of the list at once (`_step_table`, `_heads`),
     and carries the least and the greatest of the states reached from the
     states a block can end on through the rest of the group as two lanes,
-    one gather per block position.  The Python
-    loop then takes one lookup per group: the lane that the true state
-    after the head lands on gives the state at the group's end.  A group
-    whose head leaves the state on neither lane is walked block by block,
-    and so is the rest of one whose lane reaches a run between the pad and
-    the table's rows, from the block that does.  The state before each
-    block comes back by one select between the two lanes, so the rows, the
-    bits and the marks are those of the per-block walk.  G follows from the
-    path length per column of the step table, one column per state of the
-    list: paths of at least _GROUP_FROM symbols per column take groups, and
-    shorter ones G = 1, the per-block walk.  That is 42 000 symbols at
-    m = 3 and 150 000 at m = 12; on a 2-core x86-64 VM the walk in groups
-    first paid at about 35 000-40 000 and 45 000-85 000 symbols (medians of
-    whole calls), and at 10**6 symbols it took 2.6 against 7.8 ms at m = 3.
+    one gather per block position.  The Python loop then takes one lookup
+    per group: the lane that the true state after the head lands on gives
+    the state at the group's end, and a group whose head leaves the state
+    on neither lane is walked block by block.  The state before each block
+    comes back by one select between the two lanes, so the rows, the bits
+    and the marks are those of the per-block walk.  Groups need the whole
+    gap listed (gap == pad, orders up to BLOCK + 2 + _PAD = 42), and paths
+    of at least _GROUP_FROM (len(row) + 1) symbols; shorter ones take
+    G = 1, the per-block walk.  That is 42 000 symbols at m = 3 and
+    150 000 at m = 12; on a 2-core x86-64 VM the walk in groups first paid
+    at about 35 000-40 000 and 45 000-85 000 symbols (medians of whole
+    calls), and at 10**6 symbols it took 2.6 against 7.8 ms at m = 3.
     """
     import numpy as np
     p, below_lo, upto_hi, swap, row, nxt, emitted, marks, pad, gap = _plan(m, p, n)
@@ -410,13 +408,12 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
             x = nxt[r][code] or (x + jump if x < edge else climb(x))
         return x
 
-    lost = len(row)  # the lane state of a lane that lost its state
-    width = lost + 1  # columns of the step table
-    group = _GROUP if n >= _GROUP_FROM * width else 1
+    width = len(row)  # columns of the step table
+    group = _GROUP if gap == pad and n >= _GROUP_FROM * (width + 1) else 1
     if group > 1:
-        step = _step_table(row, nxt, pad, gap)
+        step = _step_table(row, nxt)
         flat = step.ravel()
-        row_of = np.array(row + (0,), dtype=np.uint8)
+        row_of = np.array(row, dtype=np.uint8)
     x = swap  # digit 0 with a run of 0: state 1 on the swapped walk
     done = 0  # blocks walked
     slices = []  # the codes of a batch's slices
@@ -441,42 +438,23 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
             # the lanes through the rest of each group, one gather per block
             _carry(flat, by_group[:, 2:].T * np.intp(width), lanes)
             # each state's end of group after the head: a lane's exit, or
-            # lost (lane 0 lost), lost + 1 (lane 1 lost), lost + 2 (no lane)
+            # width where the head leaves it on neither lane
             exit0, exit1 = lanes[-1]
-            exit1 = np.where(exit1 == lost, lost + 1, exit1)
             on1 = after2 == lanes[0, 1][:, None]
             to = np.where(on1, exit1[:, None], np.where(
-                after2 == lanes[0, 0][:, None], exit0[:, None], lost + 2)).tobytes()
-            if gap > pad:
-                # a lane loses its state only past the pad: for each lost
-                # lane, the block that lost it, from which the walk takes
-                # over, and its state before that block (0: from the entry)
-                flat_lanes = lanes.reshape(group - 1, 2 * groups)
-                gone = np.flatnonzero(flat_lanes[-1] == lost)
-                seen = flat_lanes[:, gone]
-                when = (seen == lost).argmax(axis=0)
-                resume = np.zeros(2 * groups, dtype=np.intp)
-                last = np.zeros(2 * groups, dtype=np.uint8)
-                resume[gone] = np.where(when > 0, when + 1, 0)
-                last[gone] = seen[np.maximum(when - 1, 0), np.arange(len(gone))]
-                resume = resume.reshape(2, groups).tolist()
-                last = last.reshape(2, groups).tolist()
+                after2 == lanes[0, 0][:, None], exit0[:, None], width)).tobytes()
             # the walk: one lookup per group, block by block where no lane holds
             put = trace.append
             walked = bytearray()
-            walked_groups, walked_from = [], []
+            walked_groups = []
             by_block = memoryview(codes)
             for base in range(0, groups * width, width):
                 put(x)
                 y = to[base + x]
-                if y >= lost:
+                if y == width:
                     g = base // width
-                    skip = resume[y - lost][g] if y < lost + 2 else 0
-                    if skip:
-                        x = last[y - lost][g]
                     walked_groups.append(g)
-                    walked_from.append(skip)
-                    y = walk(x, by_block[g * group + skip : g * group + group], walked.append)
+                    y = walk(x, by_block[g * group : g * group + group], walked.append)
                 x = y
             # the state before each block: the head's, then the lane taken
             entry = np.frombuffer(trace, dtype=np.uint8)
@@ -486,10 +464,7 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
             states[:, 1] = after1.ravel()[at]
             states[:, 2:] = np.where(on1.ravel()[at], lanes[:-1, 1], lanes[:-1, 0]).T
             rows = row_of[states]
-            if walked_groups:
-                first = np.full(groups, group)
-                first[walked_groups] = walked_from
-                rows[np.arange(group) >= first[:, None]] = np.frombuffer(walked, dtype=np.uint8)
+            rows[walked_groups] = np.frombuffer(walked, dtype=np.uint8).reshape(-1, group)
             trace = bytearray(rows)
         x = walk(x, memoryview(codes)[body:], trace.append)
         packed_bits[done : done + blocks], packed_forced[done : done + blocks] = (
@@ -520,12 +495,12 @@ def samples(m: int, p, n: int, seeds) -> list[SampleRun]:
     at once: one add and one gather per position (`_carry`, the lane step
     of `sample`'s group walk), where `sample` takes one Python step per
     block of each path.  The states before the blocks give their rows,
-    and the rows and codes the bits and marks, as in `sample`.  A path
-    whose state leaves the step table (a run that climbs past the row
-    list's pad, at orders of 43 and more) is drawn again by `sample`.
-    The paths walk together in sets whose codes of one slice number at
-    most _LOCKSTEP, and a set's slice in chunks of _CHUNK blocks, so the
-    memory held does not grow with the number of paths past a set.
+    and the rows and codes the bits and marks, as in `sample`.  The step
+    table needs the whole gap listed, as `sample`'s groups do: at orders
+    of 43 and more every path is drawn by `sample`.  The paths walk
+    together in sets whose codes of one slice number at most _LOCKSTEP,
+    and a set's slice in chunks of _CHUNK blocks, so the memory held does
+    not grow with the number of paths past a set.
 
     A lockstep position costs a few numpy calls whatever the number of
     paths, and a block of `sample`'s per-block walk a Python step, so the
@@ -538,13 +513,12 @@ def samples(m: int, p, n: int, seeds) -> list[SampleRun]:
     import numpy as np
     p, below_lo, upto_hi, swap, row, nxt, emitted, marks, pad, gap = _plan(m, p, n)
     seeds = list(seeds)
-    lost = len(row)  # the state of a path that left the step table
-    width = lost + 1
-    if len(seeds) < _LOCKSTEP_FROM:
+    if gap > pad or len(seeds) < _LOCKSTEP_FROM:
         return [sample(m, p, n, seed) for seed in seeds]
     draws = [np.random.Philox(key=seed).random_raw for seed in seeds]
-    flat = _step_table(row, nxt, pad, gap).ravel()
-    row_of = np.array(row + (0,), dtype=np.uint8)
+    width = len(row)
+    flat = _step_table(row, nxt).ravel()
+    row_of = np.array(row, dtype=np.uint8)
     size = -(-n // BLOCK)
     tail = 0xFF << -n % BLOCK & 0xFF  # the bits of the last block before symbol n
     together = max(1, _LOCKSTEP // min(size, _SLICE // BLOCK))
@@ -573,46 +547,29 @@ def samples(m: int, p, n: int, seeds) -> list[SampleRun]:
         del codes  # not held through the copies
         bits[:, -1] &= tail
         forced[:, -1] &= tail
-        for seed, b, f, end in zip(seeds[first:], bits, forced, x.tolist()):
-            runs.append(sample(m, p, n, seed) if end == lost
-                        else SampleRun(m, p, seed, n, b.copy(), f.copy()))
+        runs += [SampleRun(m, p, seed, n, b.copy(), f.copy())
+                 for seed, b, f in zip(seeds[first:], bits, forced)]
     return runs
 
 
-def _step_table(row: tuple[int, ...], nxt: tuple[bytes, ...], pad: int, gap: int) -> np.ndarray:
+def _step_table(row: tuple[int, ...], nxt: tuple[bytes, ...]) -> np.ndarray:
     """The state after one block from each state x of `sample`'s row list,
-    for every block code, as uint8 of shape (3**BLOCK, len(row) + 1), code
-    first, so that a lane's next state is one gather at code * width + x.
+    for every block code, as uint8 of shape (3**BLOCK, len(row)), code
+    first, so that a lane's next state is one gather at code * len(row) + x.
 
-    Column x holds nxt[row[x]].  Where the block extends x's run BLOCK
-    times, it holds the state BLOCK runs up: x + 2 BLOCK up to the pad,
-    or the table's row past the gap.  A run that lands between the two,
-    and a parked state (whose run only `sample`'s walk keeps), has no
-    state here: those entries, and the whole last column, are the lost
-    lane len(row).
+    Column x holds nxt[row[x]], and x + 2 BLOCK where the block extends
+    x's run BLOCK times.  The list must hold the whole gap (gap == pad),
+    so that run is listed too.
     """
     import numpy as np
-    lost = len(row)
-    jump = 2 * BLOCK
-    park = 2 * (pad + 1)
-    edge = lost if gap == pad else park - jump
     table = np.frombuffer(b"".join(nxt), dtype=np.uint8).reshape(len(nxt), -1)
-    step = np.empty((table.shape[1], lost + 1), dtype=np.uint8)
-    step[:, :lost] = table[list(row)].T
-    step[:, lost] = lost
+    step = np.ascontiguousarray(table[list(row)].T)
     for digit in (0, 1):
         # only the lowest row extends BLOCK times, on the codes where nxt is 0
         lowest = row[digit]
         codes = np.flatnonzero(table[lowest] == 0)
-        states = [x for x in range(digit, lost, 2) if row[x] == lowest]
-        up = []
-        for x in states:
-            t = (x >> 1) + BLOCK - gap  # the table's run after, when above the pad
-            if x < edge:
-                up.append(x + jump)
-            else:
-                up.append(2 * (pad + t) + digit if x < park and t > 1 else lost)
-        step[np.ix_(codes, states)] = up
+        states = [x for x in range(digit, len(row), 2) if row[x] == lowest]
+        step[np.ix_(codes, states)] = [x + 2 * BLOCK for x in states]
     return step
 
 
@@ -623,13 +580,13 @@ def _heads(
     head), from every state, as (groups, width) arrays, and the lanes of
     `sample`'s group walk, (group - 1, 2, groups), with the two lane starts
     filled in: the least and the greatest state that the head reaches from
-    the states a block can end on, a run of at least 1."""
+    the states a block can end on, every state from run 1 on."""
     import numpy as np
     width = step.shape[1]
     after1 = step[first]
     after2 = step.ravel()[(second * np.intp(width))[:, None] + after1]
     lanes = np.empty((group - 1, 2, len(first)), dtype=np.uint8)
-    reach = after2[:, 2 : width - 1]
+    reach = after2[:, 2:]
     reach.min(axis=1, out=lanes[0, 0])
     reach.max(axis=1, out=lanes[0, 1])
     return after1, after2, lanes

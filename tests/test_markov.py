@@ -60,23 +60,14 @@ def law_blocks(order, digit, run, codes):
 
 
 def walk_list(order):
-    """The row list that `sample` walks at this order, as it pads it, with
-    its nxt table, pad and gap."""
+    """The row list that `sample` walks at an order that lists its whole
+    gap, as it pads it, with its nxt table: state x of the list is the run
+    x >> 1 of digit x & 1."""
     k = min(order, markov.BLOCK + 2)
     row, nxt, _, _ = markov._block_table(k)
-    gap = order - k
-    pad = min(gap, markov._PAD)
-    return row[:2] * pad + row, nxt, pad, gap
-
-
-def list_run(x, pad, gap):
-    """The run of state x of `walk_list`'s list, None for a parked state,
-    whose run only the walk keeps."""
-    j = x >> 1
-    if j <= pad:
-        return j
-    t = j - pad  # the table's run t, the real run gap + t
-    return None if t == 1 and gap > pad else gap + t
+    pad = order - k
+    assert pad <= markov._PAD
+    return row[:2] * pad + row, nxt
 
 
 def examples(cases):
@@ -568,8 +559,8 @@ class TestSampling:
         assert big.m == 10**6
         assert big.packed_bits.tobytes() == small.packed_bits.tobytes()
         assert big.packed_forced.tobytes() == small.packed_forced.tobytes()
-        # nor over 10**6 symbols, where order 10**6 is below n + 2: its peak
-        # stays within 1 MiB of order 12's
+        # nor over 10**6 symbols, where order 10**6 is below n + 2: the
+        # per-block walk peaks no higher than order 12's groups
         peaks = {}
         for m in (12, 10**6):
             tracemalloc.start()
@@ -578,7 +569,7 @@ class TestSampling:
                 peaks[m] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[10**6] < peaks[12] + 2**20, peaks
+        assert peaks[10**6] <= peaks[12], peaks
 
     def test_random_is_shifted_raw_word(self):
         # sample reads the uniforms off the raw words; a numpy change fails here first
@@ -620,6 +611,22 @@ class TestSampling:
         for seed, digest in enumerate(pinned):
             run = sample(3, 0.5, 10_000, seed)
             assert hashlib.sha256(unpack(run)[0].tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digests, marks", [
+        ((43, 0.3, 10**6, 1),
+         ("3ad082008af161889c378578bec7e817f973dc1abc6003f9e99ee3b2697780b0",
+          "d29751f2649b32ff572b5e0a9f541ea660a50f94ff0beedfb0b692b924cc8025"), 0),
+        # runs that climb past the pad and park
+        ((200, 0.97, 10**6, 2),
+         ("8a3ea7e414266856950c20bcc78049cdb947b493ae44cefa90061d35634c772b",
+          "5b929594cba2e5c573cd39749c0cb4f56b39dd0973535cb46401df46757b0bad"), 62),
+    ], ids=["43", "200"])
+    def test_bits_pinned_past_the_pad(self, args, digests, marks):
+        # long paths at orders of 43 and more, which the per-block walk takes
+        bits, forced = unpack(sample(*args))
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (bits, forced))
+        assert got == digests
+        assert np.count_nonzero(forced) == marks
 
     @pytest.mark.parametrize("m", range(3, 41))
     @pytest.mark.parametrize("p", [1e-9, 0.5, 1 - 1e-9])
@@ -695,33 +702,50 @@ class TestSampling:
         want = markov._local_dimension(n - np.count_nonzero(forced) - n1, n1, n, 0.4)
         assert markov.final_local_dimension(run, 0.4).hex() == want.hex()
 
-    # orders of every block table (3..BLOCK + 2), with the whole gap listed
-    # (11, 18, 42) and past the pad (43, 44, 200, 10**6)
-    STEP_ORDERS = [*range(3, 13), 18, 19, 42, 43, 44, 200, 10**6]
+    # orders of every block table (3..BLOCK + 2) and with the whole gap
+    # listed (11, 18, 42): the orders that build a step table
+    STEP_ORDERS = [*range(3, 13), 18, 19, 42]
 
     @pytest.mark.parametrize("order", STEP_ORDERS)
     def test_step_table_is_the_law(self, order):
         # every entry of the lanes' table is the per-symbol law's state
-        # after the block, or the lost lane exactly where the list holds no
-        # state for it: a parked state's full extension, or a run landing
-        # between the pad and the table rows
-        row, nxt, pad, gap = walk_list(order)
-        step = markov._step_table(row, nxt, pad, gap)
-        lost = len(row)
+        # after the block
+        row, nxt = walk_list(order)
+        step = markov._step_table(row, nxt)
         codes = np.arange(3**markov.BLOCK)
-        assert step.shape == (len(codes), lost + 1) and step.dtype == np.uint8
-        assert np.all(step[:, lost] == lost)
-        for x in range(lost):
-            run = list_run(x, pad, gap)
-            digit, after = law_blocks(order, x & 1, gap + 1 if run is None else run, codes)
-            got = step[:, x].astype(int)
-            unlisted = (after > pad) & (after - gap < 2) & (gap > pad)
-            if run is None:
-                # a parked state is lost exactly where its run grows by BLOCK
-                unlisted = after > markov.BLOCK
-            assert np.array_equal(got == lost, unlisted), (order, x)
-            want = np.where(after <= pad, 2 * after + digit, 2 * (pad + after - gap) + digit)
-            assert np.array_equal(got[~unlisted], want[~unlisted]), (order, x)
+        assert step.shape == (len(codes), len(row)) and step.dtype == np.uint8
+        for x in range(len(row)):
+            digit, after = law_blocks(order, x & 1, x >> 1, codes)
+            assert np.array_equal(step[:, x], 2 * after + digit), (order, x)
+
+    @pytest.mark.parametrize(
+        "m, p", [(43, 0.3), (44, 0.5), (200, 0.97), (10**6, 0.03)],
+        ids=["43", "44", "200", "1000000"],
+    )
+    def test_no_step_table_past_the_pad(self, monkeypatch, m, p):
+        # an order of 43 or more lists less than its gap: groups and the
+        # lockstep leave it to the per-block walk, even where they would
+        # take any path, and it builds no step table
+        n, seeds = 20_000, range(3)
+        class Built(Exception):
+            pass
+
+        def refuse(row, nxt):
+            raise Built
+
+        monkeypatch.setattr(markov, "_GROUP_FROM", 0)
+        monkeypatch.setattr(markov, "_LOCKSTEP_FROM", 0)
+        monkeypatch.setattr(markov, "_step_table", refuse)
+        with pytest.raises(Built):
+            sample(42, p, n, 0)
+        runs = [sample(m, p, n, seed) for seed in seeds]
+        for run, seed in zip(runs, seeds):
+            bits, forced = unpack(run)
+            assert bits.tobytes() == loop_sample(m, p, n, seed).tobytes()
+            assert np.array_equal(forced, forced_mask(m, bits))
+        for run, ref in zip(markov.samples(m, p, n, seeds), runs, strict=True):
+            assert run.packed_bits.tobytes() == ref.packed_bits.tobytes()
+            assert run.packed_forced.tobytes() == ref.packed_forced.tobytes()
 
     @pytest.mark.parametrize("order", STEP_ORDERS)
     def test_lane_starts_hold_every_block_end_state(self, order):
@@ -730,9 +754,8 @@ class TestSampling:
         # the two lanes start on exactly those; where they number more, the
         # lanes start on two of them and the walk goes block by block from
         # every other
-        row, nxt, pad, gap = walk_list(order)
-        step = markov._step_table(row, nxt, pad, gap)
-        lost = len(row)
+        row, nxt = walk_list(order)
+        step = markov._step_table(row, nxt)
         codes = np.arange(3**markov.BLOCK)
         second = np.random.default_rng(order).permutation(codes)
         after1, after2, lanes = markov._heads(step, codes, second, markov._GROUP)
@@ -741,7 +764,7 @@ class TestSampling:
         assert np.array_equal(after2, step[second[:, None], after1])
         few = 0
         for c, (a, b) in enumerate(lanes[0].T.tolist()):
-            reached = set(after2[c, 2:lost].tolist())
+            reached = set(after2[c, 2:].tolist())
             assert {a, b} <= reached
             if len(reached) <= 2:
                 few += 1
@@ -781,8 +804,8 @@ class TestSampling:
     def test_group_walk_matches_loop(self, m, p, n, seed):
         # with and without groups from the first block on: the bits and the
         # forced marks of the per-symbol walk, on every path the groups take
-        # (both lanes, a head that reaches more than two states, lanes lost
-        # past the pad at m >= 43)
+        # (both lanes, a head that reaches more than two states) and at
+        # m >= 43, which the per-block walk takes either way
         bits = loop_sample(m, p, n, seed)
         forced = forced_mask(m, bits)
         runs = [sample(m, p, n, seed)]
@@ -831,7 +854,7 @@ class TestSampling:
     @example(3, 0.5, 10**4, [], None)
     # a second draw slice and chunk ends inside it
     @example(5, 0.3, markov._SLICE + 9, [1, 2, 3], 0)
-    # every path climbs past the pad and is drawn again by `sample`
+    # orders past the pad: every path is drawn by `sample`
     @example(200, 1 - 1e-12, 2000, [4, 5], 0)
     @example(10**6, 1e-12, 10**4, [6], 0)
     def test_samples_are_samples(self, m, p, n, seeds, lockstep_from):
@@ -855,7 +878,7 @@ class TestSampling:
                 assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
 
     def test_samples_walk_in_lockstep(self, monkeypatch):
-        # check 14's paths take no `sample` call, and paths that climb past
+        # check 14's paths take no `sample` call, and paths at an order past
         # the pad one each
         calls = []
         original = markov.sample
