@@ -70,6 +70,37 @@ def walk_list(order):
     return row[:2] * pad + row, nxt
 
 
+def walks_past_the_pad(monkeypatch, m, p, *refused):
+    """Check that `sample` and `samples` at an order m of 43 or more, which
+    lists less than its gap, draw the per-symbol law's paths without
+    calling the markov functions named in refused, even with groups and
+    the lockstep taken at every length; at order 42 both still call them."""
+    n, seeds = 20_000, range(3)
+
+    class Called(Exception):
+        pass
+
+    def refuse(*args):
+        raise Called
+
+    monkeypatch.setattr(markov, "_GROUP_FROM", 0)
+    monkeypatch.setattr(markov, "_LOCKSTEP_FROM", 0)
+    for name in refused:
+        monkeypatch.setattr(markov, name, refuse)
+    with pytest.raises(Called):
+        sample(42, p, n, 0)
+    with pytest.raises(Called):
+        markov.samples(42, p, n, seeds)
+    runs = [sample(m, p, n, seed) for seed in seeds]
+    for run, seed in zip(runs, seeds):
+        bits, forced = unpack(run)
+        assert bits.tobytes() == loop_sample(m, p, n, seed).tobytes()
+        assert np.array_equal(forced, forced_mask(m, bits))
+    for run, ref in zip(markov.samples(m, p, n, seeds), runs, strict=True):
+        assert run.packed_bits.tobytes() == ref.packed_bits.tobytes()
+        assert run.packed_forced.tobytes() == ref.packed_forced.tobytes()
+
+
 def examples(cases):
     """Stack one hypothesis @example per case on a @given test."""
     def apply(test):
@@ -703,13 +734,20 @@ class TestSampling:
         assert markov.final_local_dimension(run, 0.4).hex() == want.hex()
 
     # orders of every block table (3..BLOCK + 2) and with the whole gap
-    # listed (11, 18, 42): the orders that build a step table
-    STEP_ORDERS = [*range(3, 13), 18, 19, 42]
+    # listed (11, 18, 42), which build a step table, and past the pad, which
+    # walk block by block, with a p for each: 200 at 0.97 climbs past the
+    # pad and parks
+    PAST_THE_PAD = {43: 0.3, 44: 0.5, 200: 0.97, 10**6: 0.03}
+    STEP_ORDERS = [*range(3, 13), 18, 19, 42, *PAST_THE_PAD]
 
     @pytest.mark.parametrize("order", STEP_ORDERS)
-    def test_step_table_is_the_law(self, order):
+    def test_step_table_is_the_law(self, monkeypatch, order):
         # every entry of the lanes' table is the per-symbol law's state
-        # after the block
+        # after the block; past the pad no step table is built and the
+        # per-block walk is the law
+        if order in self.PAST_THE_PAD:
+            walks_past_the_pad(monkeypatch, order, self.PAST_THE_PAD[order], "_step_table")
+            return
         row, nxt = walk_list(order)
         step = markov._step_table(row, nxt)
         codes = np.arange(3**markov.BLOCK)
@@ -718,42 +756,18 @@ class TestSampling:
             digit, after = law_blocks(order, x & 1, x >> 1, codes)
             assert np.array_equal(step[:, x], 2 * after + digit), (order, x)
 
-    @pytest.mark.parametrize(
-        "m, p", [(43, 0.3), (44, 0.5), (200, 0.97), (10**6, 0.03)],
-        ids=["43", "44", "200", "1000000"],
-    )
-    def test_no_step_table_past_the_pad(self, monkeypatch, m, p):
-        # an order of 43 or more lists less than its gap: groups and the
-        # lockstep leave it to the per-block walk, even where they would
-        # take any path, and it builds no step table
-        n, seeds = 20_000, range(3)
-        class Built(Exception):
-            pass
-
-        def refuse(row, nxt):
-            raise Built
-
-        monkeypatch.setattr(markov, "_GROUP_FROM", 0)
-        monkeypatch.setattr(markov, "_LOCKSTEP_FROM", 0)
-        monkeypatch.setattr(markov, "_step_table", refuse)
-        with pytest.raises(Built):
-            sample(42, p, n, 0)
-        runs = [sample(m, p, n, seed) for seed in seeds]
-        for run, seed in zip(runs, seeds):
-            bits, forced = unpack(run)
-            assert bits.tobytes() == loop_sample(m, p, n, seed).tobytes()
-            assert np.array_equal(forced, forced_mask(m, bits))
-        for run, ref in zip(markov.samples(m, p, n, seeds), runs, strict=True):
-            assert run.packed_bits.tobytes() == ref.packed_bits.tobytes()
-            assert run.packed_forced.tobytes() == ref.packed_forced.tobytes()
-
     @pytest.mark.parametrize("order", STEP_ORDERS)
-    def test_lane_starts_hold_every_block_end_state(self, order):
+    def test_lane_starts_hold_every_block_end_state(self, monkeypatch, order):
         # the speed-up rests on this: after a group's head the states reached
         # from every state a block can end on number at most two, and then
         # the two lanes start on exactly those; where they number more, the
         # lanes start on two of them and the walk goes block by block from
-        # every other
+        # every other. Past the pad no lane starts: the per-block walk is
+        # the law
+        if order in self.PAST_THE_PAD:
+            walks_past_the_pad(
+                monkeypatch, order, self.PAST_THE_PAD[order], "_heads", "_carry")
+            return
         row, nxt = walk_list(order)
         step = markov._step_table(row, nxt)
         codes = np.arange(3**markov.BLOCK)
