@@ -4,8 +4,9 @@ States are plain (last digit, current run length) pairs, and the chain
 is its kernel dict.  The chain is the stationary route to the invariant
 measure, kept apart from `measure`: `digit_mass(m, p, digit)` builds it
 and returns lambda_p[digit], which must reproduce the closed form.
-Seeded paths of `sample(m, p, n, seed)`, kept as packed bytes, drive the
-frequency and dimension estimators.
+Seeded paths of `samples(m, p, n, seeds)`, one walk engine for any number
+of paths (`sample` draws one), kept as packed bytes, drive the frequency
+and dimension estimators.
 """
 from __future__ import annotations
 
@@ -121,17 +122,17 @@ def digit_mass(m: int, p, digit: int) -> Fraction | float:
 # sampling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleRun:
     """A seeded path of the chain with its running statistics.
 
     Regenerating with the same (seed, n) reproduces the word bit for bit:
     the generator is counter-based (Philox) keyed by the seed.  `forced`
     marks the symbols that end a maximal run of m-1, which the chain flips
-    with probability 1; `sample` reads the marks off its block table.
+    with probability 1; `samples` reads the marks off its block table.
 
     The path is kept only packed, in np.packbits's layout, one block of
-    `sample` a byte: byte j holds symbols 8j, ..., 8j + 7, the first in
+    `samples` a byte: byte j holds symbols 8j, ..., 8j + 7, the first in
     its high bit, and every bit past symbol n-1 is 0.  Its readers unpack
     what they need per call (np.unpackbits with count=n).
     """
@@ -160,12 +161,12 @@ def _popcount(packed: np.ndarray) -> int:
     return int(np.bitwise_count(packed).sum())
 
 
-BLOCK = 8  # symbols per table lookup in `sample`
+BLOCK = 8  # symbols per table lookup in `samples`
 _SLICE = 4096 * BLOCK  # symbols per raw draw, to bound the temporaries
-_BATCH = 4 * _SLICE  # symbols per batch of block work
-_PAD = 4 * BLOCK  # the most runs below the block table that `sample` lists
-_GROUP = 32  # blocks per group of `sample`'s group walk
-_GROUP_FROM = 6000  # path symbols per state of the row list, plus one, from which groups pay
+_BATCH = 4 * _SLICE  # symbols per batch of block work, over a set's paths
+_PAD = 4 * BLOCK  # the most runs below the block table that `samples` lists
+_GROUP = 32  # blocks per group of the group walk
+_GROUP_FROM = 6000  # set symbols per state of the row list, plus one, from which groups pay
 
 
 @functools.cache
@@ -173,7 +174,7 @@ def _block_table(
     k: int,
 ) -> tuple[tuple[int, ...], tuple[bytes, ...], np.ndarray, np.ndarray]:
     """One block of BLOCK steps of the order-k chain with favoured digit 0,
-    for every row and block code; `sample` keys it by min(m, n + 2, BLOCK + 2).
+    for every row and block code; `samples` keys it by min(m, n + 2, BLOCK + 2).
 
     A state (digit, run) is the integer x = 2*run + digit; a path starts
     at x = 0, a free run of no 0's.  Symbol j of a block has a class c_j
@@ -201,7 +202,7 @@ def _block_table(
     m-1 minus the run, and the rows' lefts go from BLOCK down to 0 for
     every such m; a flip leaves min(m-2, BLOCK) = BLOCK; and the next state
     after a flip, 2*run + digit with run <= BLOCK, does not refer to m.
-    So the order class min(m, BLOCK + 2) keys the table; `sample` walks
+    So the order class min(m, BLOCK + 2) keys the table; `samples` walks
     the runs below the lowest row on that row (see there).
 
     Favoured digit 1 needs no table of its own: the rule reads the digit d
@@ -273,13 +274,13 @@ def _class_bounds(p: float) -> tuple[np.uint64, np.uint64]:
 
 
 def _plan(m: int, p, n: int) -> tuple:
-    """`sample`'s set-up for a walk of n symbols at (m, float(p)), which
-    `samples` shares: (float(p), `_class_bounds`' two bounds, swap (1 where
-    the walk favours digit 1, on digit 0's table), the row of each state
-    of the walk's list, then `_block_table`'s next states, bits and marks,
-    pad (the low runs listed in front of the table's rows) and gap (the
-    runs below the table's, each taking the lowest row)).  m < 3, float(p)
-    outside (0, 1) and n < 1 raise ValueError."""
+    """`samples`' set-up for walks of n symbols at (m, float(p)):
+    (float(p), `_class_bounds`' two bounds, swap (1 where the walk favours
+    digit 1, on digit 0's table), the row of each state of the walk's list,
+    then `_block_table`'s next states, bits and marks, pad (the low runs
+    listed in front of the table's rows) and gap (the runs below the
+    table's, each taking the lowest row)).  m < 3, float(p) outside (0, 1)
+    and n < 1 raise ValueError."""
     _check_order(m)
     p = float(p)
     _check_open_unit(p, "p")
@@ -322,10 +323,12 @@ def _bits_and_marks(rows: np.ndarray, codes: np.ndarray, emitted, marks, swap: i
     return bits, marks[ks]
 
 
-def sample(m: int, p, n: int, seed: int) -> SampleRun:
-    """Draw a length-n admissible word from the path law, deterministically.
+def samples(m: int, p, n: int, seeds) -> list[SampleRun]:
+    """Draw a length-n admissible word from the path law for each seed,
+    deterministically: the runs in the order of the seeds.
 
-    m < 3, float(p) outside (0, 1) and n < 1 raise ValueError.  With
+    m < 3, float(p) outside (0, 1) and n < 1 raise ValueError, and so does
+    a seed that Philox refuses as a key; no seeds give [].  With
     u = rng.random(n), rng = Generator(Philox(key=seed)), the walk starts
     at run 0 with digit 0, and each symbol i extends the current run when
     the run is below m-1 and u[i] < p (run of 0's) or u[i] < 1.0 - p (run
@@ -334,15 +337,15 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     `_block_table`, symbol 0 included, and yields the same bits as the
     per-symbol walk; the same lookups give the forced marks.
 
-    The words are drawn raw, a slice at a time: rng.random() is
-    (w >> 11) * 2**-53 for the bit generator's next 64-bit word w, so the
-    two tests of u are integer tests of w (`_class_bounds`).  A block's
-    code sum_j c_j 3**j, c_j = [u_j < p] + [u_j < 1.0 - p], is linear in
-    the two tests, so it is the sum of the codes (`_byte_codes`) of two
-    bytes, each packing one test over the block's 8 symbols.  The walk
-    keeps the state x and records one byte per block, the row of x; the
-    rows and codes then look up every block's bits and marks at once, one
-    byte per block, which is `SampleRun`'s packed layout.  A walk that
+    The words are drawn raw, a slice of _SLICE symbols at a time:
+    rng.random() is (w >> 11) * 2**-53 for the bit generator's next 64-bit
+    word w, so the two tests of u are integer tests of w (`_class_bounds`).
+    A block's code sum_j c_j 3**j, c_j = [u_j < p] + [u_j < 1.0 - p], is
+    linear in the two tests, so it is the sum of the codes (`_byte_codes`)
+    of two bytes, each packing one test over the block's 8 symbols.  The
+    walk keeps the state x and records one byte per block, the row of x;
+    the rows and codes then look up every block's bits and marks at once,
+    one byte per block, which is `SampleRun`'s packed layout.  A walk that
     favours digit 1 runs on digit 0's table with the digits swapped.
 
     At an order above the table's k, the gap = order - k runs below the
@@ -357,35 +360,41 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
     order, and the common path, a block that ends on a flip, is the same
     at every order.
 
-    Long paths walk in groups of G = _GROUP blocks, on the coalescence of
-    run states: a symbol of class 0 flips every state, each digit onto the
-    run 1 of the other, so after it the states reached from all states
-    number at most two, and stay at most two.  Such a symbol comes with
-    probability min(p, 1-p), so a two-block head holds one in 93% of the
-    groups at p = 0.85 and in all but 2**-16 at p = 0.5.  For each batch
-    of _BATCH symbols, numpy takes every group's first two blocks, its
-    head, from every state of the list at once (`_step_table`, `_heads`),
-    and carries the least and the greatest of the states reached from the
-    states a block can end on through the rest of the group as two lanes,
-    one gather per block position.  The Python loop then takes one lookup
-    per group: the lane that the true state after the head lands on gives
-    the state at the group's end, and a group whose head leaves the state
-    on neither lane is walked block by block.  The state before each block
-    comes back by one select between the two lanes, so the rows, the bits
-    and the marks are those of the per-block walk.  Groups need the whole
-    gap listed (gap == pad, orders up to BLOCK + 2 + _PAD = 42), and paths
-    of at least _GROUP_FROM (len(row) + 1) symbols; shorter ones take
-    G = 1, the per-block walk.  That is 42 000 symbols at m = 3 and
-    150 000 at m = 12; on a 2-core x86-64 VM the walk in groups first paid
-    at about 35 000-40 000 and 45 000-85 000 symbols (medians of whole
-    calls), and at 10**6 symbols it took 2.6 against 7.8 ms at m = 3.
+    The paths walk in sets, a batch of at most _BATCH symbols over the
+    set's paths at a time, so the memory held past the runs does not grow
+    with the number of paths, and a set of more than one path walks each
+    path in one batch.  Within a batch, long walks go in groups of
+    G = _GROUP blocks, on the coalescence of run states: a symbol of
+    class 0 flips every state, each digit onto the run 1 of the other, so
+    after it the states reached from all states number at most two, and
+    stay at most two.  Such a symbol comes with probability min(p, 1-p), so
+    a two-block head holds one in 93% of the groups at p = 0.85 and in all
+    but 2**-16 at p = 0.5.  numpy takes the head of every group of every
+    path of the batch from every state of the list at once (`_step_table`,
+    `_heads`), and carries the least and the greatest of the states reached
+    from the states a block can end on through the rest of the group as two
+    lanes, one gather per block position (`_carry`).  The Python loop then
+    takes one lookup per group, path by path: the lane that the true state
+    after the head lands on gives the state at the group's end, and a group
+    whose head leaves the state on neither lane is walked block by block.
+    The state before each block comes back by one select between the two
+    lanes, so the rows, the bits and the marks are those of the per-block
+    walk, which takes each path's last blocks.  Groups need the whole gap
+    listed (gap == pad, orders up to BLOCK + 2 + _PAD = 42), and a set of
+    at least _GROUP_FROM (len(row) + 1) symbols; smaller sets take G = 1,
+    the per-block walk.  One path of 10**6 symbols took 2.6 against 7.8 ms
+    in groups at m = 3 on a 2-core x86-64 VM, and gate check 14's 100 paths
+    of 10**4 symbols 11.3 against 15.1 ms (medians of 41 alternated calls).
     """
     import numpy as np
     p, below_lo, upto_hi, swap, row, nxt, emitted, marks, pad, gap = _plan(m, p, n)
-    draw = np.random.Philox(key=seed).random_raw
-    size = -(-n // BLOCK)
-    packed_bits = np.empty(size, dtype=np.uint8)
-    packed_forced = np.empty(size, dtype=np.uint8)
+    seeds = list(seeds)
+    draws = [np.random.Philox(key=seed).random_raw for seed in seeds]
+    size = -(-n // BLOCK)  # blocks per path: the last one may draw past symbol n-1
+    batch = min(size, _BATCH // BLOCK)  # blocks per path and batch
+    # paths per set: more than one only where each path fits one batch, so
+    # that the one `run` of a parked state never crosses paths
+    together = _BATCH // BLOCK // batch
     jump = 2 * BLOCK
     # past a gap of _PAD, the table's run t sits at 2 (pad + t) + digit, its
     # lowest row, run 1, at park + digit, above every run of the pad; a full
@@ -409,151 +418,86 @@ def sample(m: int, p, n: int, seed: int) -> SampleRun:
         return x
 
     width = len(row)  # columns of the step table
-    group = _GROUP if gap == pad and n >= _GROUP_FROM * (width + 1) else 1
-    if group > 1:
+    group = 1
+    if gap == pad and min(len(seeds), together) * n >= _GROUP_FROM * (width + 1):
+        group = _GROUP
         step = _step_table(row, nxt)
         flat = step.ravel()
         row_of = np.array(row, dtype=np.uint8)
-    x = swap  # digit 0 with a run of 0: state 1 on the swapped walk
-    done = 0  # blocks walked
-    slices = []  # the codes of a batch's slices
-    for start in range(0, n, _SLICE):
-        # whole blocks: the last one may draw past symbol n-1
-        blocks = -(-min(_SLICE, n - start) // BLOCK)
-        codes = _codes(draw, blocks, below_lo, upto_hi)
-        if group > 1:
-            # walk in batches of _BATCH symbols
-            slices.append(codes)
-            if len(slices) < _BATCH // _SLICE and start + _SLICE < n:
-                continue
-            codes = np.concatenate(slices) if len(slices) > 1 else codes
-            blocks = len(codes)
-            slices = []
-        groups = blocks // group if group > 1 else 0
-        body = groups * group
-        trace = bytearray()
-        if groups:
-            by_group = codes[:body].reshape(groups, group)
-            after1, after2, lanes = _heads(step, by_group[:, 0], by_group[:, 1], group)
-            # the lanes through the rest of each group, one gather per block
-            _carry(flat, by_group[:, 2:].T * np.intp(width), lanes)
-            # each state's end of group after the head: a lane's exit, or
-            # width where the head leaves it on neither lane
-            exit0, exit1 = lanes[-1]
-            on1 = after2 == lanes[0, 1][:, None]
-            to = np.where(on1, exit1[:, None], np.where(
-                after2 == lanes[0, 0][:, None], exit0[:, None], width)).tobytes()
-            # the walk: one lookup per group, block by block where no lane holds
-            put = trace.append
-            walked = bytearray()
-            walked_groups = []
-            by_block = memoryview(codes)
-            for base in range(0, groups * width, width):
-                put(x)
-                y = to[base + x]
-                if y == width:
-                    g = base // width
-                    walked_groups.append(g)
-                    y = walk(x, by_block[g * group : g * group + group], walked.append)
-                x = y
-            # the state before each block: the head's, then the lane taken
-            entry = np.frombuffer(trace, dtype=np.uint8)
-            at = np.arange(0, groups * width, width) + entry
-            states = np.empty((groups, group), dtype=np.uint8)
-            states[:, 0] = entry
-            states[:, 1] = after1.ravel()[at]
-            states[:, 2:] = np.where(on1.ravel()[at], lanes[:-1, 1], lanes[:-1, 0]).T
-            rows = row_of[states]
-            rows[walked_groups] = np.frombuffer(walked, dtype=np.uint8).reshape(-1, group)
-            trace = bytearray(rows)
-        x = walk(x, memoryview(codes)[body:], trace.append)
-        packed_bits[done : done + blocks], packed_forced[done : done + blocks] = (
-            _bits_and_marks(np.frombuffer(trace, dtype=np.uint8), codes, emitted, marks, swap))
-        done += blocks
-    # clear the bits that the last block drew past symbol n-1
-    tail = 0xFF << -n % BLOCK & 0xFF
-    packed_bits[-1] &= tail
-    packed_forced[-1] &= tail
-    return SampleRun(m, p, seed, n, packed_bits, packed_forced)
-
-
-# the fewest paths that `samples` walks in lockstep, the block codes it
-# holds at once over the paths it walks together, and blocks per lane walk
-_LOCKSTEP_FROM = 20
-_LOCKSTEP = 1 << 17
-_CHUNK = 64
-
-
-def samples(m: int, p, n: int, seeds) -> list[SampleRun]:
-    """`sample(m, p, n, seed)` for each seed, the same runs byte for byte,
-    the paths walked in lockstep.
-
-    m, p, n and each seed raise `sample`'s errors, and no seeds give [].
-    The paths share `sample`'s set-up (`_plan`) and its step table
-    (`_step_table`), and each draws its own codes, a slice at a time.
-    One state per path then steps through the block positions, all paths
-    at once: one add and one gather per position (`_carry`, the lane step
-    of `sample`'s group walk), where `sample` takes one Python step per
-    block of each path.  The states before the blocks give their rows,
-    and the rows and codes the bits and marks, as in `sample`.  The step
-    table needs the whole gap listed, as `sample`'s groups do: at orders
-    of 43 and more every path is drawn by `sample`.  The paths walk
-    together in sets whose codes of one slice number at most _LOCKSTEP,
-    and a set's slice in chunks of _CHUNK blocks, so the memory held does
-    not grow with the number of paths past a set.
-
-    A lockstep position costs a few numpy calls whatever the number of
-    paths, and a block of `sample`'s per-block walk a Python step, so the
-    lockstep pays from about 12 paths of 2000 symbols and 20 of 10**4 on
-    a 2-core x86-64 VM (medians of 31 calls); fewer than _LOCKSTEP_FROM
-    paths are each drawn by `sample`.  32 paths of 5 * 10**4 and 2 * 10**5
-    symbols at (3, 0.3) took 32 and 100 ms in lockstep against 35 and
-    104 ms by `sample`'s group walk (medians of 7).
-    """
-    import numpy as np
-    p, below_lo, upto_hi, swap, row, nxt, emitted, marks, pad, gap = _plan(m, p, n)
-    seeds = list(seeds)
-    if gap > pad or len(seeds) < _LOCKSTEP_FROM:
-        return [sample(m, p, n, seed) for seed in seeds]
-    draws = [np.random.Philox(key=seed).random_raw for seed in seeds]
-    width = len(row)
-    flat = _step_table(row, nxt).ravel()
-    row_of = np.array(row, dtype=np.uint8)
-    size = -(-n // BLOCK)
     tail = 0xFF << -n % BLOCK & 0xFF  # the bits of the last block before symbol n
-    together = max(1, _LOCKSTEP // min(size, _SLICE // BLOCK))
     runs = []
     for first in range(0, len(seeds), together):
         some = draws[first : first + together]
-        bits = np.empty((len(some), size), dtype=np.uint8)
-        forced = np.empty_like(bits)
-        x = np.full(len(some), swap, dtype=np.uint8)
-        done = 0  # blocks walked
-        for start in range(0, n, _SLICE):
-            blocks = -(-min(_SLICE, n - start) // BLOCK)
+        paths = [(np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8))
+                 for _ in some]
+        xs = [swap] * len(some)  # digit 0 with a run of 0: state 1 on the swapped walk
+        for done in range(0, size, batch):
+            blocks = min(batch, size - done)
             codes = np.empty((len(some), blocks), dtype=np.uint16)
             for i, draw in enumerate(some):
-                codes[i] = _codes(draw, blocks, below_lo, upto_hi)
-            for lo in range(0, blocks, _CHUNK):
-                chunk = codes[:, lo : lo + _CHUNK]
-                lanes = np.empty((chunk.shape[1] + 1, len(some)), dtype=np.uint8)
-                lanes[0] = x
-                _carry(flat, chunk.T * np.intp(width), lanes)
-                x = lanes[-1]
-                at = slice(done + lo, done + lo + chunk.shape[1])
-                bits[:, at], forced[:, at] = _bits_and_marks(
-                    row_of[lanes[:-1].T], chunk, emitted, marks, swap)
-            done += blocks
-        del codes  # not held through the copies
-        bits[:, -1] &= tail
-        forced[:, -1] &= tail
-        runs += [SampleRun(m, p, seed, n, b.copy(), f.copy())
-                 for seed, b, f in zip(seeds[first:], bits, forced)]
+                for lo in range(0, blocks, _SLICE // BLOCK):
+                    hi = min(lo + _SLICE // BLOCK, blocks)
+                    codes[i, lo:hi] = _codes(draw, hi - lo, below_lo, upto_hi)
+            groups = blocks // group if group > 1 else 0  # per path
+            body = groups * group
+            if groups:
+                by_group = codes[:, :body].reshape(-1, group)
+                after1, after2, lanes = _heads(step, by_group[:, 0], by_group[:, 1], group)
+                _carry(flat, by_group[:, 2:].T * np.intp(width), lanes)
+                # each state's end of group after the head: a lane's exit, or
+                # width where the head leaves it on neither lane
+                exit0, exit1 = lanes[-1]
+                on1 = after2 == lanes[0, 1][:, None]
+                to = np.where(on1, exit1[:, None], np.where(
+                    after2 == lanes[0, 0][:, None], exit0[:, None], width)).tobytes()
+            # the walk: one lookup per group, block by block where no lane
+            # holds, then the path's last blocks
+            entries, walked, trace = bytearray(), bytearray(), bytearray()
+            walked_groups = []
+            put = entries.append
+            by_block = memoryview(codes.ravel())
+            for i in range(len(some)):
+                x = xs[i]
+                for base in range(i * groups * width, (i + 1) * groups * width, width):
+                    put(x)
+                    y = to[base + x]
+                    if y == width:
+                        g = base // width
+                        walked_groups.append(g)
+                        start = g * group + i * (blocks - body)
+                        y = walk(x, by_block[start : start + group], walked.append)
+                    x = y
+                xs[i] = walk(x, by_block[i * blocks + body : (i + 1) * blocks], trace.append)
+            rows = np.frombuffer(trace, dtype=np.uint8).reshape(len(some), -1)
+            if groups:
+                # the state before each block: the head's, then the lane taken
+                entry = np.frombuffer(entries, dtype=np.uint8)
+                at = np.arange(0, len(entry) * width, width) + entry
+                states = np.empty((len(entry), group), dtype=np.uint8)
+                states[:, 0] = entry
+                states[:, 1] = after1.ravel()[at]
+                states[:, 2:] = np.where(on1.ravel()[at], lanes[:-1, 1], lanes[:-1, 0]).T
+                grouped = row_of[states]
+                grouped[walked_groups] = np.frombuffer(walked, dtype=np.uint8).reshape(-1, group)
+                rows = np.concatenate((grouped.reshape(len(some), body), rows), axis=1)
+            bits, forced = _bits_and_marks(rows, codes, emitted, marks, swap)
+            for (path_bits, path_forced), b, f in zip(paths, bits, forced):
+                path_bits[done : done + blocks], path_forced[done : done + blocks] = b, f
+        for seed, (path_bits, path_forced) in zip(seeds[first:], paths):
+            # clear the bits that the last block drew past symbol n-1
+            path_bits[-1] &= tail
+            path_forced[-1] &= tail
+            runs.append(SampleRun(m, p, seed, n, path_bits, path_forced))
     return runs
 
 
+def sample(m: int, p, n: int, seed: int) -> SampleRun:
+    """`samples(m, p, n, [seed])[0]`: one path, with the same errors."""
+    return samples(m, p, n, [seed])[0]
+
+
 def _step_table(row: tuple[int, ...], nxt: tuple[bytes, ...]) -> np.ndarray:
-    """The state after one block from each state x of `sample`'s row list,
+    """The state after one block from each state x of the walk's row list,
     for every block code, as uint8 of shape (3**BLOCK, len(row)), code
     first, so that a lane's next state is one gather at code * len(row) + x.
 
@@ -578,7 +522,7 @@ def _heads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each group's state after its first and after its second block (the
     head), from every state, as (groups, width) arrays, and the lanes of
-    `sample`'s group walk, (group - 1, 2, groups), with the two lane starts
+    the group walk, (group - 1, 2, groups), with the two lane starts
     filled in: the least and the greatest state that the head reaches from
     the states a block can end on, every state from run 1 on."""
     import numpy as np
@@ -595,7 +539,8 @@ def _heads(
 def _carry(flat: np.ndarray, cols: np.ndarray, lanes: np.ndarray) -> None:
     """Fill lanes[i + 1] with the state after block i from each state of
     lanes[i], where cols[i] holds that block's code times the step table's
-    width and flat is the table raveled: one add and one gather per block."""
+    width and flat is the table raveled: one add and one gather per block
+    position, for the groups of every path of a batch at once."""
     import numpy as np
     at = np.empty(lanes.shape[1:], dtype=np.intp)
     for i, col in enumerate(cols):

@@ -405,15 +405,14 @@ ERGODIC_CHECKS = ("12", "13", "15")
 
 # the checks that the full suite runs in one forked child while the caller
 # runs the other eleven.  On a 2-core x86-64 VM, in one process (medians of
-# 21 rounds, check by check, two runs), check 14 takes 22.8-23.2 ms and
-# checks 1, 2 and 6 5.8-5.9 ms together, of a 61.4-62.8 ms suite; the
-# caller's 32.8-33.7 ms hold 18.6-19.3 ms of checks 12 and 15, each one
-# 10**6-symbol draw.  The child also pays the fork (about 2 ms).  With
-# checks 1, 2, 5, 6 and 14 in the child the child's side ended later in 117
-# and 97 of 151 runs; with check 5 in the caller the suite was faster in 92
-# and 79 of 151 alternated runs (medians 58.2 against 58.5 and 45.0
-# against 44.7 ms), and with check 6 in the caller instead in 87 and 76.
-# Checks 12, 13 and 15 stay in the caller and share the one draw in `path`.
+# 21 rounds, check by check, two runs), check 14 takes 27.5-39.1 ms and
+# checks 1, 2 and 6 8.5-11.0 ms together, of a 77.0-101.2 ms suite; the
+# caller's 39.4-52.4 ms hold 22.0-30.1 ms of checks 12 and 15, each one
+# 10**6-symbol draw.  The child also pays the fork (about 2 ms).  Over 41
+# rounds alternating four splits (two runs), this one was the fastest in
+# 21 and 18, against 4-11 each for (1, 2, 14), (2, 6, 14) and
+# (1, 2, 5, 6, 14).  Checks 12, 13 and 15 stay in the caller and share the
+# one draw in `path`.
 FORKED_CHECKS = ("1", "2", "6", "14")
 
 

@@ -264,7 +264,7 @@ def count_words(m: int, n: int) -> int:
 FREE0, FREE1, FORCED = 0, 1, 2  # classes of a symbol: indices into (w0, w1, wf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeArrays:
     """Per-node int arrays of a `WordTree`, indexed like its words.
 

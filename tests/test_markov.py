@@ -73,8 +73,8 @@ def walk_list(order):
 def walks_past_the_pad(monkeypatch, m, p, *refused):
     """Check that `sample` and `samples` at an order m of 43 or more, which
     lists less than its gap, draw the per-symbol law's paths without
-    calling the markov functions named in refused, even with groups and
-    the lockstep taken at every length; at order 42 both still call them."""
+    calling the markov functions named in refused, even with groups taken
+    at every length; at order 42 both still call them."""
     n, seeds = 20_000, range(3)
 
     class Called(Exception):
@@ -84,7 +84,6 @@ def walks_past_the_pad(monkeypatch, m, p, *refused):
         raise Called
 
     monkeypatch.setattr(markov, "_GROUP_FROM", 0)
-    monkeypatch.setattr(markov, "_LOCKSTEP_FROM", 0)
     for name in refused:
         monkeypatch.setattr(markov, name, refuse)
     with pytest.raises(Called):
@@ -866,21 +865,22 @@ class TestSampling:
     @example(3, 0.5, 10**4, [0, 2**128 - 1, 0], 0)
     @example(3, 0.5, 10**4, [], 0)
     @example(3, 0.5, 10**4, [], None)
-    # a second draw slice and chunk ends inside it
+    # a second draw slice
     @example(5, 0.3, markov._SLICE + 9, [1, 2, 3], 0)
-    # orders past the pad: every path is drawn by `sample`
+    # orders past the pad: every path walks block by block
     @example(200, 1 - 1e-12, 2000, [4, 5], 0)
     @example(10**6, 1e-12, 10**4, [6], 0)
-    def test_samples_are_samples(self, m, p, n, seeds, lockstep_from):
+    def test_samples_are_samples(self, m, p, n, seeds, group_from):
         # each seed's run, bits and forced marks byte-equal to its `sample`,
-        # walked in lockstep from any number of paths (lockstep_from 0) and
-        # as `samples` chooses; lockstep sets of one and two paths as well
+        # in groups from the first block (group_from 0) and as `samples`
+        # chooses; in sets of one path and of two as well
         want = [sample(m, p, n, seed) for seed in seeds]
-        patches = [{}, {"_LOCKSTEP": 1}, {"_LOCKSTEP": 2 * -(-n // markov.BLOCK)}]
+        size = markov.BLOCK * -(-n // markov.BLOCK)
+        patches = [{}, {"_BATCH": size}, {"_BATCH": 2 * size}]
         for patch in patches:
             with pytest.MonkeyPatch.context() as mp:
-                if lockstep_from is not None:
-                    mp.setattr(markov, "_LOCKSTEP_FROM", lockstep_from)
+                if group_from is not None:
+                    mp.setattr(markov, "_GROUP_FROM", group_from)
                 for name, value in patch.items():
                     mp.setattr(markov, name, value)
                 got = markov.samples(m, p, n, iter(seeds))
@@ -890,37 +890,64 @@ class TestSampling:
                 assert run.packed_bits.tobytes() == ref.packed_bits.tobytes()
                 assert run.packed_forced.tobytes() == ref.packed_forced.tobytes()
                 assert run.packed_bits.dtype == run.packed_forced.dtype == np.uint8
+                assert run.packed_bits.base is None and run.packed_forced.base is None
 
-    def test_samples_walk_in_lockstep(self, monkeypatch):
-        # check 14's paths take no `sample` call, and paths at an order past
-        # the pad one each
-        calls = []
-        original = markov.sample
+    def test_check14_draws_take_groups_when_full(self, monkeypatch):
+        # check 14's full draw, 100 paths of 10**4 symbols, walks in groups;
+        # its quick draw, 10 paths of 2000, block by block; neither calls
+        # `sample`
+        heads = []
+        original = markov._heads
 
-        def counting(m, p, n, seed):
-            calls.append(seed)
-            return original(m, p, n, seed)
+        def counting(*args):
+            heads.append(len(args[1]))
+            return original(*args)
 
-        monkeypatch.setattr(markov, "sample", counting)
+        def refuse(*args):
+            raise AssertionError("samples called sample")
+
+        monkeypatch.setattr(markov, "_heads", counting)
+        monkeypatch.setattr(markov, "sample", refuse)
+        assert len(markov.samples(3, 0.5, 2000, range(10))) == 10
+        assert heads == []
         assert len(markov.samples(3, 0.5, 10**4, range(100))) == 100
-        assert calls == []
-        markov.samples(200, 1 - 1e-12, 2000, range(30))
-        assert calls == list(range(30))
+        assert heads and sum(heads) == 100 * (10**4 // markov.BLOCK // markov._GROUP)
 
-    @pytest.mark.parametrize("lockstep_from", [0, 20])
+    def test_samples_hold_little_past_their_runs(self):
+        # a path set holds at most _BATCH symbols of work at once, whatever
+        # the number of paths
+        markov.samples(3, 0.5, 10**5, range(2))  # the tables, built once per process
+        tracemalloc.start()
+        try:
+            runs = markov.samples(3, 0.5, 10**5, range(40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = sum(run.packed_bits.nbytes + run.packed_forced.nbytes for run in runs)
+        assert peak < packed + 2**20
+
+    def test_runs_compare_by_identity(self):
+        # a run holds arrays, so == is identity and hash never reads them
+        a, b = sample(3, 0.2, 100, 1), sample(3, 0.2, 100, 1)
+        assert a == a and a != b and not a == b
+        assert a in [b, a] and b not in [a]
+        assert len({hash(a), hash(b)}) == 2 and len({a, b, a}) == 2
+
+    # the same errors whether the bad argument comes alone or after `leading`
+    # good seeds, which make a set of many paths
+    @pytest.mark.parametrize("leading", [0, 20])
     @pytest.mark.parametrize(
         "m, p, n, seeds",
         [(2, 0.3, 100, [1]), (3, 0.0, 100, [1]), (3, 1.0, 100, []), (3, math.nan, 100, [1]),
          (3, 0.3, 0, [1]), (3, 0.3, -5, []), (3, 0.3, 100, [1, -1]), (3, 0.3, 100, [2**128]),
          (3, 0.3, 100, [0, "a"])],
     )
-    def test_samples_reject_as_sample(self, monkeypatch, lockstep_from, m, p, n, seeds):
-        monkeypatch.setattr(markov, "_LOCKSTEP_FROM", lockstep_from)
+    def test_samples_reject_as_sample(self, leading, m, p, n, seeds):
         bad = [seed for seed in seeds if not isinstance(seed, int) or not 0 <= seed < 2**128]
         with pytest.raises(ValueError) as want:
             sample(m, p, n, bad[0] if bad else 1)
         with pytest.raises(ValueError) as got:
-            markov.samples(m, p, n, seeds)
+            markov.samples(m, p, n, [*range(leading), *seeds])
         assert str(got.value) == str(want.value)
 
     def test_word_matches_join(self):

@@ -344,6 +344,11 @@ class TestWordTable:
         got = [x.tolist() for x in (a.depth, *a.counts, a.suffix)]
         assert got == loop_tree_arrays(tree)
 
+    def test_tree_arrays_compare_by_identity(self):
+        # the arrays of two trees compare and hash without reading an array
+        a, b = words.word_tree(3, 4).arrays, words.word_tree(3, 4).arrays
+        assert a == a and a != b and a in [b, a] and len({a, b}) == 2
+
     @PROPERTY
     @given(st.integers(3, 7), st.integers(0, 10))
     def test_splits_are_the_factorizations(self, m, L):
